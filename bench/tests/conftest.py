@@ -1,0 +1,9 @@
+"""Make the benchmark's modules (``harness``, ``compare``, ``spans``)
+importable from the self-tests."""
+
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if BENCH_DIR not in sys.path:
+    sys.path.insert(0, BENCH_DIR)
