@@ -47,7 +47,7 @@ import numpy as np
 
 from ..observability import MetricsRegistry, get_registry
 from ..resilience import AnnParameterError
-from .index import AlignmentIndex
+from .index import AlignmentIndex, _canonical_top_k, _check_sources
 
 __all__ = [
     "DEFAULT_QUANT_ROWS",
@@ -381,7 +381,7 @@ class AnnProber:
             )
         return int(nprobe)
 
-    def probe(self, queries: np.ndarray, nprobe: int) -> List[np.ndarray]:
+    def probe(self, queries: np.ndarray, nprobe: int) -> np.ndarray:
         """Per query row, the ``nprobe`` probed cluster ids.
 
         Clusters rank by inner product ``⟨q, centroid⟩`` descending with
@@ -389,11 +389,15 @@ class AnnProber:
         probing is deterministic including degenerate centroids.
         """
         scores = queries @ self.centroids.T
-        cluster_ids = np.arange(self.n_clusters, dtype=np.int64)
-        return [
-            np.lexsort((cluster_ids, -scores[row]))[:nprobe]
-            for row in range(queries.shape[0])
-        ]
+        batch = queries.shape[0]
+        cluster_ids = np.tile(
+            np.arange(self.n_clusters, dtype=np.int64), batch
+        )
+        probed, _ = _canonical_top_k(
+            np.repeat(np.arange(batch), self.n_clusters), cluster_ids,
+            scores.ravel(), batch, nprobe,
+        )
+        return probed
 
     def select_candidates(
         self,
@@ -504,17 +508,11 @@ def select_rescored_top_k(
     finite-score filter drops the padding.
     """
     batch = len(candidates)
-    out_targets = np.full((batch, k), -1, dtype=np.int64)
-    out_scores = np.full((batch, k), -np.inf)
-    for row, ids in enumerate(candidates):
-        if ids.size == 0:
-            continue
-        row_scores = scores[row, np.searchsorted(columns, ids)]
-        take = min(k, ids.size)
-        chosen = np.lexsort((ids, -row_scores))[:take]
-        out_targets[row, :take] = ids[chosen]
-        out_scores[row, :take] = row_scores[chosen]
-    return out_targets, out_scores
+    rows = np.repeat(np.arange(batch), [ids.size for ids in candidates])
+    ids = np.concatenate(candidates)
+    return _canonical_top_k(
+        rows, ids, scores[rows, np.searchsorted(columns, ids)], batch, k
+    )
 
 
 class AnnIndex:
@@ -661,18 +659,7 @@ class AnnIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         registry = self._registry()
         started = time.perf_counter()
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        if sources.ndim != 1 or sources.size == 0:
-            raise ValueError(
-                f"sources must be a non-empty 1-D batch, got shape "
-                f"{sources.shape}"
-            )
-        out_of_range = (sources < 0) | (sources >= self.n_source)
-        if out_of_range.any():
-            bad = int(sources[out_of_range][0])
-            raise IndexError(
-                f"source node {bad} out of range [0, {self.n_source})"
-            )
+        sources = _check_sources(sources, self.n_source)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, self.n_target)

@@ -18,6 +18,16 @@ strictly below its current kth-best score, no remaining block can contain
 a top-k member — not even a tie, because the skip test is strict — and
 scoring stops.
 
+Selection is block by block too: the full (batch × n_target) score
+matrix is never built and no row is ever fully sorted.  After each
+block the running kth-best score per row is updated, only the block
+entries ``>= kth`` are kept as (row, target id, score) triples, and the
+block is dropped.  Because kth only rises, an entry below the running
+kth is strictly below the final kth, so every canonical top-k member —
+boundary ties included — survives.  One vectorized lexsort over the
+survivors (:func:`_canonical_top_k`) then yields the answer.  Transient
+memory is O(batch × (block + survivors)).
+
 Exactness guarantees:
 
 * **Pruned ≡ dense.**  Skipped blocks provably contain only scores
@@ -62,6 +72,46 @@ import numpy as np
 from ..observability import MetricsRegistry, get_registry
 
 __all__ = ["AlignmentIndex"]
+
+
+def _check_sources(sources, n_source: int) -> np.ndarray:
+    """A query batch as a non-empty 1-D int64 array of in-range ids."""
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    if sources.ndim != 1 or sources.size == 0:
+        raise ValueError(
+            f"sources must be a non-empty 1-D batch, got shape "
+            f"{sources.shape}"
+        )
+    out_of_range = (sources < 0) | (sources >= n_source)
+    if out_of_range.any():
+        bad = int(sources[out_of_range][0])
+        raise IndexError(f"source node {bad} out of range [0, {n_source})")
+    return sources
+
+
+def _canonical_top_k(
+    rows: np.ndarray, ids: np.ndarray, scores: np.ndarray, batch: int,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First ``k`` pooled candidates per row in canonical order.
+
+    ``rows``/``ids``/``scores`` are parallel 1-D arrays, one entry per
+    candidate.  One ``lexsort`` keyed (row, descending score, ascending
+    id) orders every row at once; an entry's rank within its row is its
+    distance from the row's first sorted position.  Returns
+    ``(targets, scores)`` of shape ``(batch, k)``; rows with fewer than
+    ``k`` candidates are right-padded with ``(-1, -inf)``.
+    """
+    order = np.lexsort((ids, -scores, rows))
+    rows = rows[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    keep = rank < k
+    rows, rank, order = rows[keep], rank[keep], order[keep]
+    out_targets = np.full((batch, k), -1, dtype=np.int64)
+    out_scores = np.full((batch, k), -np.inf)
+    out_targets[rows, rank] = ids[order]
+    out_scores[rows, rank] = scores[order]
+    return out_targets, out_scores
 
 
 class AlignmentIndex:
@@ -170,6 +220,19 @@ class AlignmentIndex:
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
 
+    def _queries(
+        self, sources: np.ndarray
+    ) -> Tuple[bool, np.ndarray, List[np.ndarray]]:
+        """``(padded, batch_ids, per-layer query rows)`` for a batch.
+
+        Single queries are padded to two rows: a (1, d) @ (d, n) product
+        goes through a GEMV kernel whose reduction order differs bitwise
+        from the batched GEMM every other path uses.
+        """
+        padded = sources.size == 1
+        batch_ids = np.repeat(sources, 2) if padded else sources
+        return padded, batch_ids, [layer[batch_ids] for layer in self._source]
+
     # ------------------------------------------------------------------
     def _score_block(
         self, queries: List[np.ndarray], start: int, stop: int,
@@ -209,36 +272,22 @@ class AlignmentIndex:
         """
         registry = self._registry()
         started = time.perf_counter()
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        if sources.ndim != 1 or sources.size == 0:
-            raise ValueError(
-                f"sources must be a non-empty 1-D batch, got shape "
-                f"{sources.shape}"
-            )
-        out_of_range = (sources < 0) | (sources >= self.n_source)
-        if out_of_range.any():
-            bad = int(sources[out_of_range][0])
-            raise IndexError(
-                f"source node {bad} out of range [0, {self.n_source})"
-            )
+        sources = _check_sources(sources, self.n_source)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, self.n_target)
         prune = self.prune if prune is None else bool(prune)
 
-        # Pad single queries to two rows: a (1, d) @ (d, n) product goes
-        # through a GEMV kernel whose reduction order differs bitwise
-        # from the batched GEMM every other path uses.
-        padded = sources.size == 1
-        batch_ids = np.repeat(sources, 2) if padded else sources
-        queries = [layer[batch_ids] for layer in self._source]
+        padded, batch_ids, queries = self._queries(sources)
         query_norms = self._query_norms[batch_ids]
         batch = batch_ids.size
 
         kth = np.full(batch, -np.inf)
-        top_buffer: Optional[np.ndarray] = None
+        top_buffer = np.empty((batch, 0))
         seen = 0
-        computed: List[Tuple[int, int, np.ndarray]] = []
+        kept_rows: List[np.ndarray] = []
+        kept_ids: List[np.ndarray] = []
+        kept_scores: List[np.ndarray] = []
         blocks_scored = 0
         blocks_pruned = 0
         for position, block_index in enumerate(self._block_order):
@@ -251,30 +300,32 @@ class AlignmentIndex:
                     blocks_pruned = self.num_blocks - position
                     break
             block = self._score_block(queries, start, stop, registry)
-            computed.append((start, stop, block))
             blocks_scored += 1
             seen += stop - start
-            merged = (
-                block if top_buffer is None
-                else np.concatenate([top_buffer, block], axis=1)
-            )
+            # A fresh array, so it can be partitioned in place.
+            merged = np.concatenate([top_buffer, block], axis=1)
             if merged.shape[1] >= k:
-                part = -np.partition(-merged, k - 1, axis=1)[:, :k]
-                top_buffer = part
-                kth = part[:, k - 1]
+                merged.partition(merged.shape[1] - k, axis=1)
+                top_buffer = merged[:, -k:]
+                kth = top_buffer[:, 0]
             else:
                 top_buffer = merged
+            # kth only rises, so an entry below it now is strictly below
+            # the final kth: every canonical top-k member, ties included,
+            # survives this filter.
+            flat = np.flatnonzero(block >= kth[:, None])
+            rows, columns = np.divmod(flat, stop - start)
+            kept_rows.append(rows)
+            kept_ids.append(columns + start)
+            kept_scores.append(np.take(block, flat))
 
-        all_scores = np.concatenate([blk for _, _, blk in computed], axis=1)
-        all_ids = np.concatenate(
-            [np.arange(a, e, dtype=np.int64) for a, e, _ in computed]
+        rows = np.concatenate(kept_rows)
+        scores = np.concatenate(kept_scores)
+        final = scores >= kth[rows]
+        out_targets, out_scores = _canonical_top_k(
+            rows[final], np.concatenate(kept_ids)[final], scores[final],
+            batch, k,
         )
-        out_targets = np.empty((batch, k), dtype=np.int64)
-        out_scores = np.empty((batch, k))
-        for row in range(batch):
-            order = np.lexsort((all_ids, -all_scores[row]))[:k]
-            out_targets[row] = all_ids[order]
-            out_scores[row] = all_scores[row, order]
         if padded:
             out_targets = out_targets[:1]
             out_scores = out_scores[:1]
@@ -307,18 +358,7 @@ class AlignmentIndex:
         padded to two rows exactly like :meth:`top_k`.
         """
         registry = self._registry()
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        if sources.ndim != 1 or sources.size == 0:
-            raise ValueError(
-                f"sources must be a non-empty 1-D batch, got shape "
-                f"{sources.shape}"
-            )
-        out_of_range = (sources < 0) | (sources >= self.n_source)
-        if out_of_range.any():
-            bad = int(sources[out_of_range][0])
-            raise IndexError(
-                f"source node {bad} out of range [0, {self.n_source})"
-            )
+        sources = _check_sources(sources, self.n_source)
         block_ids = sorted({int(block) for block in blocks})
         if not block_ids:
             raise ValueError("blocks must name at least one block id")
@@ -327,9 +367,7 @@ class AlignmentIndex:
             raise ValueError(
                 f"block id {bad} out of range [0, {self.num_blocks})"
             )
-        padded = sources.size == 1
-        batch_ids = np.repeat(sources, 2) if padded else sources
-        queries = [layer[batch_ids] for layer in self._source]
+        padded, _, queries = self._queries(sources)
         pieces = []
         columns = []
         for block in block_ids:
@@ -347,9 +385,7 @@ class AlignmentIndex:
         """Full score rows ``S[sources]`` (no pruning), for verification."""
         registry = self._registry()
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        padded = sources.size == 1
-        batch_ids = np.repeat(sources, 2) if padded else sources
-        queries = [layer[batch_ids] for layer in self._source]
+        padded, _, queries = self._queries(sources)
         blocks = [
             self._score_block(queries, a, e, registry)
             for a, e in self._block_bounds

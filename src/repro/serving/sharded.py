@@ -67,7 +67,7 @@ from ..resilience import (
 )
 from .ann import AnnProber, select_rescored_top_k
 from .engine import QueryEngine
-from .index import AlignmentIndex
+from .index import AlignmentIndex, _canonical_top_k, _check_sources
 
 __all__ = ["plan_shards", "ShardedIndex", "ShardedQueryEngine"]
 
@@ -533,18 +533,7 @@ class ShardedIndex:
     ) -> Tuple[np.ndarray, int, bool, List[int]]:
         if self._closed:
             raise RuntimeError("ShardedIndex is closed")
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        if sources.ndim != 1 or sources.size == 0:
-            raise ValueError(
-                f"sources must be a non-empty 1-D batch, got shape "
-                f"{sources.shape}"
-            )
-        out_of_range = (sources < 0) | (sources >= self.n_source)
-        if out_of_range.any():
-            bad = int(sources[out_of_range][0])
-            raise IndexError(
-                f"source node {bad} out of range [0, {self.n_source})"
-            )
+        sources = _check_sources(sources, self.n_source)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, self.n_target)
@@ -557,19 +546,16 @@ class ShardedIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         all_targets = np.concatenate([t for t, _ in shard_answers], axis=1)
         all_scores = np.concatenate([s for _, s in shard_answers], axis=1)
-        batch = all_targets.shape[0]
+        batch, pooled = all_targets.shape
         # A degraded merge can pool fewer than k candidates.
-        k = min(k, all_targets.shape[1])
-        out_targets = np.empty((batch, k), dtype=np.int64)
-        out_scores = np.empty((batch, k))
-        for row in range(batch):
-            # The index's canonical tie order (descending score,
-            # ascending id) over the pooled candidates: the merge that
-            # makes the answer shard-count-invariant.
-            order = np.lexsort((all_targets[row], -all_scores[row]))[:k]
-            out_targets[row] = all_targets[row, order]
-            out_scores[row] = all_scores[row, order]
-        return out_targets, out_scores
+        k = min(k, pooled)
+        # The index's canonical tie order (descending score, ascending
+        # id) over the pooled candidates: the merge that makes the
+        # answer shard-count-invariant.
+        return _canonical_top_k(
+            np.repeat(np.arange(batch), pooled), all_targets.ravel(),
+            all_scores.ravel(), batch, k,
+        )
 
     def _shard_task(
         self,

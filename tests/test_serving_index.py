@@ -6,6 +6,8 @@ targets AND scores — for every seed, block size, and k, including exact
 score ties and k == n_target.  Batch composition must not matter either.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,9 +34,12 @@ def tied_embeddings(seed, n_source=20, n_unique=23, copies=3, dims=(6, 4)):
     return source, target
 
 
-def canonical_reference(index, k):
-    """Dense argsort answer from the index's own full score rows."""
-    rows = index.score_rows(np.arange(index.n_source))
+def canonical_reference(index, k, sources=None):
+    """Brute-force answer: the index's own full score rows, each ordered
+    by a full-row lexsort (descending score, ascending id)."""
+    if sources is None:
+        sources = np.arange(index.n_source)
+    rows = index.score_rows(sources)
     ids = np.arange(index.n_target)
     targets = np.empty((rows.shape[0], k), dtype=np.int64)
     scores = np.empty((rows.shape[0], k))
@@ -104,6 +109,106 @@ class TestPrunedEqualsDense:
         targets, _ = index.top_k([0, 1], k=10_000)
         assert targets.shape == (2, 9)
         assert sorted(targets[0]) == list(range(9))
+
+
+def integer_embeddings(seed, n_source=12, n_target=61, dims=(3, 2)):
+    """Entries in {-1, 0, 1}: every score is an exact small multiple of
+    the weights' binary fractions, so ties are everywhere, including at
+    the kth boundary and across block boundaries."""
+    rng = np.random.default_rng(seed)
+    source = [rng.integers(-1, 2, (n_source, d)).astype(float) for d in dims]
+    target = [rng.integers(-1, 2, (n_target, d)).astype(float) for d in dims]
+    return source, target
+
+
+class TestAgainstBruteForce:
+    """``top_k`` against an independent reference: full score rows from
+    ``score_rows`` and a full-row lexsort per row."""
+
+    def assert_matches(self, index, k, sources=None):
+        if sources is None:
+            sources = np.arange(index.n_source)
+        ref_t, ref_s = canonical_reference(index, k, sources)
+        for prune in (True, False):
+            got_t, got_s = index.top_k(sources, k=k, prune=prune)
+            np.testing.assert_array_equal(got_t, ref_t)
+            np.testing.assert_array_equal(got_s, ref_s)
+
+    def test_tie_at_kth_boundary_straddles_two_blocks(self):
+        # One layer, query (1, 0): a target's score is its first entry.
+        # Block 0 = ids 0-3, block 1 = ids 4-7; the 3rd-best score (3.0)
+        # is shared by id 2 (block 0) and ids 4, 7 (block 1), and the
+        # running kth after block 0 (2.0) sits below it.
+        xs = [5.0, 1.0, 3.0, 2.0, 3.0, 0.0, 4.0, 3.0]
+        target = [np.array([[x, 0.0] for x in xs])]
+        source = [np.array([[1.0, 0.0], [0.5, 0.0]])]
+        index = AlignmentIndex(source, target, [1.0], target_block_size=4)
+        targets, scores = index.top_k([0, 1], k=3)
+        np.testing.assert_array_equal(targets, [[0, 6, 2], [0, 6, 2]])
+        np.testing.assert_array_equal(scores[0], [5.0, 4.0, 3.0])
+        for k in range(1, 9):
+            self.assert_matches(index, k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("block_size", [1, 2, 7, 16, 61])
+    def test_integer_scores_with_dense_ties(self, seed, block_size):
+        source, target = integer_embeddings(seed)
+        index = AlignmentIndex(source, target, [0.5, 0.25],
+                               target_block_size=block_size)
+        for k in (1, 2, 5, 9, 30, index.n_target):
+            self.assert_matches(index, k)
+
+    def test_block_smaller_than_k(self):
+        # kth stays -inf until k targets have been seen: every entry of
+        # the first blocks survives.
+        source, target = integer_embeddings(7)
+        index = AlignmentIndex(source, target, [0.5, 0.25],
+                               target_block_size=3)
+        for k in (4, 10, 25):
+            self.assert_matches(index, k)
+
+    def test_k_equals_n_target(self):
+        source, target = make_embeddings(13, n_target=50)
+        index = AlignmentIndex(source, target, WEIGHTS, target_block_size=8)
+        self.assert_matches(index, index.n_target)
+
+    def test_fully_sanitized_rows(self):
+        source, target = make_embeddings(14, n_source=6, n_target=40)
+        source[0][0, 2] = np.nan
+        source[1][1, 4] = np.inf
+        index = AlignmentIndex(source, target, WEIGHTS, target_block_size=9)
+        for k in (1, 3, index.n_target):
+            self.assert_matches(index, k)
+        _, scores = index.top_k(np.arange(6), k=3)
+        assert np.all(np.isneginf(scores[:2]))
+
+    def test_single_source_is_padded(self):
+        source, target = integer_embeddings(15)
+        index = AlignmentIndex(source, target, [0.5, 0.25],
+                               target_block_size=5)
+        for node in (0, 5, 11):
+            for k in (1, 4, index.n_target):
+                self.assert_matches(index, k, np.array([node]))
+
+
+class TestMemory:
+    def test_top_k_never_holds_the_full_score_matrix(self):
+        # 256 queries x 20000 targets x 3 layers: the full score matrix
+        # alone is 41 MB of float64; block-by-block selection keeps the
+        # transient to a few blocks plus the surviving candidates.
+        rng = np.random.default_rng(16)
+        source = [rng.standard_normal((256, 16)) for _ in range(3)]
+        target = [rng.standard_normal((20_000, 16)) for _ in range(3)]
+        index = AlignmentIndex(source, target, [0.5, 0.3, 0.2])
+        batch = np.arange(256)
+        index.top_k(batch, k=10)
+        tracemalloc.start()
+        try:
+            index.top_k(batch, k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"top_k peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestBatchInvariance:
