@@ -33,6 +33,12 @@ while keeping an exactness escape hatch:
   **bitwise identical** to :meth:`AlignmentIndex.top_k`.  With smaller
   ``nprobe`` the only approximation is *which clusters are probed*.
 
+Neither phase holds a (batch × n_target) matrix: the int8 scan runs
+list by list against only the rows that probed each list and yields
+flat ``(row, target id)`` candidate pairs, and the rescoring
+(:meth:`AlignmentIndex.gather_scores`) keeps only those pairs' scores
+from each block it scores.
+
 Everything is deterministic: seeded RNG, fixed chunk sizes, canonical
 tie orders; building the same state twice (in any process) yields
 bit-identical arrays.  Metrics land under ``serving.ann.*``.
@@ -41,7 +47,7 @@ bit-identical arrays.  Metrics land under ``serving.ann.*``.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -263,8 +269,8 @@ class AnnProber:
     """The probe + candidate-selection half of the ANN tier.
 
     Holds the IVF/quantization state and answers, for a θ-weighted query
-    batch, *which original target ids must be float-rescored* so the
-    true top-k (over the probed clusters) provably survives.  The
+    batch, *which (row, original target id) pairs must be float-rescored*
+    so the true top-k (over the probed clusters) provably survives.  The
     rescoring itself lives with whoever owns the target matrix — the
     single-process :class:`AnnIndex` or the sharded scatter-gather —
     which is what keeps shard answers bit-identical to the local ones.
@@ -385,98 +391,98 @@ class AnnProber:
         """Per query row, the ``nprobe`` probed cluster ids.
 
         Clusters rank by inner product ``⟨q, centroid⟩`` descending with
-        ascending-id tie-break (the serving-wide canonical order), so
-        probing is deterministic including degenerate centroids.
+        ascending-id tie-break (the serving-wide canonical order; a
+        stable sort of the negated scores), so probing is deterministic
+        including degenerate centroids.
         """
         scores = queries @ self.centroids.T
-        batch = queries.shape[0]
-        cluster_ids = np.tile(
-            np.arange(self.n_clusters, dtype=np.int64), batch
-        )
-        probed, _ = _canonical_top_k(
-            np.repeat(np.arange(batch), self.n_clusters), cluster_ids,
-            scores.ravel(), batch, nprobe,
-        )
-        return probed
+        return np.argsort(-scores, axis=1, kind="stable")[:, :nprobe]
 
     def select_candidates(
         self,
         queries: np.ndarray,
         k: int,
         nprobe: int,
-    ) -> List[np.ndarray]:
-        """Original target ids to float-rescore, per query row (sorted).
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, ids)``: the (query row, original target id) pairs to
+        float-rescore, as two flat arrays.
 
-        Quantized path: approximate scores over the probed inverted
-        lists carry a per-row error margin
-        ``0.5 · scale_block · ‖q‖₁`` (plus an ULP-scale inflation for
-        GEMM rounding).  A row survives when its upper bound reaches the
-        kth-largest lower bound, which guarantees the true top-k of the
-        probed set — boundary ties included — is a subset of the
-        candidates.  Unquantized state keeps every probed row.
+        Probed lists are scanned cluster by cluster, each against only
+        the rows that probed it.  Quantized path: approximate scores
+        carry a per-row error margin ``0.5 · scale_block · ‖q‖₁`` (plus
+        an ULP-scale inflation for GEMM rounding).  A pair survives when
+        its upper bound reaches the row's kth-largest lower bound over
+        all its probed lists, which guarantees the true top-k of the
+        probed set — boundary ties included — is among the candidates.
+        The kth is a running one, like :meth:`AlignmentIndex.top_k`'s:
+        it only rises, so a pair dropped against it is below the final
+        kth too, and a last filter applies the final value.  Rows with
+        at most ``k`` probed targets keep them all; unquantized state
+        keeps every probed pair.
         """
         registry = self._registry()
         started = time.perf_counter()
-        probed = self.probe(queries, nprobe)
-        scanned: Dict[int, np.ndarray] = {}
+        batch = queries.shape[0]
+        probed = self.probe(queries, nprobe).ravel()
+        # The rows that probed each cluster, grouped by ascending cluster.
+        by_cluster = np.argsort(probed, kind="stable")
+        probe_rows = by_cluster // nprobe
+        edges = np.searchsorted(
+            probed[by_cluster], np.arange(self.n_clusters + 1)
+        )
         if self.quantized:
             l1 = np.abs(queries).sum(axis=1)
-            needed = sorted({int(c) for row in probed for c in row})
-            for cluster in needed:
-                start = int(self.offsets[cluster])
-                stop = int(self.offsets[cluster + 1])
-                if stop <= start:
-                    scanned[cluster] = np.empty(
-                        (queries.shape[0], 0)
-                    )
-                    continue
-                block = self.codes[start:stop].astype(np.float64)
-                # codes are exact small integers: q @ codesᵀ then one
-                # multiply by the row scale reproduces scale·⟨q, code⟩.
-                scanned[cluster] = (queries @ block.T) * self._row_scales[
-                    start:stop
-                ]
-
-        candidates: List[np.ndarray] = []
+            # The k largest lower bounds per row so far; -inf until a
+            # row has seen k probed targets, so its kth keeps everything.
+            best = np.full((batch, k), -np.inf)
+            kth = np.full(batch, -np.inf)
+        kept_rows = [np.empty(0, dtype=np.int64)]
+        kept_positions = [np.empty(0, dtype=np.int64)]
+        kept_upper = [np.empty(0)]
         rows_probed = 0
-        rows_kept = 0
-        for row, clusters in enumerate(probed):
-            positions: List[np.ndarray] = []
-            values: List[np.ndarray] = []
-            for cluster in clusters:
-                start = int(self.offsets[int(cluster)])
-                stop = int(self.offsets[int(cluster) + 1])
-                if stop <= start:
-                    continue
-                positions.append(np.arange(start, stop, dtype=np.int64))
-                if self.quantized:
-                    values.append(scanned[int(cluster)][row])
-            if not positions:
-                candidates.append(np.empty(0, dtype=np.int64))
+        for cluster in np.flatnonzero(np.diff(edges)):
+            start, stop = self.offsets[cluster], self.offsets[cluster + 1]
+            if stop <= start:
                 continue
-            position = np.concatenate(positions)
-            rows_probed += position.size
-            if not self.quantized or position.size <= k:
-                kept = position
-            else:
-                approx = np.concatenate(values)
-                # Sound margin: dequantization error ≤ scale/2 per
-                # element → ≤ 0.5·scale·‖q‖₁ per inner product; the
-                # extra term absorbs float GEMM rounding on both sides.
-                margin = 0.5 * l1[row] * self._row_scales[position]
-                margin = margin + 1e-9 * (np.abs(approx) + 1.0)
-                lower = approx - margin
-                kth = -np.partition(-lower, k - 1)[k - 1]
-                kept = position[approx + margin >= kth]
-            rows_kept += kept.size
-            kept_ids = self.order[kept]
-            kept_ids.sort()
-            candidates.append(kept_ids)
+            rows = probe_rows[edges[cluster]:edges[cluster + 1]]
+            rows_probed += rows.size * (stop - start)
+            if not self.quantized:
+                kept_rows.append(np.repeat(rows, stop - start))
+                kept_positions.append(
+                    np.tile(np.arange(start, stop), rows.size)
+                )
+                continue
+            scales = self._row_scales[start:stop]
+            # codes are exact small integers: q @ codesᵀ then one
+            # multiply by the row scale reproduces scale·⟨q, code⟩.
+            approx = (
+                queries[rows] @ self.codes[start:stop].astype(np.float64).T
+            ) * scales
+            # Sound margin: dequantization error ≤ scale/2 per element →
+            # ≤ 0.5·scale·‖q‖₁ per inner product; the extra term absorbs
+            # float GEMM rounding on both sides.
+            margin = 0.5 * l1[rows, None] * scales
+            margin = margin + 1e-9 * (np.abs(approx) + 1.0)
+            merged = np.concatenate([best[rows], approx - margin], axis=1)
+            merged.partition(stop - start, axis=1)
+            best[rows] = merged[:, -k:]
+            kth[rows] = merged[:, -k]
+            upper = approx + margin
+            hit = np.flatnonzero(upper >= kth[rows, None])
+            hit_rows, columns = np.divmod(hit, stop - start)
+            kept_rows.append(rows[hit_rows])
+            kept_positions.append(columns + start)
+            kept_upper.append(upper.ravel()[hit])
+        rows = np.concatenate(kept_rows)
+        positions = np.concatenate(kept_positions)
+        if self.quantized:
+            final = np.concatenate(kept_upper) >= kth[rows]
+            rows, positions = rows[final], positions[final]
 
-        registry.increment("serving.ann.queries", len(probed))
-        registry.increment("serving.ann.lists_probed", nprobe * len(probed))
+        registry.increment("serving.ann.queries", batch)
+        registry.increment("serving.ann.lists_probed", nprobe * batch)
         registry.increment("serving.ann.rows_probed", int(rows_probed))
-        registry.increment("serving.ann.candidates_rescored", int(rows_kept))
+        registry.increment("serving.ann.candidates_rescored", rows.size)
         registry.observe(
             "serving.ann.probe_fraction", nprobe / self.n_clusters
         )
@@ -484,34 +490,25 @@ class AnnProber:
             # Recall proxy: how sharply the int8 scan narrows the probed
             # set — near 1.0 means quantization is buying nothing.
             registry.observe(
-                "serving.ann.candidate_fraction", rows_kept / rows_probed
+                "serving.ann.candidate_fraction", rows.size / rows_probed
             )
         registry.record_time(
             "serving.ann.probe_time", time.perf_counter() - started
         )
-        return candidates
+        return rows, self.order[positions]
 
 
-def select_rescored_top_k(
-    columns: np.ndarray,
-    scores: np.ndarray,
-    candidates: Sequence[np.ndarray],
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Final per-row top-k over float-rescored candidate columns.
-
-    ``columns``/``scores`` come from
-    :meth:`AlignmentIndex.score_target_blocks` (ascending global ids;
-    every candidate id is present).  Selection uses the canonical order
-    (descending score, ascending id).  Rows with fewer than ``k``
-    candidates are right-padded with ``(-1, -inf)`` — the engine's
-    finite-score filter drops the padding.
-    """
-    batch = len(candidates)
-    rows = np.repeat(np.arange(batch), [ids.size for ids in candidates])
-    ids = np.concatenate(candidates)
-    return _canonical_top_k(
-        rows, ids, scores[rows, np.searchsorted(columns, ids)], batch, k
+def weighted_queries(
+    source: Sequence[np.ndarray], weights: Sequence[float],
+    sources: np.ndarray,
+) -> np.ndarray:
+    """θ-weighted concatenated query rows (the probe-space vectors)."""
+    return np.concatenate(
+        [
+            weight * np.asarray(layer[sources], dtype=np.float64)
+            for weight, layer in zip(weights, source)
+        ],
+        axis=1,
     )
 
 
@@ -613,18 +610,6 @@ class AnnIndex:
     def resolve_nprobe(self, nprobe: Optional[int]) -> int:
         return self.prober.resolve_nprobe(nprobe)
 
-    def weighted_queries(self, batch_ids: np.ndarray) -> np.ndarray:
-        """θ-weighted concatenated query rows (the probe-space vectors)."""
-        return np.concatenate(
-            [
-                weight * np.asarray(layer[batch_ids], dtype=np.float64)
-                for weight, layer in zip(
-                    self.exact._weights, self.exact._source
-                )
-            ],
-            axis=1,
-        )
-
     def top_k(
         self,
         sources,
@@ -664,24 +649,17 @@ class AnnIndex:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, self.n_target)
 
-        queries = self.weighted_queries(sources)
-        candidates = self.prober.select_candidates(queries, k, nprobe)
-        block_size = self.exact.block_size
-        needed = sorted(
-            {
-                int(block)
-                for ids in candidates
-                for block in np.unique(ids // block_size)
-            }
+        rows, ids = self.prober.select_candidates(
+            weighted_queries(self.exact._source, self.exact._weights, sources),
+            k, nprobe,
         )
-        if needed:
-            columns, scores = self.exact.score_target_blocks(sources, needed)
-        else:
-            columns = np.empty(0, dtype=np.int64)
-            scores = np.empty((sources.size, 0))
-        registry.increment("serving.ann.rescore_blocks", len(needed))
-        out_targets, out_scores = select_rescored_top_k(
-            columns, scores, candidates, k
+        scores = self.exact.gather_scores(sources, rows, ids)
+        registry.increment(
+            "serving.ann.rescore_blocks",
+            np.unique(ids // self.exact.block_size).size,
+        )
+        out_targets, out_scores = _canonical_top_k(
+            rows, ids, scores, sources.size, k
         )
         registry.record_time(
             "serving.ann.query_time", time.perf_counter() - started

@@ -38,13 +38,17 @@ Exactness guarantees:
   (descending score, ascending target id), so tied scores at the kth
   boundary resolve identically in every mode and for every ``k``
   (a top-k answer is always a prefix of the top-(k+1) answer).
-* **Batch-size invariance.**  For a fixed index (fixed target block
-  partition), the answer for a source node is bit-identical whether it
-  is queried alone, in any batch, cached, or microbatched: row-blocked
-  GEMMs reduce in the same order as the full product on this BLAS
-  (verified by ``tests/test_serving_index.py``), and single-row queries
-  are padded to two rows so the degenerate GEMV kernel — which *does*
-  reduce differently — is never used.
+* **Batch invariance.**  For a fixed index (fixed target block
+  partition), a source node gets the same target ids in the same tie
+  order whether it is queried alone, in any batch, cached, or
+  microbatched, and its scores are bit-identical across batches of
+  equal height — what ANN ≡ exact and the shard oracles rely on.
+  Across heights the scores are not bitwise: BLAS picks the GEMM
+  kernel by shape, and a score can move within the GEMM's rounding
+  error, a few ULPs (two targets that close could swap).  Single-row
+  queries are padded to two rows, so the GEMV kernel is never used.
+  ``tests/test_serving_index.py`` pins both halves at a realistic
+  width.
 
 Versus :func:`repro.core.streaming.streaming_top_k` (which scores
 full-width rows) the index agrees exactly when
@@ -343,43 +347,36 @@ class AlignmentIndex:
         return out_targets, out_scores
 
     # ------------------------------------------------------------------
-    def score_target_blocks(
-        self, sources, blocks: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact scores restricted to the given block ids.
+    def gather_scores(
+        self, sources, rows: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        """Exact scores of ``(row, target id)`` pairs of a query batch.
 
-        Returns ``(columns, scores)``: the ascending global target ids
-        covered by ``blocks`` (deduplicated, sorted) and the ``(batch,
-        len(columns))`` score matrix.  Each block goes through the same
-        :meth:`_score_block` kernel — identical GEMM shapes to
-        :meth:`top_k` over the same rows, hence identical bits — which
-        is what lets the ANN tier's float rescoring reproduce exact
-        answers (see :mod:`repro.serving.ann`).  Single queries are
-        padded to two rows exactly like :meth:`top_k`.
+        ``rows`` index ``sources``; ``ids`` are target ids.  Every block
+        holding a requested id is scored once through :meth:`_score_block`
+        at the full batch height — the GEMM shapes :meth:`top_k` runs on
+        this batch, hence the same bits, which is what lets the ANN
+        tier's float rescoring reproduce exact answers (see
+        :mod:`repro.serving.ann`) — and only the requested entries are
+        kept before the block is dropped.  Rescoring a row subset would
+        be cheaper but is not bitwise: small GEMMs take a kernel that
+        rounds differently.
         """
         registry = self._registry()
-        sources = _check_sources(sources, self.n_source)
-        block_ids = sorted({int(block) for block in blocks})
-        if not block_ids:
-            raise ValueError("blocks must name at least one block id")
-        if block_ids[0] < 0 or block_ids[-1] >= self.num_blocks:
-            bad = block_ids[0] if block_ids[0] < 0 else block_ids[-1]
-            raise ValueError(
-                f"block id {bad} out of range [0, {self.num_blocks})"
-            )
-        padded, _, queries = self._queries(sources)
-        pieces = []
-        columns = []
-        for block in block_ids:
+        _, _, queries = self._queries(_check_sources(sources, self.n_source))
+        blocks = ids // self.block_size
+        order = np.argsort(blocks, kind="stable")
+        edges = np.searchsorted(blocks[order], np.arange(self.num_blocks + 1))
+        touched = np.flatnonzero(np.diff(edges))
+        scores = np.empty(ids.size)
+        for block in touched:
             start, stop = self._block_bounds[block]
-            pieces.append(self._score_block(queries, start, stop, registry))
-            columns.append(np.arange(start, stop, dtype=np.int64))
-        scores = np.concatenate(pieces, axis=1)
-        registry.increment("serving.index.blocks_scored", len(block_ids))
-        return (
-            np.concatenate(columns),
-            scores[:1] if padded else scores,
-        )
+            picks = order[edges[block]:edges[block + 1]]
+            scores[picks] = self._score_block(
+                queries, start, stop, registry
+            )[rows[picks], ids[picks] - start]
+        registry.increment("serving.index.blocks_scored", touched.size)
+        return scores
 
     def score_rows(self, sources) -> np.ndarray:
         """Full score rows ``S[sources]`` (no pruning), for verification."""

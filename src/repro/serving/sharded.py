@@ -65,7 +65,7 @@ from ..resilience import (
     InjectedFault,
     SimulatedKill,
 )
-from .ann import AnnProber, select_rescored_top_k
+from .ann import AnnProber, weighted_queries
 from .engine import QueryEngine
 from .index import AlignmentIndex, _canonical_top_k, _check_sources
 
@@ -147,6 +147,22 @@ def _shard_log_fields(start: int, stop: int) -> Dict[str, Any]:
     return fields
 
 
+def _fire_fault(
+    fault: Optional[str], delay_s: float, start: int, stop: int
+) -> None:
+    """A shard task's chaos hook (see :func:`_score_shard`)."""
+    if fault == "shard_delay" and delay_s > 0:
+        time.sleep(delay_s)
+    elif fault == "shard_kill":
+        if in_worker():
+            raise SimulatedKill(
+                f"injected shard_kill in shard [{start}, {stop})"
+            )
+        raise InjectedFault(
+            f"injected shard_kill (inline) in shard [{start}, {stop})"
+        )
+
+
 def _score_shard(
     manifest: Dict,
     token: str,
@@ -175,16 +191,7 @@ def _score_shard(
     scorer thread down with it) — and ``"shard_delay"`` sleeps first,
     long enough to trip the scatter's deadline timeout.
     """
-    if fault == "shard_delay" and delay_s > 0:
-        time.sleep(delay_s)
-    elif fault == "shard_kill":
-        if in_worker():
-            raise SimulatedKill(
-                f"injected shard_kill in shard [{start}, {stop})"
-            )
-        raise InjectedFault(
-            f"injected shard_kill (inline) in shard [{start}, {stop})"
-        )
+    _fire_fault(fault, delay_s, start, stop)
     index = _shard_slice_index(
         manifest, token, num_layers, weights, block_size, start, stop
     )
@@ -237,32 +244,24 @@ def _rescore_shard(
     start: int,
     stop: int,
     sources: List[int],
-    local_blocks: List[int],
+    rows: np.ndarray,
+    local_ids: np.ndarray,
     fault: Optional[str] = None,
     delay_s: float = 0.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One shard's exact scores for the requested blocks (a pool task).
+) -> np.ndarray:
+    """One shard's exact scores for candidate pairs (a pool task).
 
     The ANN rescoring scatter: the parent probes/filters candidates and
-    ships only the touched *block ids*; the shard answers with exact
-    scores over those blocks via the same slice-index kernel the exact
-    scatter uses.  Shard boundaries are block-aligned, so each local
-    block covers exactly the rows of its global counterpart and the
-    GEMM shapes (hence bits) match the single-process index.  Returns
-    ``(global column ids, scores)``.  Pure: safe to hedge.
+    ships each shard only its ``(row, local target id)`` pairs; the
+    shard answers with their exact scores via the same slice-index
+    kernel the exact scatter uses.  Shard boundaries are block-aligned,
+    so each local block covers exactly the rows of its global
+    counterpart and the GEMM shapes (hence bits) match the
+    single-process index.  Pure: safe to hedge.
 
     ``fault``/``delay_s`` mirror :func:`_score_shard`'s chaos hooks.
     """
-    if fault == "shard_delay" and delay_s > 0:
-        time.sleep(delay_s)
-    elif fault == "shard_kill":
-        if in_worker():
-            raise SimulatedKill(
-                f"injected shard_kill in shard [{start}, {stop})"
-            )
-        raise InjectedFault(
-            f"injected shard_kill (inline) in shard [{start}, {stop})"
-        )
+    _fire_fault(fault, delay_s, start, stop)
     index = _shard_slice_index(
         manifest, token, num_layers, weights, block_size, start, stop
     )
@@ -270,18 +269,18 @@ def _rescore_shard(
     with get_tracer().span(
         "serving.sharded.shard_rescore",
         shard=f"{start}-{stop}", batch=len(sources),
-        blocks=len(local_blocks),
+        candidates=int(rows.size),
     ):
-        columns, scores = index.score_target_blocks(
-            np.asarray(sources, dtype=np.int64), local_blocks
+        scores = index.gather_scores(
+            np.asarray(sources, dtype=np.int64), rows, local_ids
         )
     get_logger("serving.sharded").debug(
         "serving.sharded.shard_rescored",
-        batch=len(sources), blocks=len(local_blocks),
+        batch=len(sources), candidates=int(rows.size),
         elapsed_ms=round((time.perf_counter() - shard_started) * 1e3, 3),
         **_shard_log_fields(start, stop),
     )
-    return columns + start, scores
+    return scores
 
 
 class ShardedIndex:
@@ -453,77 +452,59 @@ class ShardedIndex:
 
     def _ann_candidates(
         self, sources: np.ndarray, k: int, nprobe: int
-    ) -> List[np.ndarray]:
-        queries = np.concatenate(
-            [
-                weight * np.asarray(
-                    layer[sources], dtype=np.float64
-                )
-                for weight, layer in zip(self._weights, self._ann_source)
-            ],
-            axis=1,
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+        """Candidate ``(rows, ids)`` and, per shard owning any of them,
+        the mask of the candidates its rescore task must score."""
+        rows, ids = self._ann.select_candidates(
+            weighted_queries(self._ann_source, self._weights, sources),
+            k, nprobe,
         )
-        return self._ann.select_candidates(queries, k, nprobe)
-
-    def _ann_shard_blocks(
-        self, candidates: List[np.ndarray]
-    ) -> Dict[int, List[int]]:
-        """Shard id → *local* block ids its rescore task must score."""
-        needed = sorted(
-            {
-                int(block)
-                for ids in candidates
-                for block in np.unique(ids // self.block_size)
-            }
-        )
-        per_shard: Dict[int, List[int]] = {}
-        for block in needed:
-            row = block * self.block_size
-            for shard, (start, stop) in enumerate(self.plan):
-                if start <= row < stop:
-                    per_shard.setdefault(shard, []).append(
-                        block - start // self.block_size
-                    )
-                    break
-        return per_shard
+        per_shard = {}
+        for shard, (start, stop) in enumerate(self.plan):
+            owned = (ids >= start) & (ids < stop)
+            if owned.any():
+                per_shard[shard] = owned
+        return rows, ids, per_shard
 
     def _ann_rescore_task(
         self,
-        start: int,
-        stop: int,
+        shard: int,
         source_list: List[int],
-        local_blocks: List[int],
+        rows: np.ndarray,
+        ids: np.ndarray,
+        owned: np.ndarray,
         fault: Optional[Tuple[str, float]] = None,
     ) -> Tuple:
         kind, delay_s = fault if fault is not None else (None, 0.0)
+        start, stop = self.plan[shard]
         return (
             self._manifest, self._token, self.num_layers, self._weights,
-            self.block_size, start, stop, source_list, local_blocks,
-            kind, delay_s,
+            self.block_size, start, stop, source_list, rows[owned],
+            ids[owned] - start, kind, delay_s,
         )
 
     @staticmethod
     def _ann_assemble(
         answers: List[Tuple[np.ndarray, np.ndarray]],
-        candidates: List[np.ndarray],
+        rows: np.ndarray,
+        ids: np.ndarray,
         k: int,
         batch: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gathered rescore answers → final per-row canonical top-k.
+        """Gathered candidate scores → final per-row canonical top-k.
 
-        Shards cover disjoint ascending row ranges and arrive in shard
-        order, so the concatenated columns are already sorted — exactly
-        what :func:`select_rescored_top_k` needs.
+        ``answers`` pairs each answering shard's candidate mask with its
+        scores; candidates of a shard that did not answer are never
+        ranked.
         """
-        if answers:
-            columns = np.concatenate([cols for cols, _ in answers])
-            scores = np.concatenate(
-                [shard_scores for _, shard_scores in answers], axis=1
-            )
-        else:
-            columns = np.empty(0, dtype=np.int64)
-            scores = np.empty((batch, 0))
-        return select_rescored_top_k(columns, scores, candidates, k)
+        scores = np.empty(ids.size)
+        answered = np.zeros(ids.size, dtype=bool)
+        for owned, owned_scores in answers:
+            scores[owned] = owned_scores
+            answered |= owned
+        return _canonical_top_k(
+            rows[answered], ids[answered], scores[answered], batch, k
+        )
 
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
@@ -637,12 +618,11 @@ class ShardedIndex:
         nprobe = self.resolve_nprobe(nprobe)
         registry = self._registry()
         sources, k, _, source_list = self._validate_query(sources, k, prune)
-        candidates = self._ann_candidates(sources, k, nprobe)
-        per_shard = self._ann_shard_blocks(candidates)
+        rows, ids, per_shard = self._ann_candidates(sources, k, nprobe)
         involved = sorted(per_shard)
         tasks = [
             self._ann_rescore_task(
-                *self.plan[shard], source_list, per_shard[shard]
+                shard, source_list, rows, ids, per_shard[shard]
             )
             for shard in involved
         ]
@@ -661,7 +641,11 @@ class ShardedIndex:
         registry.increment("serving.sharded.scatters")
         registry.observe("serving.sharded.shards", self.num_shards)
         registry.observe("serving.sharded.ann_shards_involved", len(involved))
-        return self._ann_assemble(answers, candidates, k, int(sources.size))
+        return self._ann_assemble(
+            [(per_shard[shard], scores)
+             for shard, scores in zip(involved, answers)],
+            rows, ids, k, int(sources.size),
+        )
 
     def top_k_ex(
         self,
@@ -849,8 +833,7 @@ class ShardedIndex:
                     "scatter deadline expired before fan-out",
                     deadline_s=deadline_s,
                 )
-        candidates = self._ann_candidates(sources, k, nprobe)
-        per_shard = self._ann_shard_blocks(candidates)
+        rows, ids, per_shard = self._ann_candidates(sources, k, nprobe)
         involved = sorted(per_shard)
 
         with self._lock:
@@ -872,7 +855,7 @@ class ShardedIndex:
                 )
             tasks = [
                 self._ann_rescore_task(
-                    *self.plan[shard], source_list, per_shard[shard],
+                    shard, source_list, rows, ids, per_shard[shard],
                     fault=faults.get(shard),
                 )
                 for shard in allowed
@@ -913,7 +896,7 @@ class ShardedIndex:
                 )
             else:
                 self.breakers[shard].record_success()
-                shard_answers.append(answer)
+                shard_answers.append((per_shard[shard], answer))
         if shed:
             registry.increment("serving.deadline_shed", shed)
             raise DeadlineExceededError(
@@ -929,14 +912,9 @@ class ShardedIndex:
 
         down = sorted(rejected + failed)
         if down:
-            # Candidates owned by a down shard were never rescored: drop
-            # them so the gather only ranks columns that actually have
-            # exact scores, and report the uncovered row ranges.
-            alive = np.ones(self.n_target, dtype=bool)
-            for shard in down:
-                start, stop = self.plan[shard]
-                alive[start:stop] = False
-            candidates = [ids[alive[ids]] for ids in candidates]
+            # Candidates owned by a down shard were never rescored: the
+            # gather ranks only the answering shards' candidates, and
+            # meta reports the uncovered row ranges.
             registry.increment("serving.sharded.degraded_scatters")
         covered = sum(
             self.plan[shard][1] - self.plan[shard][0]
@@ -949,7 +927,7 @@ class ShardedIndex:
             "shards_down": tuple(down),
         }
         out_targets, out_scores = self._ann_assemble(
-            shard_answers, candidates, k, int(sources.size)
+            shard_answers, rows, ids, k, int(sources.size)
         )
         registry.increment("serving.sharded.queries", int(sources.size))
         registry.increment("serving.sharded.scatters")

@@ -7,6 +7,8 @@ Everything else (quantization error bounds, deterministic k-means,
 parameter taxonomy, cache-key isolation) defends that contract's edges.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from repro.serving import (
     load_artifact,
     quantize_int8,
 )
-from repro.serving.ann import select_rescored_top_k
+from repro.serving.ann import weighted_queries
 
 
 def _embeddings(rng, n_source=30, n_target=400, dims=(5, 4), ties=True):
@@ -406,19 +408,173 @@ class TestShardedAnn:
                 sharded.top_k([0], k=1, mode="ann")
 
 
-class TestSelectRescoredTopK:
-    def test_pads_rows_with_no_candidates(self):
-        columns = np.array([2, 5], dtype=np.int64)
-        scores = np.array([[1.0, 3.0], [0.5, 0.25]])
-        targets, got = select_rescored_top_k(
-            columns, scores,
-            [np.array([2, 5], dtype=np.int64),
-             np.empty(0, dtype=np.int64)],
-            k=2,
+def _reference_candidates(prober, queries, k, nprobe):
+    """The per-row candidate selection the cluster-grouped scan replaced.
+
+    Every probed list is scanned at full batch height, then each row
+    filters its own probed targets against its kth-largest lower bound.
+    Returns one sorted array of original target ids per row.
+    """
+    probed = prober.probe(queries, nprobe)
+    scanned = {}
+    if prober.quantized:
+        l1 = np.abs(queries).sum(axis=1)
+        for cluster in np.unique(probed):
+            start, stop = prober.offsets[cluster], prober.offsets[cluster + 1]
+            block = prober.codes[start:stop].astype(np.float64)
+            scanned[cluster] = (
+                (queries @ block.T) * prober._row_scales[start:stop]
+            )
+    candidates = []
+    for row, clusters in enumerate(probed):
+        position = np.concatenate(
+            [np.arange(prober.offsets[c], prober.offsets[c + 1])
+             for c in clusters]
+        ).astype(np.int64)
+        if prober.quantized and position.size > k:
+            approx = np.concatenate([scanned[c][row] for c in clusters])
+            margin = 0.5 * l1[row] * prober._row_scales[position]
+            margin = margin + 1e-9 * (np.abs(approx) + 1.0)
+            kth = -np.partition(-(approx - margin), k - 1)[k - 1]
+            position = position[approx + margin >= kth]
+        candidates.append(np.sort(prober.order[position]))
+    return candidates
+
+
+def _integer_embeddings(rng, n_source=30, n_target=300, dims=(5, 4)):
+    """Entries in {-1, 0, 1}: exact scores, dense ties everywhere."""
+    source = [rng.integers(-1, 2, (n_source, d)).astype(float) for d in dims]
+    target = [rng.integers(-1, 2, (n_target, d)).astype(float) for d in dims]
+    return source, target
+
+
+def _state_with_empty_clusters(target, n_clusters, seed, quantize):
+    """An IVF state whose odd clusters are empty yet probed (their random
+    centroids compete like any other)."""
+    concat = np.concatenate(target, axis=1)
+    rng = np.random.default_rng(seed)
+    assignment = 2 * rng.integers(0, n_clusters // 2, size=concat.shape[0])
+    order = np.argsort(assignment, kind="stable").astype(np.int64)
+    counts = np.bincount(assignment, minlength=n_clusters)
+    codes = scales = None
+    if quantize:
+        codes, scales = quantize_int8(concat[order], quant_rows=32)
+    return {
+        "centroids": rng.normal(size=(n_clusters, concat.shape[1])),
+        "offsets": np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        "order": order,
+        "codes": codes,
+        "scales": scales,
+        "params": {"quant_rows": 32},
+    }
+
+
+class TestCandidateOracle:
+    """The cluster-grouped scan keeps exactly the per-row candidates."""
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("data", ["normal", "integer"])
+    @pytest.mark.parametrize("layout", ["kmeans", "empty_clusters"])
+    def test_matches_per_row_reference(self, quantize, data, layout):
+        rng = np.random.default_rng(23)
+        if data == "normal":
+            source, target = _embeddings(rng, n_target=300)
+            weights = (0.6, 0.4)
+        else:
+            source, target = _integer_embeddings(rng)
+            weights = (0.5, 0.25)
+        if layout == "kmeans":
+            state = build_ann_state(
+                target, n_clusters=12, seed=1, quantize=quantize,
+                quant_rows=32,
+            )
+        else:
+            state = _state_with_empty_clusters(target, 12, 2, quantize)
+        prober = AnnProber(state, n_target=300, dim=9)
+        filtered = False
+        for nprobe in (1, default_nprobe(12), 12):
+            for batch in (np.arange(30), np.array([4])):
+                queries = weighted_queries(source, weights, batch)
+                # k = 40 leaves rows with <= k probed targets at nprobe=1.
+                for k in (1, 5, 40):
+                    rows, ids = prober.select_candidates(queries, k, nprobe)
+                    expected = _reference_candidates(
+                        prober, queries, k, nprobe
+                    )
+                    assert rows.size == sum(e.size for e in expected)
+                    for row, want in enumerate(expected):
+                        got = np.sort(ids[rows == row])
+                        assert np.array_equal(got, want), (nprobe, k, row)
+                    filtered |= rows.size < batch.size * 300
+        # The margin filter did drop targets somewhere when quantized.
+        assert filtered or not quantize
+
+
+class TestProbe:
+    @pytest.mark.parametrize("nprobe", [1, 3, 8])
+    def test_matches_lexsort_reference_with_tied_centroids(self, nprobe):
+        rng = np.random.default_rng(4)
+        centroids = rng.integers(-1, 2, (8, 3)).astype(float)
+        centroids[[5, 7]] = centroids[2]
+        centroids[6] = centroids[0]
+        state = {
+            "centroids": centroids,
+            "offsets": np.arange(9, dtype=np.int64),
+            "order": np.arange(8, dtype=np.int64),
+            "codes": None,
+            "scales": None,
+            "params": {},
+        }
+        prober = AnnProber(state, n_target=8, dim=3)
+        queries = rng.integers(-1, 2, (40, 3)).astype(float)
+        scores = queries @ centroids.T
+        ids = np.arange(8)
+        expected = np.array(
+            [np.lexsort((ids, -row))[:nprobe] for row in scores]
         )
-        assert targets[0].tolist() == [5, 2]
+        assert np.array_equal(prober.probe(queries, nprobe), expected)
+
+
+class TestMemory:
+    def test_ann_top_k_never_holds_a_batch_by_target_matrix(self):
+        # 256 queries x 20000 targets x 3 layers: one (batch x n_target)
+        # float64 matrix is 41 MB.  The scan touches only probed lists
+        # and the rescoring keeps only the candidates' scores per block.
+        rng = np.random.default_rng(16)
+        source = [rng.standard_normal((256, 16)) for _ in range(3)]
+        target = [rng.standard_normal((20_000, 16)) for _ in range(3)]
+        index = AnnIndex(source, target, [0.5, 0.3, 0.2])
+        batch = np.arange(256)
+        index.top_k(batch, k=10, mode="ann")
+        tracemalloc.start()
+        try:
+            index.top_k(batch, k=10, mode="ann")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"ann top_k peaked at {peak / 2**20:.1f} MiB"
+
+
+class TestAnnPadding:
+    def test_pads_rows_with_no_candidates(self):
+        # Cluster 1 is empty and its centroid wins for source 1, so with
+        # nprobe=1 that row has no candidates at all.
+        target = np.array([[5.0, 0.0], [3.0, 0.0], [1.0, 0.0]])
+        source = np.array([[1.0, 0.0], [0.0, 1.0]])
+        state = {
+            "centroids": np.array([[1.0, 0.0], [0.0, 1.0]]),
+            "offsets": np.array([0, 3, 3], dtype=np.int64),
+            "order": np.arange(3, dtype=np.int64),
+            "codes": None,
+            "scales": None,
+            "params": {},
+        }
+        index = AnnIndex([source], [target], (1.0,), state=state)
+        targets, scores = index.top_k([0, 1], k=2, mode="ann", nprobe=1)
+        assert targets[0].tolist() == [0, 1]
+        assert scores[0].tolist() == [5.0, 3.0]
         assert targets[1].tolist() == [-1, -1]
-        assert np.isneginf(got[1]).all()
+        assert np.isneginf(scores[1]).all()
 
 
 class TestHttpAnnEndToEnd:

@@ -230,6 +230,43 @@ class TestBatchInvariance:
             np.testing.assert_array_equal(got_t, full_t[batch])
             np.testing.assert_array_equal(got_s, full_s[batch])
 
+    def test_realistic_width_guarantee(self):
+        # 3 x 64 dims, 512-column blocks and a 32-column tail block: BLAS
+        # picks the GEMM kernel by shape here, so a lone query (padded to
+        # two rows) and the same source inside a 256-row batch may round
+        # differently.  Targets and tie order must not move; scores stay
+        # within the GEMM's rounding bound (dims x eps for unit rows and
+        # weights summing to 1), and are bitwise equal at equal height.
+        rng = np.random.default_rng(17)
+
+        def unit_rows(n):
+            rows = rng.standard_normal((n, 64))
+            return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+        source = [unit_rows(300) for _ in range(3)]
+        target = [unit_rows(544) for _ in range(3)]
+        for layer in target:
+            # A tie spanning a full block and the tail block.
+            layer[[100, 530]] = layer[7]
+        # Sources whose top-10 holds the tie.
+        source[0][:4] = target[0][7]
+        index = AlignmentIndex(source, target, [0.5, 0.3, 0.2])
+        assert index._block_bounds[-1] == (512, 544)
+        batch_t, batch_s = index.top_k(np.arange(256), k=10)
+        for node in range(0, 256, 4):
+            lone_t, lone_s = index.top_k(node, k=10)
+            np.testing.assert_array_equal(lone_t[0], batch_t[node])
+            np.testing.assert_allclose(
+                lone_s[0], batch_s[node], rtol=0,
+                atol=64 * np.finfo(float).eps,
+            )
+        assert {7, 100, 530} <= set(batch_t[0].tolist())
+        other = np.random.default_rng(3).permutation(300)[:256]
+        other_t, other_s = index.top_k(other, k=10)
+        common = other < 256
+        np.testing.assert_array_equal(other_t[common], batch_t[other[common]])
+        np.testing.assert_array_equal(other_s[common], batch_s[other[common]])
+
 
 class TestPruning:
     def test_pruning_actually_skips_blocks(self):
