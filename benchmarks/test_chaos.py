@@ -26,7 +26,7 @@ from repro.observability import MetricsRegistry, write_bench_json
 from repro.resilience.chaos import ChaosEngine
 from repro.serving import (
     FrontDoor,
-    ShardedQueryEngine,
+    QueryEngine,
     export_artifact,
     load_artifact,
 )
@@ -82,7 +82,7 @@ def test_chaos_invariant_at_scale(tmp_path):
         loaded = load_artifact(
             artifact_path, verify="eager", registry=registry
         )
-        return ShardedQueryEngine.from_artifact(
+        return QueryEngine.from_artifact(
             loaded, shards=SHARDS, workers=0, target_block_size=block,
             max_delay_ms=0.0, cache_size=0,
             breaker_kwargs={"failure_threshold": 2,

@@ -28,7 +28,7 @@ from repro.observability import (
     reset_logging,
     write_bench_json,
 )
-from repro.serving import ShardedQueryEngine, export_artifact, load_artifact
+from repro.serving import QueryEngine, export_artifact, load_artifact
 
 from conftest import BASE_SEED, print_section
 
@@ -56,7 +56,7 @@ def _export(tmp_path, name):
 def _build_engine(path, registry, **kwargs):
     artifact = load_artifact(path, mmap=True, registry=registry)
     block = -(-artifact.n_target // SHARDS)
-    return ShardedQueryEngine.from_artifact(
+    return QueryEngine.from_artifact(
         artifact, shards=SHARDS, workers=0, target_block_size=block,
         batch_size=16, max_delay_ms=0.0, cache_size=0,
         registry=registry, **kwargs,

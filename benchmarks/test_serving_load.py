@@ -33,8 +33,8 @@ from repro.observability import MetricsRegistry, write_bench_json
 from repro.serving import (
     FrontDoor,
     AlignmentServer,
+    QueryEngine,
     ShardedIndex,
-    ShardedQueryEngine,
     export_artifact,
     load_artifact,
 )
@@ -69,7 +69,7 @@ def _export(tmp_path, name, seed):
 def _build_engine(path, registry):
     artifact = load_artifact(path, mmap=True, registry=registry)
     block = -(-artifact.n_target // SHARDS)
-    return ShardedQueryEngine.from_artifact(
+    return QueryEngine.from_artifact(
         artifact, shards=SHARDS, workers=0, target_block_size=block,
         batch_size=16, max_delay_ms=0.5, cache_size=2048,
         registry=registry,

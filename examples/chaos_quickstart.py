@@ -4,8 +4,8 @@ Walks the failure model end to end:
 
 1. export a crash-safe artifact (staged write, ``_COMMITTED`` marker,
    atomic rename) plus a deliberately corrupted sibling,
-2. serve it sharded behind a :class:`FrontDoor`, with a circuit breaker
-   per shard,
+2. serve it sharded (``QueryEngine.from_artifact(shards=3)``) behind a
+   :class:`FrontDoor`, with a circuit breaker per shard,
 3. miss a deadline — the budget expires, the work is shed, and the
    caller gets a typed :class:`DeadlineExceededError` (HTTP 504), not a
    late answer,
@@ -33,7 +33,7 @@ from repro.resilience import ArtifactValidationError, DeadlineExceededError
 from repro.resilience.chaos import ChaosEngine
 from repro.serving import (
     FrontDoor,
-    ShardedQueryEngine,
+    QueryEngine,
     export_artifact,
     load_artifact,
 )
@@ -72,8 +72,8 @@ def main() -> None:
     registry = MetricsRegistry()
     artifact = load_artifact(good, verify="eager", registry=registry)
 
-    def build(path: str) -> ShardedQueryEngine:
-        return ShardedQueryEngine.from_artifact(
+    def build(path: str) -> QueryEngine:
+        return QueryEngine.from_artifact(
             load_artifact(path, verify="eager", registry=registry),
             shards=SHARDS, workers=0, target_block_size=BLOCK,
             max_delay_ms=0.0, cache_size=0,

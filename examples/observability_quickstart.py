@@ -3,9 +3,10 @@
 Walks the serving tier's whole observability loop:
 
 1. switch on structured JSON logging (one object per line, greppable),
-2. serve a 2-shard engine over HTTP and send a query with a caller
-   correlation id — then join the response header, the front-door
-   access line, and the per-shard worker log lines on that one id,
+2. serve a 2-shard engine (``QueryEngine.from_artifact(shards=2)``)
+   over HTTP and send a query with a caller correlation id — then join
+   the response header, the front-door access line, and the per-shard
+   worker log lines on that one id,
 3. scrape ``GET /metrics?format=prometheus`` like a stock Prometheus
    would,
 4. watch the SLO tracker burn its error budget and flip ``/readyz``
@@ -42,7 +43,7 @@ from repro.observability import (
 from repro.serving import (
     AlignmentServer,
     HTTPClient,
-    ShardedQueryEngine,
+    QueryEngine,
     export_artifact,
     load_artifact,
 )
@@ -62,10 +63,10 @@ def make_artifact() -> str:
 
 
 def build_engine(path: str, registry: MetricsRegistry,
-                 **kwargs) -> ShardedQueryEngine:
+                 **kwargs) -> QueryEngine:
     artifact = load_artifact(path, mmap=True, registry=registry)
     block = -(-artifact.n_target // SHARDS)
-    return ShardedQueryEngine.from_artifact(
+    return QueryEngine.from_artifact(
         artifact, shards=SHARDS, workers=0, target_block_size=block,
         registry=registry, **kwargs,
     )

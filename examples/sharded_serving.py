@@ -6,8 +6,9 @@ Demonstrates the scatter-gather serving stack end to end:
 2. build a :class:`ShardedIndex` and verify the headline guarantee —
    answers are **bitwise identical** to the single-process
    :class:`AlignmentIndex` at every shard count, exact ties included,
-3. serve it over HTTP behind a :class:`FrontDoor` (admission control:
-   overload is a 429, not a meltdown),
+3. serve it over HTTP from ``QueryEngine.from_artifact(shards=2)``
+   behind a :class:`FrontDoor` (admission control: overload is a 429,
+   not a meltdown),
 4. hot-swap the artifact while queries are in flight — the old engine
    drains before it closes, so nothing fails mid-swap.
 
@@ -31,8 +32,8 @@ from repro.serving import (
     AlignmentServer,
     FrontDoor,
     HTTPClient,
+    QueryEngine,
     ShardedIndex,
-    ShardedQueryEngine,
     export_artifact,
     load_artifact,
     plan_shards,
@@ -75,8 +76,8 @@ def main() -> None:
     # -- front door + HTTP: admission control and hot swap -------------
     registry = MetricsRegistry()
 
-    def build(path: str) -> ShardedQueryEngine:
-        return ShardedQueryEngine.from_artifact(
+    def build(path: str) -> QueryEngine:
+        return QueryEngine.from_artifact(
             load_artifact(path, registry=registry),
             shards=2, workers=0, target_block_size=BLOCK,
             registry=registry,

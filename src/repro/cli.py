@@ -425,78 +425,38 @@ def _build_engine(
 ):
     """Build ``(artifact, engine)`` for ``path`` (default ``--artifact``).
 
-    ``--shards N`` (N >= 2, serve only) swaps the single-process
-    :class:`~repro.serving.QueryEngine` for the scatter-gather
-    :class:`~repro.serving.ShardedQueryEngine` — answers are
-    bit-identical either way.  A v2 artifact (exported with
-    ``--ann-clusters``) additionally wires the ANN tier; ``--mode`` /
-    ``--nprobe`` set the engine-default exactness knobs (per-request
-    overrides ride the HTTP API).
+    The engine comes from ``QueryEngine.from_artifact(shards=N)``:
+    ``--shards N`` (N >= 2, serve only) scores scatter-gather on a
+    sharded index — answers are bit-identical either way — and a v2
+    artifact (exported with ``--ann-clusters``) additionally wires the
+    ANN tier; ``--mode`` / ``--nprobe`` set the engine-default exactness
+    knobs (per-request overrides ride the HTTP API).
     """
-    from .serving import (
-        AlignmentIndex,
-        QueryEngine,
-        ShardedQueryEngine,
-        load_artifact,
-    )
+    from .serving import QueryEngine, load_artifact
 
     artifact = load_artifact(
         path or args.artifact,
         verify=getattr(args, "verify", None),
         registry=registry,
     )
-    shards = getattr(args, "shards", 1)
-    default_mode = getattr(args, "mode", "exact")
-    default_nprobe = getattr(args, "nprobe", 0) or None
-    slow_query_ms = getattr(args, "slow_query_ms", 250.0)
-    if shards > 1:
-        hedge_ms = getattr(args, "hedge_ms", 0.0)
-        breaker_kwargs = {
+    hedge_ms = getattr(args, "hedge_ms", 0.0)
+    return artifact, QueryEngine.from_artifact(
+        artifact,
+        shards=getattr(args, "shards", 1),
+        workers=getattr(args, "shard_workers", None),
+        hedge_after_s=hedge_ms / 1e3 if hedge_ms else None,
+        breaker_kwargs={
             "failure_threshold": getattr(args, "breaker_threshold", 3),
             "reset_timeout_s": getattr(args, "breaker_reset", 0.5),
-        }
-        engine = ShardedQueryEngine.from_artifact(
-            artifact,
-            shards=shards,
-            workers=getattr(args, "shard_workers", None),
-            hedge_after_s=hedge_ms / 1e3 if hedge_ms else None,
-            breaker_kwargs=breaker_kwargs,
-            target_block_size=args.block_size,
-            prune=not args.no_prune,
-            batch_size=args.batch_size,
-            max_delay_ms=args.max_delay_ms,
-            cache_size=args.cache_size,
-            default_mode=default_mode,
-            default_nprobe=default_nprobe,
-            slow_query_ms=slow_query_ms,
-            registry=registry,
-        )
-        return artifact, engine
-    if getattr(artifact, "ann", None) is not None:
-        from .serving import AnnIndex
-
-        index = AnnIndex.from_artifact(
-            artifact,
-            target_block_size=args.block_size,
-            prune=not args.no_prune,
-            registry=registry,
-        )
-    else:
-        index = AlignmentIndex.from_artifact(
-            artifact,
-            target_block_size=args.block_size,
-            prune=not args.no_prune,
-            registry=registry,
-        )
-    return artifact, QueryEngine(
-        index,
-        fingerprint=artifact.fingerprint,
+        },
+        target_block_size=args.block_size,
+        prune=not args.no_prune,
         batch_size=args.batch_size,
         max_delay_ms=args.max_delay_ms,
         cache_size=args.cache_size,
-        default_mode=default_mode,
-        default_nprobe=default_nprobe,
-        slow_query_ms=slow_query_ms,
+        default_mode=getattr(args, "mode", "exact"),
+        default_nprobe=getattr(args, "nprobe", 0) or None,
+        slow_query_ms=getattr(args, "slow_query_ms", 250.0),
         registry=registry,
     )
 

@@ -1,8 +1,9 @@
 """Circuit breakers: stop hammering a failing dependency, probe it back.
 
 A :class:`CircuitBreaker` guards one failure domain (in this repo: one
-shard scorer in :class:`~repro.serving.sharded.ShardedIndex`) with the
-classic three-state machine:
+shard scorer in :class:`~repro.serving.sharded.ShardedIndex`, the index
+``QueryEngine.from_artifact(artifact, shards=N)`` builds for ``N > 1``)
+with the classic three-state machine:
 
 * **closed** — healthy; every call is allowed.  ``failure_threshold``
   *consecutive* failures trip the breaker.

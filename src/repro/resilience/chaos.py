@@ -93,8 +93,9 @@ class ChaosEngine:
     frontdoor:
         The tier under test — a
         :class:`~repro.serving.frontdoor.FrontDoor`, ideally over a
-        :class:`~repro.serving.sharded.ShardedQueryEngine` (shard
-        faults need ``index.inject_fault``; without it those faults are
+        sharded engine from
+        ``QueryEngine.from_artifact(artifact, shards=N)`` (shard faults
+        need ``index.inject_fault``; without it those faults are
         skipped).
     artifact:
         The :class:`~repro.serving.artifact.AlignmentArtifact` being

@@ -24,11 +24,12 @@ This package turns a trained model + pair into a long-lived service:
 * :mod:`~repro.serving.engine` — **QueryEngine**: microbatched scoring,
   a lock-striped LRU result cache, ``aligned: false`` surfacing for
   sanitized rows, and ``serving.*`` metrics.
-* :mod:`~repro.serving.sharded` — **ShardedIndex** /
-  **ShardedQueryEngine**: the target matrix split into block-aligned
-  row shards, scored scatter-gather on a
-  :class:`~repro.parallel.WorkerPool`, merged bit-identically to the
-  single-process index.
+  ``QueryEngine.from_artifact(artifact, shards=N)`` picks the index
+  for an artifact: exact, ANN, or sharded when ``N > 1``.
+* :mod:`~repro.serving.sharded` — **ShardedIndex**: the target matrix
+  split into block-aligned row shards, scored scatter-gather on a
+  :class:`~repro.parallel.WorkerPool` behind per-shard circuit
+  breakers, merged bit-identically to the single-process index.
 * :mod:`~repro.serving.frontdoor` — **FrontDoor**: bounded admission
   (429 :class:`OverloadedError` vs 503 closed/unhealthy) and hot
   artifact swap with zero failed in-flight queries.
@@ -66,7 +67,7 @@ from .engine import QueryEngine, QueryResult, StripedLRUCache
 from .frontdoor import FrontDoor, OverloadedError
 from .index import AlignmentIndex
 from .server import AlignmentServer, status_for_error
-from .sharded import ShardedIndex, ShardedQueryEngine, plan_shards
+from .sharded import ShardedIndex, plan_shards
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -89,7 +90,6 @@ __all__ = [
     "QueryResult",
     "StripedLRUCache",
     "ShardedIndex",
-    "ShardedQueryEngine",
     "plan_shards",
     "FrontDoor",
     "OverloadedError",

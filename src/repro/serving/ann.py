@@ -265,6 +265,16 @@ def build_ann_state(
     }
 
 
+def _artifact_ann_state(artifact) -> Optional[Dict[str, Any]]:
+    """An artifact's ANN state (its mmap'd aux arrays plus ``params``),
+    or ``None`` when it was exported without an ANN tier."""
+    if getattr(artifact, "ann", None) is None:
+        return None
+    state = dict(artifact.ann)
+    state["params"] = dict(artifact.ann_params or {})
+    return state
+
+
 class AnnProber:
     """The probe + candidate-selection half of the ANN tier.
 
@@ -576,13 +586,12 @@ class AnnIndex:
     @classmethod
     def from_artifact(cls, artifact, **kwargs) -> "AnnIndex":
         """Index over an artifact's embeddings + its mmap'd ANN arrays."""
-        if getattr(artifact, "ann", None) is None:
+        state = _artifact_ann_state(artifact)
+        if state is None:
             raise AnnParameterError(
                 f"artifact {artifact.path!r} has no ANN tier; re-export it "
                 "with `repro export-artifact --ann-clusters N`"
             )
-        state = dict(artifact.ann)
-        state["params"] = dict(artifact.ann_params or {})
         return cls(
             artifact.source_embeddings,
             artifact.target_embeddings,
@@ -637,11 +646,7 @@ class AnnIndex:
             raise AnnParameterError(
                 f"mode must be 'exact' or 'ann', got {mode!r}"
             )
-        return self._ann_top_k(sources, k, self.resolve_nprobe(nprobe))
-
-    def _ann_top_k(
-        self, sources, k: int, nprobe: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        nprobe = self.resolve_nprobe(nprobe)
         registry = self._registry()
         started = time.perf_counter()
         sources = _check_sources(sources, self.n_source)

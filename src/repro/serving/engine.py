@@ -49,7 +49,9 @@ from ..observability import (
     mint_request_id,
 )
 from ..resilience import AnnParameterError, DeadlineExceededError
+from .ann import AnnIndex
 from .index import AlignmentIndex
+from .sharded import ShardedIndex
 
 __all__ = ["QueryResult", "StripedLRUCache", "QueryEngine"]
 
@@ -290,24 +292,46 @@ class QueryEngine:
         self._resolve_descriptor(None, None)
 
     @classmethod
-    def from_artifact(cls, artifact, **kwargs) -> "QueryEngine":
+    def from_artifact(
+        cls,
+        artifact,
+        shards: int = 1,
+        workers: Optional[int] = None,
+        hedge_after_s: Optional[float] = None,
+        **kwargs,
+    ) -> "QueryEngine":
         """Engine over a fresh index for ``artifact`` (fingerprint wired).
 
-        An artifact carrying ANN aux arrays (``repro.artifact/v2``
-        exported with ``--ann-clusters``) gets an
+        The one place an artifact's index is chosen.  ``shards > 1``
+        builds a :class:`~repro.serving.sharded.ShardedIndex` over that
+        many target shards (``workers``, ``hedge_after_s``,
+        ``breaker_kwargs`` and ``shard_timeout_s`` tune it; they are
+        ignored unsharded); answers are bit-identical to the unsharded
+        index, which never touches a worker pool or shared memory.
+        Otherwise an artifact carrying ANN aux arrays
+        (``repro.artifact/v2`` exported with ``--ann-clusters``) gets an
         :class:`~repro.serving.ann.AnnIndex` — ``mode='exact'`` queries
-        still go through the inner exact index verbatim; plain artifacts
-        get a bare :class:`AlignmentIndex` and reject ``mode='ann'``.
+        still go through the inner exact index verbatim — and a plain
+        artifact a bare :class:`AlignmentIndex`, which rejects
+        ``mode='ann'``.  :meth:`close` closes a sharded index.
         """
         index_kwargs = {
             key: kwargs.pop(key)
             for key in ("target_block_size", "prune")
             if key in kwargs
         }
+        shard_kwargs = {
+            key: kwargs.pop(key)
+            for key in ("breaker_kwargs", "shard_timeout_s")
+            if key in kwargs
+        }
         index_kwargs["registry"] = kwargs.get("registry")
-        if getattr(artifact, "ann", None) is not None:
-            from .ann import AnnIndex
-
+        if shards > 1:
+            index = ShardedIndex.from_artifact(
+                artifact, shards=shards, workers=workers,
+                hedge_after_s=hedge_after_s, **shard_kwargs, **index_kwargs,
+            )
+        elif getattr(artifact, "ann", None) is not None:
             index = AnnIndex.from_artifact(artifact, **index_kwargs)
         else:
             index = AlignmentIndex.from_artifact(artifact, **index_kwargs)
@@ -338,7 +362,11 @@ class QueryEngine:
             self._worker.start()
 
     def close(self) -> None:
-        """Stop the scorer; pending queries fail with ``RuntimeError``."""
+        """Stop the scorer; pending queries fail with ``RuntimeError``.
+
+        An index with a ``close`` (a sharded index's pool and shared
+        memory) is closed with the engine.
+        """
         with self._cond:
             if self._closed:
                 return
@@ -353,6 +381,9 @@ class QueryEngine:
             worker = self._worker
         if worker is not None:
             worker.join(timeout=5.0)
+        close = getattr(self.index, "close", None)
+        if close is not None:
+            close()
 
     def __enter__(self) -> "QueryEngine":
         return self.start()
@@ -633,9 +664,10 @@ class QueryEngine:
         (``meta["degraded"]``) may hold fewer than ``k`` candidates;
         callers must not cache them.
 
-        Each group's request ids travel to indexes advertising
-        ``accepts_request_ids`` (the sharded scatter ships them to its
-        workers), so a query stays greppable across the fan-out.
+        Indexes with a fault-tolerant ``top_k_ex`` (the sharded index)
+        answer with their coverage ``meta`` and get each group's request
+        ids, which the scatter ships to its workers so a query stays
+        greppable across the fan-out.
         """
         if self.verifier is not None:
             # Lazy artifact verification: the background verifier's typed
@@ -649,7 +681,6 @@ class QueryEngine:
             groups.setdefault((mode, nprobe), []).append(position)
         values: List[Optional[Tuple]] = [None] * len(batch)
         top_k_ex = getattr(self.index, "top_k_ex", None)
-        ships_ids = bool(getattr(self.index, "accepts_request_ids", False))
         for (mode, nprobe), positions in groups.items():
             k_max = max(batch[position][1] for position in positions)
             sources = np.array(
@@ -659,17 +690,17 @@ class QueryEngine:
             ann_kwargs = (
                 {"mode": "ann", "nprobe": nprobe} if mode == "ann" else {}
             )
-            if ships_ids:
-                ann_kwargs["request_ids"] = tuple(
-                    batch[position][4] for position in positions
-                )
             with get_tracer().span(
                 "serving.score_batch",
                 size=len(positions), k=k_max, mode=mode,
             ):
                 if top_k_ex is not None:
                     targets, scores, meta = top_k_ex(
-                        sources, k_max, deadline_s=deadline_s, **ann_kwargs
+                        sources, k_max, deadline_s=deadline_s,
+                        request_ids=tuple(
+                            batch[position][4] for position in positions
+                        ),
+                        **ann_kwargs,
                     )
                 else:
                     self._check_deadline(deadline_s, "before scoring")

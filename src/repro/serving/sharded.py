@@ -39,7 +39,18 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -65,11 +76,19 @@ from ..resilience import (
     InjectedFault,
     SimulatedKill,
 )
-from .ann import AnnProber, weighted_queries
-from .engine import QueryEngine
+from .ann import AnnProber, _artifact_ann_state, weighted_queries
 from .index import AlignmentIndex, _canonical_top_k, _check_sources
 
-__all__ = ["plan_shards", "ShardedIndex", "ShardedQueryEngine"]
+__all__ = ["plan_shards", "ShardedIndex"]
+
+#: Flat ``(rows, ids, scores)`` candidates: what every shard task returns.
+_Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Typed empty arrays the gather starts from, so a scatter that reached
+#: no shard (an ANN batch without candidates) pools to padding.
+_NO_CANDIDATES: _Candidates = (
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0),
+)
 
 
 def plan_shards(
@@ -130,181 +149,140 @@ def _attach_state(manifest: Dict, token: str, num_layers: int) -> Dict:
         return state
 
 
-def _shard_log_fields(start: int, stop: int) -> Dict[str, Any]:
-    """Correlation fields for a shard task's log line.
+class _Shard(NamedTuple):
+    """What a shard task needs besides its batch: where the published
+    embeddings live, the row range it owns, and its armed chaos fault."""
 
-    Request ids arrive through the pool's task-context channel (per
-    scatter, not per pool), so a persistent forked worker always sees
-    the ids of the batch it is scoring right now.
+    manifest: Dict
+    token: str
+    num_layers: int
+    weights: Tuple[float, ...]
+    block_size: int
+    start: int
+    stop: int
+    fault: Optional[str] = None
+    delay_s: float = 0.0
+
+
+def _open_shard(shard: _Shard) -> AlignmentIndex:
+    """Fire the shard's armed fault, then return its cached slice index.
+
+    ``"shard_kill"`` dies before scoring — as a
+    :class:`~repro.resilience.SimulatedKill` crash in a real worker, as a
+    catchable :class:`~repro.resilience.InjectedFault` inline (a
+    ``BaseException`` escaping an inline task would take the scorer
+    thread down with it) — and ``"shard_delay"`` sleeps first, long
+    enough to trip the scatter's timeout.
     """
-    context = get_task_context()
-    request_ids = tuple((context or {}).get("request_ids") or ())
-    fields: Dict[str, Any] = {"shard": f"{start}-{stop}"}
-    if request_ids:
-        fields["request_ids"] = list(request_ids)
-        if len(request_ids) == 1:
-            fields["request_id"] = request_ids[0]
-    return fields
-
-
-def _fire_fault(
-    fault: Optional[str], delay_s: float, start: int, stop: int
-) -> None:
-    """A shard task's chaos hook (see :func:`_score_shard`)."""
-    if fault == "shard_delay" and delay_s > 0:
-        time.sleep(delay_s)
-    elif fault == "shard_kill":
+    if shard.fault == "shard_delay" and shard.delay_s > 0:
+        time.sleep(shard.delay_s)
+    elif shard.fault == "shard_kill":
+        where = f"shard [{shard.start}, {shard.stop})"
         if in_worker():
-            raise SimulatedKill(
-                f"injected shard_kill in shard [{start}, {stop})"
-            )
-        raise InjectedFault(
-            f"injected shard_kill (inline) in shard [{start}, {stop})"
-        )
-
-
-def _score_shard(
-    manifest: Dict,
-    token: str,
-    num_layers: int,
-    weights: Tuple[float, ...],
-    block_size: int,
-    start: int,
-    stop: int,
-    sources: List[int],
-    k: int,
-    prune: bool,
-    fault: Optional[str] = None,
-    delay_s: float = 0.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One shard's top-k candidates for a query batch (a pool task).
-
-    Returns ``(targets, scores)`` with **global** target ids, shaped
-    ``(batch, min(k, stop - start))`` in canonical order.  Pure: safe to
-    hedge.
-
-    ``fault``/``delay_s`` are the chaos harness's hooks (wired by
-    :meth:`ShardedIndex.inject_fault`): ``"shard_kill"`` dies before
-    scoring — as a :class:`~repro.resilience.SimulatedKill` crash in a
-    real worker, as a catchable :class:`~repro.resilience.InjectedFault`
-    inline (a ``BaseException`` escaping an inline task would take the
-    scorer thread down with it) — and ``"shard_delay"`` sleeps first,
-    long enough to trip the scatter's deadline timeout.
-    """
-    _fire_fault(fault, delay_s, start, stop)
-    index = _shard_slice_index(
-        manifest, token, num_layers, weights, block_size, start, stop
-    )
-    shard_started = time.perf_counter()
-    with get_tracer().span(
-        "serving.sharded.shard_score",
-        shard=f"{start}-{stop}", batch=len(sources), k=k,
-    ):
-        targets, scores = index.top_k(
-            np.asarray(sources, dtype=np.int64), k=k, prune=prune
-        )
-    get_logger("serving.sharded").debug(
-        "serving.sharded.shard_scored",
-        batch=len(sources), k=k,
-        elapsed_ms=round((time.perf_counter() - shard_started) * 1e3, 3),
-        **_shard_log_fields(start, stop),
-    )
-    return targets + start, scores
-
-
-def _shard_slice_index(
-    manifest: Dict,
-    token: str,
-    num_layers: int,
-    weights: Tuple[float, ...],
-    block_size: int,
-    start: int,
-    stop: int,
-) -> AlignmentIndex:
-    state = _attach_state(manifest, token, num_layers)
-    key = (start, stop, block_size)
+            raise SimulatedKill(f"injected shard_kill in {where}")
+        raise InjectedFault(f"injected shard_kill (inline) in {where}")
+    state = _attach_state(shard.manifest, shard.token, shard.num_layers)
+    key = (shard.start, shard.stop, shard.block_size)
     index = state["indexes"].get(key)
     if index is None:
         index = AlignmentIndex(
             state["source"],
-            [layer[start:stop] for layer in state["target"]],
-            weights,
-            target_block_size=block_size,
+            [layer[shard.start:shard.stop] for layer in state["target"]],
+            shard.weights,
+            target_block_size=shard.block_size,
         )
         state["indexes"][key] = index
     return index
 
 
-def _rescore_shard(
-    manifest: Dict,
-    token: str,
-    num_layers: int,
-    weights: Tuple[float, ...],
-    block_size: int,
-    start: int,
-    stop: int,
-    sources: List[int],
-    rows: np.ndarray,
-    local_ids: np.ndarray,
-    fault: Optional[str] = None,
-    delay_s: float = 0.0,
-) -> np.ndarray:
-    """One shard's exact scores for candidate pairs (a pool task).
+@contextmanager
+def _shard_work(name: str, shard: _Shard, **fields: Any) -> Iterator[None]:
+    """A ``serving.sharded.<name>`` span around one shard's work, then
+    its DEBUG ``serving.sharded.<name>d`` line.
 
-    The ANN rescoring scatter: the parent probes/filters candidates and
-    ships each shard only its ``(row, local target id)`` pairs; the
-    shard answers with their exact scores via the same slice-index
-    kernel the exact scatter uses.  Shard boundaries are block-aligned,
+    Request ids arrive through the pool's task-context channel (per
+    scatter, not per pool), so a persistent forked worker always logs
+    the ids of the batch it is scoring right now.
+    """
+    where = f"{shard.start}-{shard.stop}"
+    started = time.perf_counter()
+    with get_tracer().span(f"serving.sharded.{name}", shard=where, **fields):
+        yield
+    request_ids = tuple((get_task_context() or {}).get("request_ids") or ())
+    if request_ids:
+        fields["request_ids"] = list(request_ids)
+        if len(request_ids) == 1:
+            fields["request_id"] = request_ids[0]
+    get_logger("serving.sharded").debug(
+        f"serving.sharded.{name}d", shard=where,
+        elapsed_ms=round((time.perf_counter() - started) * 1e3, 3),
+        **fields,
+    )
+
+
+def _score_shard(
+    shard: _Shard, sources: List[int], k: int, prune: bool
+) -> _Candidates:
+    """One shard's exact top-k for a query batch (a pool task).
+
+    Returns flat ``(rows, ids, scores)`` candidates with **global**
+    target ids.  Pure: safe to hedge.
+    """
+    index = _open_shard(shard)
+    with _shard_work("shard_score", shard, batch=len(sources), k=k):
+        targets, scores = index.top_k(
+            np.asarray(sources, dtype=np.int64), k=k, prune=prune
+        )
+    batch, width = targets.shape
+    return (
+        np.repeat(np.arange(batch), width),
+        (targets + shard.start).ravel(),
+        scores.ravel(),
+    )
+
+
+def _rescore_shard(
+    shard: _Shard, sources: List[int], rows: np.ndarray, ids: np.ndarray
+) -> _Candidates:
+    """Exact scores for one shard's ANN candidate pairs (a pool task).
+
+    ``ids`` are local to the shard.  Shard boundaries are block-aligned,
     so each local block covers exactly the rows of its global
     counterpart and the GEMM shapes (hence bits) match the
-    single-process index.  Pure: safe to hedge.
-
-    ``fault``/``delay_s`` mirror :func:`_score_shard`'s chaos hooks.
+    single-process index.  Returns flat candidates with **global** ids.
+    Pure: safe to hedge.
     """
-    _fire_fault(fault, delay_s, start, stop)
-    index = _shard_slice_index(
-        manifest, token, num_layers, weights, block_size, start, stop
-    )
-    shard_started = time.perf_counter()
-    with get_tracer().span(
-        "serving.sharded.shard_rescore",
-        shard=f"{start}-{stop}", batch=len(sources),
-        candidates=int(rows.size),
+    index = _open_shard(shard)
+    with _shard_work(
+        "shard_rescore", shard, batch=len(sources), candidates=int(rows.size)
     ):
         scores = index.gather_scores(
-            np.asarray(sources, dtype=np.int64), rows, local_ids
+            np.asarray(sources, dtype=np.int64), rows, ids
         )
-    get_logger("serving.sharded").debug(
-        "serving.sharded.shard_rescored",
-        batch=len(sources), candidates=int(rows.size),
-        elapsed_ms=round((time.perf_counter() - shard_started) * 1e3, 3),
-        **_shard_log_fields(start, stop),
-    )
-    return scores
+    return rows, ids + shard.start, scores
 
 
 class ShardedIndex:
     """Scatter-gather drop-in for :class:`AlignmentIndex`.
 
     Publishes both embedding sets into shared memory once, plans
-    block-aligned target shards, and answers :meth:`top_k` by fanning
-    the query batch out to per-shard scorer tasks on a persistent
-    :class:`~repro.parallel.WorkerPool` and k-way-merging the candidates
-    in the canonical order.  ``workers=0`` (or ``None`` with
+    block-aligned target shards, and answers a query by fanning the
+    batch out to per-shard tasks on a persistent
+    :class:`~repro.parallel.WorkerPool` and merging the pooled
+    candidates in the canonical order.  ``workers=0`` (or ``None`` with
     ``REPRO_WORKERS`` unset) runs the same tasks inline.
 
     ``hedge_after_s`` arms request hedging: a shard task still pending
     that many seconds after scatter is duplicated onto a free worker
     and the first replica wins (needs ``workers >= 2``).
 
-    Fault tolerance (:meth:`top_k_ex`): each shard is guarded by a
+    Fault tolerance: each shard is guarded by a
     :class:`~repro.resilience.CircuitBreaker` (tuned via
     ``breaker_kwargs``).  A failing shard trips its breaker; open shards
-    are skipped and the surviving shards produce an explicitly *degraded*
-    answer (``meta["degraded"]``/``coverage``/``shards_down``) instead
-    of an error, until the breaker's half-open probe brings the shard
-    back.  The strict :meth:`top_k` keeps the all-or-nothing bitwise
-    contract.
+    are skipped and :meth:`top_k_ex` answers from the surviving shards,
+    explicitly *degraded* (``meta["degraded"]``/``coverage``/
+    ``shards_down``), until the breaker's half-open probe brings the
+    shard back.  The strict :meth:`top_k` raises instead of degrading.
 
     Two distinct time budgets bound a scatter.  ``shard_timeout_s`` is
     the *server's* per-scatter hang budget: a shard exceeding it counts
@@ -319,11 +297,6 @@ class ShardedIndex:
     Close (or use as a context manager) to release the pool and the
     shared-memory segments.
     """
-
-    #: Engine handshake: :meth:`top_k_ex` accepts ``request_ids`` and
-    #: ships them to shard workers over the pool's task-context channel,
-    #: so shard log lines carry the front door's correlation ids.
-    accepts_request_ids = True
 
     def __init__(
         self,
@@ -401,7 +374,7 @@ class ShardedIndex:
             for i in range(len(self.plan))
         ]
         # Chaos hooks: (shard, kind, delay_s) entries consumed (and wired
-        # into the shard tasks) by the next top_k_ex scatter.
+        # into the shard tasks) by the next scatter.
         self._injected: List[Tuple[Optional[int], str, float]] = []
 
     @classmethod
@@ -411,13 +384,8 @@ class ShardedIndex:
         A ``repro.artifact/v2`` artifact's memory-mapped ANN aux arrays
         (if present) wire up ``mode='ann'`` automatically.
         """
-        if (
-            kwargs.get("ann_state") is None
-            and getattr(artifact, "ann", None) is not None
-        ):
-            state = dict(artifact.ann)
-            state["params"] = dict(artifact.ann_params or {})
-            kwargs["ann_state"] = state
+        if kwargs.get("ann_state") is None:
+            kwargs["ann_state"] = _artifact_ann_state(artifact)
         return cls(
             artifact.source_embeddings,
             artifact.target_embeddings,
@@ -450,109 +418,17 @@ class ShardedIndex:
             )
         return self._ann.resolve_nprobe(nprobe)
 
-    def _ann_candidates(
-        self, sources: np.ndarray, k: int, nprobe: int
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
-        """Candidate ``(rows, ids)`` and, per shard owning any of them,
-        the mask of the candidates its rescore task must score."""
-        rows, ids = self._ann.select_candidates(
-            weighted_queries(self._ann_source, self._weights, sources),
-            k, nprobe,
-        )
-        per_shard = {}
-        for shard, (start, stop) in enumerate(self.plan):
-            owned = (ids >= start) & (ids < stop)
-            if owned.any():
-                per_shard[shard] = owned
-        return rows, ids, per_shard
-
-    def _ann_rescore_task(
-        self,
-        shard: int,
-        source_list: List[int],
-        rows: np.ndarray,
-        ids: np.ndarray,
-        owned: np.ndarray,
-        fault: Optional[Tuple[str, float]] = None,
-    ) -> Tuple:
-        kind, delay_s = fault if fault is not None else (None, 0.0)
-        start, stop = self.plan[shard]
-        return (
-            self._manifest, self._token, self.num_layers, self._weights,
-            self.block_size, start, stop, source_list, rows[owned],
-            ids[owned] - start, kind, delay_s,
-        )
-
-    @staticmethod
-    def _ann_assemble(
-        answers: List[Tuple[np.ndarray, np.ndarray]],
-        rows: np.ndarray,
-        ids: np.ndarray,
-        k: int,
-        batch: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gathered candidate scores → final per-row canonical top-k.
-
-        ``answers`` pairs each answering shard's candidate mask with its
-        scores; candidates of a shard that did not answer are never
-        ranked.
-        """
-        scores = np.empty(ids.size)
-        answered = np.zeros(ids.size, dtype=bool)
-        for owned, owned_scores in answers:
-            scores[owned] = owned_scores
-            answered |= owned
-        return _canonical_top_k(
-            rows[answered], ids[answered], scores[answered], batch, k
-        )
-
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
 
-    def _validate_query(
-        self, sources, k: int, prune: Optional[bool]
-    ) -> Tuple[np.ndarray, int, bool, List[int]]:
-        if self._closed:
-            raise RuntimeError("ShardedIndex is closed")
-        sources = _check_sources(sources, self.n_source)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(k, self.n_target)
-        prune = self.prune if prune is None else bool(prune)
-        return sources, k, prune, [int(s) for s in sources]
-
-    @staticmethod
-    def _merge(
-        shard_answers: List[Tuple[np.ndarray, np.ndarray]], k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        all_targets = np.concatenate([t for t, _ in shard_answers], axis=1)
-        all_scores = np.concatenate([s for _, s in shard_answers], axis=1)
-        batch, pooled = all_targets.shape
-        # A degraded merge can pool fewer than k candidates.
-        k = min(k, pooled)
-        # The index's canonical tie order (descending score, ascending
-        # id) over the pooled candidates: the merge that makes the
-        # answer shard-count-invariant.
-        return _canonical_top_k(
-            np.repeat(np.arange(batch), pooled), all_targets.ravel(),
-            all_scores.ravel(), batch, k,
+    def _coverage(self, down: Sequence[int]) -> float:
+        """Fraction of target rows owned by shards not in ``down``."""
+        covered = sum(
+            stop - start
+            for shard, (start, stop) in enumerate(self.plan)
+            if shard not in down
         )
-
-    def _shard_task(
-        self,
-        start: int,
-        stop: int,
-        source_list: List[int],
-        k: int,
-        prune: bool,
-        fault: Optional[Tuple[str, float]] = None,
-    ) -> Tuple:
-        kind, delay_s = fault if fault is not None else (None, 0.0)
-        return (
-            self._manifest, self._token, self.num_layers, self._weights,
-            self.block_size, start, stop, source_list, k, prune,
-            kind, delay_s,
-        )
+        return covered / self.n_target
 
     def top_k(
         self,
@@ -562,90 +438,23 @@ class ShardedIndex:
         mode: str = "exact",
         nprobe: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact or approximate batched top-k, per ``mode``.
+        """:meth:`top_k_ex` without degradation: the full answer or an error.
 
-        ``mode='exact'`` (the default) is bit-identical to the unsharded
-        index.  ``mode='ann'`` probes/filters candidates in the parent
-        and scatters only the float rescoring of the touched blocks;
-        with ``nprobe == n_clusters`` it is bit-identical to exact.
-
-        All-or-nothing: every scattered shard must answer (crashes
-        exhaust the pool's retry budget and then raise).  The
-        fault-tolerant variant is :meth:`top_k_ex`.
+        Bit-identical to the unsharded index (``mode='ann'`` to
+        :class:`~repro.serving.ann.AnnIndex`).  Where :meth:`top_k_ex`
+        would return a degraded answer, this raises ``RuntimeError``
+        (HTTP 503) naming the shards that did not answer.
         """
-        if mode == "ann":
-            return self._ann_top_k(sources, k, prune, nprobe)
-        if mode != "exact":
-            raise AnnParameterError(
-                f"mode must be 'exact' or 'ann', got {mode!r}"
-            )
-        if nprobe is not None:
-            raise AnnParameterError(
-                "nprobe only applies to mode='ann' "
-                f"(got nprobe={nprobe!r} with mode='exact')"
-            )
-        registry = self._registry()
-        sources, k, prune, source_list = self._validate_query(
-            sources, k, prune
+        targets, scores, meta = self.top_k_ex(
+            sources, k, prune=prune, mode=mode, nprobe=nprobe
         )
-        tasks = [
-            self._shard_task(start, stop, source_list, k, prune)
-            for start, stop in self.plan
-        ]
-        with self._lock:
-            with get_tracer().span(
-                "serving.sharded.scatter",
-                shards=len(tasks), batch=int(sources.size), k=k,
-            ):
-                shard_answers = self._pool.map(
-                    _score_shard, tasks, labels=self._labels,
-                    hedge_after_s=self.hedge_after_s,
-                )
-        out_targets, out_scores = self._merge(shard_answers, k)
-        registry.increment("serving.sharded.queries", int(sources.size))
-        registry.increment("serving.sharded.scatters")
-        registry.observe("serving.sharded.shards", self.num_shards)
-        return out_targets, out_scores
-
-    def _ann_top_k(
-        self,
-        sources,
-        k: int,
-        prune: Optional[bool],
-        nprobe: Optional[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Strict ANN scatter: probe in the parent, rescore on shards."""
-        nprobe = self.resolve_nprobe(nprobe)
-        registry = self._registry()
-        sources, k, _, source_list = self._validate_query(sources, k, prune)
-        rows, ids, per_shard = self._ann_candidates(sources, k, nprobe)
-        involved = sorted(per_shard)
-        tasks = [
-            self._ann_rescore_task(
-                shard, source_list, rows, ids, per_shard[shard]
+        if meta["degraded"]:
+            raise RuntimeError(
+                f"shard(s) {list(meta['shards_down'])} unavailable; refusing "
+                f"a degraded answer covering {meta['coverage']:.1%} of "
+                "targets"
             )
-            for shard in involved
-        ]
-        with self._lock:
-            with get_tracer().span(
-                "serving.sharded.ann_scatter",
-                shards=len(tasks), batch=int(sources.size), k=k,
-                nprobe=nprobe,
-            ):
-                answers = self._pool.map(
-                    _rescore_shard, tasks,
-                    labels=[self._labels[shard] for shard in involved],
-                    hedge_after_s=self.hedge_after_s,
-                )
-        registry.increment("serving.sharded.queries", int(sources.size))
-        registry.increment("serving.sharded.scatters")
-        registry.observe("serving.sharded.shards", self.num_shards)
-        registry.observe("serving.sharded.ann_shards_involved", len(involved))
-        return self._ann_assemble(
-            [(per_shard[shard], scores)
-             for shard, scores in zip(involved, answers)],
-            rows, ids, k, int(sources.size),
-        )
+        return targets, scores
 
     def top_k_ex(
         self,
@@ -659,21 +468,22 @@ class ShardedIndex:
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Fault-tolerant batched top-k: ``(targets, scores, meta)``.
 
-        ``mode='ann'`` runs the probe/candidate filter in the parent and
-        scatters only the rescoring of the touched blocks to the shards
-        that own them; a down shard's candidates are dropped from the
-        pool (its row range is explicitly uncovered in ``meta``).
+        ``mode='exact'`` scatters the batch to every shard and merges
+        their top-k.  ``mode='ann'`` probes and filters candidates in the
+        parent and scatters to each shard holding candidates only their
+        ``(row, local id)`` pairs for rescoring; with
+        ``nprobe == n_clusters`` it is bit-identical to exact.  Rows
+        with fewer than ``k`` candidates right-pad with ``(-1, -inf)``.
 
-        Differences from the strict :meth:`top_k`:
-
-        * each shard is gated by its circuit breaker — open shards are
-          skipped without being scattered to;
-        * a shard failure (crash, ``shard_timeout_s`` expiry, injected
+        * Each shard is gated by its circuit breaker — open shards are
+          skipped without being scattered to.
+        * A shard failure (crash, ``shard_timeout_s`` expiry, injected
           fault) is recorded against its breaker and the answer is
           assembled from the surviving shards, with ``meta`` reporting
           ``degraded=True``, the surviving ``coverage`` fraction of
           target rows, and the ``shards_down`` ids — never a silently
-          partial answer;
+          partial answer.  An ANN scatter consults only the shards that
+          hold candidates.
         * ``deadline_s`` (absolute monotonic) bounds the scatter:
           expiry — on arrival or mid-scatter — sheds the remaining work
           with :class:`~repro.resilience.DeadlineExceededError` (HTTP
@@ -683,220 +493,162 @@ class ShardedIndex:
           remaining budget per crash-retry round, so end-to-end latency
           stays within the deadline plus one scheduling quantum.
 
-        Raises ``RuntimeError`` (HTTP 503) only when *no* shard can
-        answer.  When every shard is healthy the result is bit-identical
-        to :meth:`top_k`.
+        Raises ``RuntimeError`` (HTTP 503) only when shards were asked
+        and none answered.
 
         ``request_ids`` (one per caller in the batch) ride to the shard
         workers through the pool's task-context channel purely for log
         correlation — they never influence scoring.
         """
-        if mode == "ann":
-            return self._ann_top_k_ex(
-                sources, k, prune, nprobe, deadline_s, request_ids
-            )
-        if mode != "exact":
+        if mode not in ("exact", "ann"):
             raise AnnParameterError(
                 f"mode must be 'exact' or 'ann', got {mode!r}"
             )
-        if nprobe is not None:
+        if mode == "ann":
+            nprobe = self.resolve_nprobe(nprobe)
+        elif nprobe is not None:
             raise AnnParameterError(
                 "nprobe only applies to mode='ann' "
                 f"(got nprobe={nprobe!r} with mode='exact')"
             )
+        if self._closed:
+            raise RuntimeError("ShardedIndex is closed")
         registry = self._registry()
-        sources, k, prune, source_list = self._validate_query(
-            sources, k, prune
-        )
-        if deadline_s is not None:
-            remaining = deadline_s - time.monotonic()
-            if remaining <= 0:
-                registry.increment("serving.deadline_shed")
-                raise DeadlineExceededError(
-                    "scatter deadline expired before fan-out",
-                    deadline_s=deadline_s,
-                )
-
-        with self._lock:
-            injected, self._injected = self._injected, []
-            faults: Dict[int, Tuple[str, float]] = {}
-            for shard, kind, delay_s in injected:
-                shard = 0 if shard is None else int(shard)
-                faults[shard] = (kind, delay_s)
-
-            allowed: List[int] = []
-            rejected: List[int] = []
-            for shard in range(self.num_shards):
-                (allowed if self.breakers[shard].allow()
-                 else rejected).append(shard)
-            if not allowed:
-                raise RuntimeError(
-                    f"all {self.num_shards} shard(s) unavailable "
-                    "(circuit breakers open)"
-                )
-            tasks = [
-                self._shard_task(
-                    *self.plan[shard], source_list, k, prune,
-                    fault=faults.get(shard),
-                )
-                for shard in allowed
-            ]
-            timeout_kwargs: Dict[str, Any] = {}
-            if self.shard_timeout_s is not None:
-                timeout_kwargs["timeout_s"] = self.shard_timeout_s
-            if deadline_s is not None:
-                timeout_kwargs["deadline_s"] = deadline_s
-            with get_tracer().span(
-                "serving.sharded.scatter",
-                shards=len(tasks), batch=int(sources.size), k=k,
-            ):
-                answers = self._pool.map(
-                    _score_shard, tasks,
-                    labels=[self._labels[shard] for shard in allowed],
-                    hedge_after_s=self.hedge_after_s,
-                    return_exceptions=True,
-                    crash_policy="return",
-                    context={"request_ids": tuple(request_ids)},
-                    **timeout_kwargs,
-                )
-
-        shard_answers: List[Tuple[np.ndarray, np.ndarray]] = []
-        failed: List[int] = []
-        shed = 0
-        for shard, answer in zip(allowed, answers):
-            if isinstance(answer, TaskFailure):
-                if isinstance(answer.error, DeadlineExceededError):
-                    # The caller's budget ran out, not the shard: never
-                    # held against the breaker (a client with a tiny
-                    # deadline must not be able to open every breaker).
-                    shed += 1
-                    continue
-                failed.append(shard)
-                self.breakers[shard].record_failure(answer.error)
-                registry.emit(
-                    "serving.sharded.shard_failure",
-                    {"shard": shard, "error": str(answer.error)},
-                )
-            else:
-                self.breakers[shard].record_success()
-                shard_answers.append(answer)
-        if shed:
-            registry.increment("serving.deadline_shed", shed)
+        sources = _check_sources(sources, self.n_source)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        k = min(k, self.n_target)
+        prune = self.prune if prune is None else bool(prune)
+        source_list = [int(s) for s in sources]
+        if deadline_s is not None and time.monotonic() >= deadline_s:
+            registry.increment("serving.deadline_shed")
             raise DeadlineExceededError(
-                f"scatter deadline expired with {shed} of {len(allowed)} "
-                "shard(s) unscored",
+                "scatter deadline expired before fan-out",
                 deadline_s=deadline_s,
             )
-        if not shard_answers:
-            raise RuntimeError(
-                f"all {len(allowed)} scattered shard(s) failed "
-                f"(shards {failed})"
-            )
 
-        down = sorted(rejected + failed)
-        covered = sum(
-            self.plan[shard][1] - self.plan[shard][0]
-            for shard in range(self.num_shards)
-            if shard not in down
+        span: Dict[str, Any] = {"batch": int(sources.size), "k": k}
+        if mode == "exact":
+            task: Callable[..., _Candidates] = _score_shard
+            shard_args = {
+                shard: (source_list, k, prune)
+                for shard in range(self.num_shards)
+            }
+        else:
+            task = _rescore_shard
+            span["nprobe"] = nprobe
+            rows, ids = self._ann.select_candidates(
+                weighted_queries(self._ann_source, self._weights, sources),
+                k, nprobe,
+            )
+            shard_args = {}
+            for shard, (start, stop) in enumerate(self.plan):
+                owned = (ids >= start) & (ids < stop)
+                if owned.any():
+                    shard_args[shard] = (
+                        source_list, rows[owned], ids[owned] - start,
+                    )
+        answers, meta = self._scatter(
+            task, shard_args, deadline_s, request_ids, mode=mode, **span
         )
-        meta = {
-            "degraded": bool(down),
-            "coverage": covered / self.n_target,
-            "shards_down": tuple(down),
-        }
-        if down:
-            registry.increment("serving.sharded.degraded_scatters")
-        out_targets, out_scores = self._merge(shard_answers, k)
+        rows, ids, scores = (
+            np.concatenate(part) for part in zip(_NO_CANDIDATES, *answers)
+        )
         registry.increment("serving.sharded.queries", int(sources.size))
         registry.increment("serving.sharded.scatters")
         registry.observe("serving.sharded.shards", self.num_shards)
-        return out_targets, out_scores, meta
+        if mode == "ann":
+            registry.observe(
+                "serving.sharded.ann_shards_involved", len(shard_args)
+            )
+        targets, scores = _canonical_top_k(
+            rows, ids, scores, int(sources.size), k
+        )
+        return targets, scores, meta
 
-    def _ann_top_k_ex(
+    def _scatter(
         self,
-        sources,
-        k: int,
-        prune: Optional[bool],
-        nprobe: Optional[int],
+        task: Callable[..., _Candidates],
+        shard_args: Dict[int, Tuple],
         deadline_s: Optional[float],
-        request_ids: Sequence[str] = (),
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
-        """Fault-tolerant ANN scatter (the ``mode='ann'`` ex path)."""
-        nprobe = self.resolve_nprobe(nprobe)
+        request_ids: Sequence[str],
+        **span: Any,
+    ) -> Tuple[List[_Candidates], Dict[str, Any]]:
+        """Run ``task(shard, *args)`` for each shard in ``shard_args``.
+
+        Returns the answering shards' candidates and the coverage
+        ``meta``.  Breakers gate the fan-out, faults armed by
+        :meth:`inject_fault` ride into the tasks, and each task's
+        outcome is one of three: shed by the caller's deadline (the
+        scatter raises ``DeadlineExceededError``, no breaker touched),
+        failed (recorded against the breaker, the shard is down), or
+        answered (recorded as a success).
+        """
         registry = self._registry()
-        sources, k, _, source_list = self._validate_query(sources, k, prune)
-        if deadline_s is not None:
-            remaining = deadline_s - time.monotonic()
-            if remaining <= 0:
-                registry.increment("serving.deadline_shed")
-                raise DeadlineExceededError(
-                    "scatter deadline expired before fan-out",
-                    deadline_s=deadline_s,
-                )
-        rows, ids, per_shard = self._ann_candidates(sources, k, nprobe)
-        involved = sorted(per_shard)
-
         with self._lock:
-            injected, self._injected = self._injected, []
-            faults: Dict[int, Tuple[str, float]] = {}
-            for shard, kind, delay_s in injected:
-                shard = 0 if shard is None else int(shard)
-                faults[shard] = (kind, delay_s)
-
+            faults = {
+                0 if shard is None else int(shard): (kind, delay_s)
+                for shard, kind, delay_s in self._injected
+            }
+            self._injected = []
             allowed: List[int] = []
             rejected: List[int] = []
-            for shard in involved:
+            for shard in shard_args:
                 (allowed if self.breakers[shard].allow()
                  else rejected).append(shard)
-            if not allowed:
+            if rejected and not allowed:
                 raise RuntimeError(
-                    f"all {len(involved)} involved shard(s) unavailable "
+                    f"all {len(rejected)} shard(s) unavailable "
                     "(circuit breakers open)"
                 )
             tasks = [
-                self._ann_rescore_task(
-                    shard, source_list, rows, ids, per_shard[shard],
-                    fault=faults.get(shard),
+                (
+                    _Shard(
+                        self._manifest, self._token, self.num_layers,
+                        self._weights, self.block_size, *self.plan[shard],
+                        *faults.get(shard, (None, 0.0)),
+                    ),
+                    *shard_args[shard],
                 )
                 for shard in allowed
             ]
-            timeout_kwargs: Dict[str, Any] = {}
+            budgets: Dict[str, Any] = {}
             if self.shard_timeout_s is not None:
-                timeout_kwargs["timeout_s"] = self.shard_timeout_s
+                budgets["timeout_s"] = self.shard_timeout_s
             if deadline_s is not None:
-                timeout_kwargs["deadline_s"] = deadline_s
+                budgets["deadline_s"] = deadline_s
             with get_tracer().span(
-                "serving.sharded.ann_scatter",
-                shards=len(tasks), batch=int(sources.size), k=k,
-                nprobe=nprobe,
+                "serving.sharded.scatter", shards=len(tasks), **span
             ):
-                answers = self._pool.map(
-                    _rescore_shard, tasks,
+                results = self._pool.map(
+                    task, tasks,
                     labels=[self._labels[shard] for shard in allowed],
                     hedge_after_s=self.hedge_after_s,
                     return_exceptions=True,
                     crash_policy="return",
                     context={"request_ids": tuple(request_ids)},
-                    **timeout_kwargs,
+                    **budgets,
                 )
 
-        shard_answers: List[Tuple[np.ndarray, np.ndarray]] = []
+        answers: List[_Candidates] = []
         failed: List[int] = []
         shed = 0
-        for shard, answer in zip(allowed, answers):
-            if isinstance(answer, TaskFailure):
-                if isinstance(answer.error, DeadlineExceededError):
-                    shed += 1
-                    continue
+        for shard, result in zip(allowed, results):
+            if not isinstance(result, TaskFailure):
+                self.breakers[shard].record_success()
+                answers.append(result)
+            elif isinstance(result.error, DeadlineExceededError):
+                # The caller's budget ran out, not the shard: never held
+                # against the breaker (a client with a tiny deadline must
+                # not be able to open every breaker).
+                shed += 1
+            else:
                 failed.append(shard)
-                self.breakers[shard].record_failure(answer.error)
+                self.breakers[shard].record_failure(result.error)
                 registry.emit(
                     "serving.sharded.shard_failure",
-                    {"shard": shard, "error": str(answer.error)},
+                    {"shard": shard, "error": str(result.error)},
                 )
-            else:
-                self.breakers[shard].record_success()
-                shard_answers.append((per_shard[shard], answer))
         if shed:
             registry.increment("serving.deadline_shed", shed)
             raise DeadlineExceededError(
@@ -904,36 +656,19 @@ class ShardedIndex:
                 "shard(s) unscored",
                 deadline_s=deadline_s,
             )
-        if not shard_answers:
+        if failed and not answers:
             raise RuntimeError(
                 f"all {len(allowed)} scattered shard(s) failed "
                 f"(shards {failed})"
             )
-
         down = sorted(rejected + failed)
         if down:
-            # Candidates owned by a down shard were never rescored: the
-            # gather ranks only the answering shards' candidates, and
-            # meta reports the uncovered row ranges.
             registry.increment("serving.sharded.degraded_scatters")
-        covered = sum(
-            self.plan[shard][1] - self.plan[shard][0]
-            for shard in range(self.num_shards)
-            if shard not in down
-        )
-        meta = {
+        return answers, {
             "degraded": bool(down),
-            "coverage": covered / self.n_target,
+            "coverage": self._coverage(down),
             "shards_down": tuple(down),
         }
-        out_targets, out_scores = self._ann_assemble(
-            shard_answers, rows, ids, k, int(sources.size)
-        )
-        registry.increment("serving.sharded.queries", int(sources.size))
-        registry.increment("serving.sharded.scatters")
-        registry.observe("serving.sharded.shards", self.num_shards)
-        registry.observe("serving.sharded.ann_shards_involved", len(involved))
-        return out_targets, out_scores, meta
 
     # -- chaos hooks ----------------------------------------------------
     def inject_fault(
@@ -942,12 +677,12 @@ class ShardedIndex:
         shard: Optional[int] = None,
         delay_s: float = 0.0,
     ) -> None:
-        """Arm a serving fault for the next :meth:`top_k_ex` scatter.
+        """Arm a serving fault for the next scatter.
 
         ``kind`` is ``"shard_kill"`` or ``"shard_delay"``; ``shard``
         picks the victim (default 0); ``delay_s`` sizes a delay.  The
-        fault rides into the shard task's trailing arguments and fires
-        inside the scorer, exercising the real crash/timeout paths.
+        fault rides into the shard task's arguments and fires inside
+        the scorer, exercising the real crash/timeout paths.
         """
         if kind not in ("shard_kill", "shard_delay"):
             raise ValueError(
@@ -967,15 +702,10 @@ class ShardedIndex:
             index for index, snap in enumerate(shards)
             if snap["state"] != "closed"
         ]
-        covered = sum(
-            stop - start
-            for index, (start, stop) in enumerate(self.plan)
-            if index not in down
-        )
         return {
             "healthy": len(down) < self.num_shards,
             "degraded": bool(down),
-            "coverage": covered / self.n_target,
+            "coverage": self._coverage(down),
             "shards_down": down,
             "shards": shards,
         }
@@ -1000,47 +730,3 @@ class ShardedIndex:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class ShardedQueryEngine(QueryEngine):
-    """A :class:`QueryEngine` whose index is a :class:`ShardedIndex`.
-
-    Identical query semantics (microbatching, striped LRU, ``aligned``
-    surfacing) — the engine only sees ``index.top_k`` — plus ownership:
-    closing the engine closes the sharded index underneath it.
-    """
-
-    @classmethod
-    def from_artifact(
-        cls,
-        artifact,
-        shards: int = 2,
-        workers: Optional[int] = None,
-        hedge_after_s: Optional[float] = None,
-        **kwargs,
-    ) -> "ShardedQueryEngine":
-        index_kwargs = {
-            key: kwargs.pop(key)
-            for key in (
-                "target_block_size", "prune", "breaker_kwargs",
-                "shard_timeout_s",
-            )
-            if key in kwargs
-        }
-        index = ShardedIndex.from_artifact(
-            artifact,
-            shards=shards,
-            workers=workers,
-            hedge_after_s=hedge_after_s,
-            registry=kwargs.get("registry"),
-            **index_kwargs,
-        )
-        kwargs.setdefault("fingerprint", artifact.fingerprint)
-        kwargs.setdefault("verifier", getattr(artifact, "verifier", None))
-        return cls(index, **kwargs)
-
-    def close(self) -> None:
-        super().close()
-        close = getattr(self.index, "close", None)
-        if close is not None:
-            close()

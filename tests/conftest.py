@@ -11,9 +11,10 @@ def pytest_addoption(parser):
         "--shards",
         type=int,
         default=1,
-        help="serve the HTTP test fixtures through a ShardedQueryEngine "
-             "with this many target shards (1 = the single-process "
-             "QueryEngine; answers must be identical either way)",
+        help="serve the HTTP test fixtures of test_serving_server.py and "
+             "test_serving_http_fuzz.py from QueryEngine.from_artifact("
+             "shards=N) (1 = the single-process index; answers must be "
+             "identical either way)",
     )
 
 

@@ -33,8 +33,8 @@ from repro.observability import (
 from repro.serving import (
     AlignmentServer,
     HTTPClient,
+    QueryEngine,
     ServingClientError,
-    ShardedQueryEngine,
     export_artifact,
     load_artifact,
 )
@@ -61,7 +61,7 @@ def artifact_path(tmp_path_factory):
 def sharded_engine(artifact_path, registry, **kwargs):
     artifact = load_artifact(artifact_path, mmap=True, registry=registry)
     block = -(-artifact.n_target // 2)
-    return ShardedQueryEngine.from_artifact(
+    return QueryEngine.from_artifact(
         artifact, shards=2, workers=0, target_block_size=block,
         registry=registry, **kwargs,
     )

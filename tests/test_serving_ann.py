@@ -28,6 +28,7 @@ from repro.serving import (
     kmeans_fit,
     load_artifact,
     quantize_int8,
+    status_for_error,
 )
 from repro.serving.ann import weighted_queries
 
@@ -397,6 +398,72 @@ class TestShardedAnn:
             answered = targets[targets >= 0]
             assert not ((answered >= start) & (answered < stop)).any()
 
+    def test_batch_probing_only_empty_lists_pads_instead_of_503(self, rng):
+        # Regression: the degrading path used to fail a batch whose probed
+        # lists are all empty with a false "circuit breakers open" 503.
+        source, target = _embeddings(rng, n_target=200, dims=(5, 5),
+                                     ties=False)
+        for layer in source:
+            layer[:, 0] += 10.0
+        state = build_ann_state(target, n_clusters=8, seed=1)
+        # An extra, empty last cluster whose centroid wins every probe.
+        winner = np.zeros((1, 10))
+        winner[0, [0, 5]] = 1e3
+        state["centroids"] = np.vstack([state["centroids"], winner])
+        state["offsets"] = np.append(state["offsets"], 200)
+        sources = np.arange(6)
+        expected = AnnIndex(
+            source, target, (0.6, 0.4), state=dict(state),
+            target_block_size=64,
+        ).top_k(sources, k=3, mode="ann", nprobe=1)
+        assert np.all(expected[0] == -1)
+        with ShardedIndex(
+            source, target, (0.6, 0.4), shards=2, target_block_size=64,
+            workers=0, ann_state=dict(state),
+        ) as sharded:
+            strict = sharded.top_k(sources, k=3, mode="ann", nprobe=1)
+            targets, scores, meta = sharded.top_k_ex(
+                sources, k=3, mode="ann", nprobe=1
+            )
+            for got in (strict, (targets, scores)):
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1])
+            assert meta == {
+                "degraded": False, "coverage": 1.0, "shards_down": (),
+            }
+            with QueryEngine(sharded, fingerprint="fp", default_mode="ann",
+                             default_nprobe=1) as engine:
+                result = engine.query(0, k=3)
+            assert not result.aligned
+            assert not result.degraded and result.targets == ()
+
+    @pytest.mark.parametrize("mode,nprobe", [("exact", None), ("ann", 8)])
+    def test_strict_top_k_never_returns_a_partial_answer(self, rng, mode,
+                                                         nprobe):
+        source, target = _embeddings(rng, n_target=500, dims=(5, 5))
+        state = build_ann_state(target, n_clusters=8, seed=1)
+        sources = rng.integers(0, 30, size=6)
+        with ShardedIndex(
+            source, target, (0.5, 0.5), shards=3, target_block_size=64,
+            workers=0, ann_state=dict(state),
+            breaker_kwargs={"failure_threshold": 10},
+        ) as sharded:
+            sharded.inject_fault("shard_kill", shard=0)
+            with pytest.raises(RuntimeError, match="unavailable") as excinfo:
+                sharded.top_k(sources, k=5, mode=mode, nprobe=nprobe)
+            assert status_for_error(excinfo.value) == 503
+            # The same fault, the degrading path: an explicit answer.
+            sharded.inject_fault("shard_kill", shard=0)
+            targets, _, meta = sharded.top_k_ex(
+                sources, k=5, mode=mode, nprobe=nprobe
+            )
+            start, stop = sharded.plan[0]
+            assert meta["degraded"] and meta["shards_down"] == (0,)
+            assert meta["coverage"] == (500 - (stop - start)) / 500
+            answered = targets[targets >= 0]
+            assert answered.size
+            assert not ((answered >= start) & (answered < stop)).any()
+
     def test_no_ann_state_rejects_ann_mode(self, rng):
         source, target = _embeddings(rng, n_target=200, ties=False)
         with ShardedIndex(
@@ -536,7 +603,7 @@ class TestProbe:
 
 
 class TestMemory:
-    def test_ann_top_k_never_holds_a_batch_by_target_matrix(self):
+    def test_ann_query_never_holds_a_batch_by_target_matrix(self):
         # 256 queries x 20000 targets x 3 layers: one (batch x n_target)
         # float64 matrix is 41 MB.  The scan touches only probed lists
         # and the rescoring keeps only the candidates' scores per block.

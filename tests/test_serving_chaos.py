@@ -18,7 +18,7 @@ from repro.resilience.chaos import ChaosEngine, ChaosReport
 from repro.serving import (
     AlignmentIndex,
     FrontDoor,
-    ShardedQueryEngine,
+    QueryEngine,
     export_artifact,
     load_artifact,
 )
@@ -44,7 +44,7 @@ def stack(tmp_path):
     """FrontDoor over a 3-shard inline engine with fast breakers."""
     registry = MetricsRegistry()
     artifact = make_artifact(tmp_path)
-    engine = ShardedQueryEngine.from_artifact(
+    engine = QueryEngine.from_artifact(
         artifact, shards=3, workers=0, target_block_size=BLOCK,
         max_delay_ms=0.0, cache_size=0,
         breaker_kwargs={"failure_threshold": 1, "reset_timeout_s": 0.05},
@@ -205,7 +205,7 @@ class TestDegradedContract:
     def test_degraded_answers_are_never_cached(self, tmp_path):
         registry = MetricsRegistry()
         artifact = make_artifact(tmp_path, name="cachetest")
-        engine = ShardedQueryEngine.from_artifact(
+        engine = QueryEngine.from_artifact(
             artifact, shards=3, workers=0, target_block_size=BLOCK,
             max_delay_ms=0.0, cache_size=1024,
             breaker_kwargs={"failure_threshold": 1,

@@ -18,22 +18,35 @@ import numpy as np
 import pytest
 
 from repro.observability import MetricsRegistry
-from repro.serving import AlignmentIndex, AlignmentServer, QueryEngine
+from repro.serving import (
+    AlignmentServer,
+    QueryEngine,
+    export_artifact,
+    load_artifact,
+)
 
 N_SOURCE = 20
 N_TARGET = 50
 
 
-@pytest.fixture(scope="module")
-def fuzz_server():
-    rng = np.random.default_rng(99)
+def _serve(tmp_path_factory, serving_shards, seed, **export_kwargs):
+    """A server over a random artifact, sharded per ``--shards``."""
+    rng = np.random.default_rng(seed)
     source = [rng.standard_normal((N_SOURCE, 8))]
     target = [rng.standard_normal((N_TARGET, 8))]
-    index = AlignmentIndex(source, target, [1.0],
-                           target_block_size=N_TARGET)
-    engine = QueryEngine(index, fingerprint="fuzz", max_delay_ms=0.5,
-                         registry=MetricsRegistry())
-    with AlignmentServer(engine, registry=MetricsRegistry()) as server:
+    path = str(tmp_path_factory.mktemp("fuzz") / "artifact")
+    export_artifact(path, source, target, [1.0], **export_kwargs)
+    engine = QueryEngine.from_artifact(
+        load_artifact(path), shards=serving_shards, workers=None,
+        target_block_size=-(-N_TARGET // serving_shards),
+        max_delay_ms=0.5, registry=MetricsRegistry(),
+    )
+    return AlignmentServer(engine, registry=MetricsRegistry())
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(tmp_path_factory, serving_shards):
+    with _serve(tmp_path_factory, serving_shards, seed=99) as server:
         yield server
 
 
@@ -254,18 +267,11 @@ class TestRandomFuzz:
 
 
 @pytest.fixture(scope="module")
-def ann_fuzz_server():
+def ann_fuzz_server(tmp_path_factory, serving_shards):
     """A server with an ANN tier (8 clusters) for nprobe-range fuzzing."""
-    from repro.serving import AnnIndex
-
-    rng = np.random.default_rng(7)
-    source = [rng.standard_normal((N_SOURCE, 8))]
-    target = [rng.standard_normal((N_TARGET, 8))]
-    index = AnnIndex(source, target, [1.0], n_clusters=8, seed=0,
-                     target_block_size=N_TARGET)
-    engine = QueryEngine(index, fingerprint="fuzz-ann", max_delay_ms=0.5,
-                         registry=MetricsRegistry())
-    with AlignmentServer(engine, registry=MetricsRegistry()) as server:
+    with _serve(
+        tmp_path_factory, serving_shards, seed=7, ann_clusters=8, ann_seed=0
+    ) as server:
         yield server
 
 

@@ -36,7 +36,6 @@ from repro.serving import (
     QueryEngine,
     QueryResult,
     ServingClientError,
-    ShardedQueryEngine,
     export_artifact,
     load_artifact,
     status_for_error,
@@ -68,24 +67,17 @@ def server(trained_artifact, serving_shards):
     path, streaming_expected = trained_artifact
     registry = MetricsRegistry()
     artifact = load_artifact(path, mmap=True, registry=registry)
-    engine_kwargs = dict(
-        batch_size=16, max_delay_ms=1.0, cache_size=1024, registry=registry
+    # Shard boundaries must fall on block boundaries, so sharding implies
+    # narrower-than-full blocks; the reference answers come from an
+    # unsharded index over the *same* block partition, which the sharded
+    # engine must match bitwise.  One shard keeps the full width, which
+    # reproduces the streaming reference bitwise.
+    block = -(-artifact.n_target // serving_shards)
+    engine = QueryEngine.from_artifact(
+        artifact, shards=serving_shards, workers=None,
+        target_block_size=block, batch_size=16, max_delay_ms=1.0,
+        cache_size=1024, registry=registry,
     )
-    if serving_shards > 1:
-        # Shard boundaries must fall on block boundaries, so sharding
-        # implies narrower-than-full blocks; the reference answers come
-        # from an unsharded index over the *same* block partition, which
-        # the sharded engine must match bitwise.
-        block = -(-artifact.n_target // serving_shards)
-        engine = ShardedQueryEngine.from_artifact(
-            artifact, shards=serving_shards, workers=None,
-            target_block_size=block, **engine_kwargs,
-        )
-    else:
-        block = artifact.n_target  # full width → bitwise streaming
-        engine = QueryEngine.from_artifact(
-            artifact, target_block_size=block, **engine_kwargs,
-        )
     reference = AlignmentIndex.from_artifact(
         artifact, target_block_size=block, registry=MetricsRegistry()
     )

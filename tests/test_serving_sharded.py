@@ -21,12 +21,12 @@ import pytest
 from repro.observability import MetricsRegistry
 from repro.serving import (
     AlignmentIndex,
+    AnnIndex,
     FrontDoor,
     OverloadedError,
     QueryEngine,
     QueryResult,
     ShardedIndex,
-    ShardedQueryEngine,
     export_artifact,
     load_artifact,
     plan_shards,
@@ -226,7 +226,10 @@ class TestShardedIndexLifecycle:
         assert "serving.sharded.shards" in names
 
 
-class TestShardedQueryEngine:
+class TestEngineFromArtifact:
+    """``QueryEngine.from_artifact`` is the one place an artifact's index
+    is chosen; a sharded index serves through the plain engine."""
+
     def test_engine_answers_match_unsharded_engine(self):
         source, target, weights = make_embeddings(seed=12)
         plain = QueryEngine(
@@ -234,7 +237,7 @@ class TestShardedQueryEngine:
                            target_block_size=BLOCK),
             fingerprint="fp", max_delay_ms=0.5,
         )
-        sharded = ShardedQueryEngine(
+        sharded = QueryEngine(
             ShardedIndex(source, target, weights, shards=2,
                          target_block_size=BLOCK, workers=0),
             fingerprint="fp", max_delay_ms=0.5,
@@ -251,11 +254,40 @@ class TestShardedQueryEngine:
                 assert ra.targets == rb.targets
                 assert ra.scores == rb.scores
 
-    def test_close_releases_index(self):
+    def test_picks_the_index_for_the_artifact(self, tmp_path):
+        source, target, weights = make_embeddings(seed=15, tie_rows=False)
+        plain = str(tmp_path / "plain")
+        export_artifact(plain, source, target, weights, pair_name="plain")
+        ann = str(tmp_path / "ann")
+        export_artifact(ann, source, target, weights, pair_name="ann",
+                        ann_clusters=4)
+        for path, shards, kind in [
+            (plain, 1, AlignmentIndex), (ann, 1, AnnIndex),
+            (plain, 2, ShardedIndex), (ann, 2, ShardedIndex),
+        ]:
+            registry = MetricsRegistry()
+            engine = QueryEngine.from_artifact(
+                load_artifact(path), shards=shards, workers=0,
+                target_block_size=BLOCK, registry=registry,
+            )
+            with engine:
+                assert type(engine.index) is kind
+                supports_ann = getattr(engine.index, "supports_ann", False)
+                assert supports_ann == (path == ann)
+                engine.query(0, k=3)
+            # Unsharded engines never publish into shared memory.
+            shm_bytes = registry.counter("parallel.shm_bytes").value
+            assert (shm_bytes > 0) == (shards > 1)
+
+    def test_close_closes_sharded_index(self, tmp_path):
         source, target, weights = make_embeddings(seed=13)
-        index = ShardedIndex(source, target, weights, shards=2,
-                             target_block_size=BLOCK, workers=0)
-        engine = ShardedQueryEngine(index, fingerprint="fp")
+        path = str(tmp_path / "artifact")
+        export_artifact(path, source, target, weights, pair_name="close")
+        engine = QueryEngine.from_artifact(
+            load_artifact(path), shards=2, workers=0,
+            target_block_size=BLOCK,
+        )
+        index = engine.index
         engine.start()
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -266,7 +298,7 @@ class TestShardedQueryEngine:
         path = str(tmp_path / "artifact")
         export_artifact(path, source, target, weights, pair_name="shard")
         artifact = load_artifact(path)
-        engine = ShardedQueryEngine.from_artifact(
+        engine = QueryEngine.from_artifact(
             artifact, shards=2, workers=0, target_block_size=BLOCK,
         )
         with engine:
