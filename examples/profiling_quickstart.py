@@ -4,15 +4,15 @@ Answers "where does the time go?" for a GAlign run, in three layers:
 
 1. **spans** — wall-clock tree of the pipeline phases (epochs,
    forward/backward/step, refinement iterations),
-2. **per-op profile** — every autograd op's call count, self-time, and
+2. **per-op profile** — every autograd op's call count, time, and
    FLOP throughput, with backward passes attributed to the op that
    created the node,
 3. **histograms** — epoch-latency percentiles from the metrics registry.
 
 The tracer and profiler cost nothing until switched on: a disabled
-tracer's ``span()`` is a shared no-op, and the profiler monkey-patches
-the ``Tensor`` ops only inside ``profiler.enabled()`` (fully reverted on
-exit).  The same report is available from the command line:
+tracer's ``span()`` is a shared no-op, and the profiler observes the
+autograd ops only inside ``profiler.enabled()`` (it attaches to the op
+dispatch seam on entry and detaches on exit).  The same report is available from the command line:
 
     python -m repro.cli profile                    # synthetic workload
     python -m repro.cli align --pair /tmp/pair --trace-out trace.json
@@ -71,7 +71,7 @@ def main() -> None:
     print(format_span_tree(tracer, title="span tree"))
     print()
 
-    # 2. Which ops did the work?  Self-time, FLOPs, and GFLOP/s per op,
+    # 2. Which ops did the work?  Time, FLOPs, and GFLOP/s per op,
     #    forward and backward accounted separately.
     print(format_op_table(profiler, title="per-op profile", limit=8))
     gflops = profiler.total_flops() / 1e9

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .dispatch import primitive
 from .tensor import Tensor
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 
+@primitive("spmm")
 def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     """Sparse @ dense product where the sparse operand is a constant.
 
@@ -50,6 +52,7 @@ def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     return Tensor._make(np.asarray(out_data), (dense,), backward)
 
 
+@primitive("concat")
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``; gradient splits back."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
@@ -67,6 +70,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
+@primitive("stack")
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack same-shape tensors along a new axis."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
@@ -109,6 +113,7 @@ def normalize_rows(matrix: Tensor, eps: float = 1e-12) -> Tensor:
     return matrix * inverse
 
 
+@primitive("threshold_mask")
 def threshold_mask(values: Tensor, threshold: float) -> Tensor:
     """The paper's σ_< activation (Eq 9): identity below ``threshold``, 0 above.
 
@@ -126,6 +131,7 @@ def threshold_mask(values: Tensor, threshold: float) -> Tensor:
     return Tensor._make(out_data, (values,), backward)
 
 
+@primitive("softmax")
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax."""
     shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
@@ -141,6 +147,7 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (logits,), backward)
 
 
+@primitive("log_softmax")
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax."""
     shifted = logits.data - logits.data.max(axis=axis, keepdims=True)

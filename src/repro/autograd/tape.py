@@ -8,11 +8,11 @@ closure allocation, and one garbage graph per op.  This module removes the
 rebuild in the spirit of drjit's recorded loops and HIPS-autograd's
 explicit tape:
 
-* :class:`TapeRecorder` monkey-patches the ``Tensor`` methods and the
-  :mod:`repro.autograd.ops` primitives (the same patch points as the
-  profiler) for the duration of ONE eager epoch and records every op into
-  an explicit tape: op kind, input/output value slots, and constant
-  operands (the CSR Laplacian, scalar coefficients, index arrays).
+* :class:`TapeRecorder` is an observer of the op-dispatch seam
+  (:mod:`repro.autograd.dispatch`): for the duration of ONE eager epoch
+  it records every primitive the capturing thread runs into an explicit
+  tape: op kind, input/output value slots, and constant operands (the
+  CSR Laplacian, scalar coefficients, index arrays).
 * :meth:`TapeRecorder.finalize` turns the recording into a :class:`Tape`:
   kernels are compiled once into per-op callables (no per-epoch closure
   allocation), graph-level passes run — GCN-layer fusion, single-consumer
@@ -21,6 +21,11 @@ explicit tape:
   values and returns ordinary output :class:`~repro.autograd.Tensor`
   objects whose ``backward()`` runs the tape's hand-scheduled reverse
   pass, accumulating into the parameters' ``.grad`` exactly like eager.
+
+Observers on the thread see compiled execution through the same seam:
+each replayed kernel (forward and backward), plus two bookkeeping rows —
+``tape.capture`` (recording and finalize, outside the recorded ops) and
+``tape.overhead`` (the replay and reverse-pass loops outside kernels).
 
 Bitwise contract
 ----------------
@@ -66,14 +71,13 @@ unknown) and raises at capture time.
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import dispatch
 from .tensor import Tensor, _index_add, _unbroadcast
 
 __all__ = ["TapeRecorder", "Tape", "watch"]
@@ -101,43 +105,6 @@ _INPLACE_CAPABLE = frozenset({
     "add", "sub", "mul", "div", "neg", "pow", "tanh", "relu",
     "sqrt", "abs", "log", "clip_min", "exp",
 })
-
-#: Tensor method attributes per op kind (the profiler's patch table);
-#: reflected aliases are separate class-dict entries for the same
-#: function and must be patched individually.
-_TENSOR_METHODS: Dict[str, Tuple[str, ...]] = {
-    "add": ("__add__", "__radd__"),
-    "neg": ("__neg__",),
-    "sub": ("__sub__",),
-    "mul": ("__mul__", "__rmul__"),
-    "div": ("__truediv__",),
-    "pow": ("__pow__",),
-    "matmul": ("matmul", "__matmul__"),
-    "transpose": ("transpose",),
-    "reshape": ("reshape",),
-    "getitem": ("__getitem__",),
-    "sum": ("sum",),
-    "tanh": ("tanh",),
-    "relu": ("relu",),
-    "sigmoid": ("sigmoid",),
-    "exp": ("exp",),
-    "log": ("log",),
-    "sqrt": ("sqrt",),
-    "abs": ("abs",),
-    "clip_min": ("clip_min",),
-}
-
-#: Primitive free functions in repro.autograd.ops.  Composites
-#: (row_norms, normalize_rows, ...) decompose into recorded primitives.
-_OPS_FUNCTIONS: Tuple[str, ...] = (
-    "spmm",
-    "concat",
-    "stack",
-    "threshold_mask",
-    "softmax",
-    "log_softmax",
-)
-
 
 def _positional(args: tuple, kwargs: dict, position: int, name: str,
                 default: Any) -> Any:
@@ -206,11 +173,6 @@ class _TapeOp:
         self.shape: tuple = ()
 
 
-# Process-global capture guard: patching rewrites shared classes/modules.
-_capture_lock = threading.Lock()
-_active_recorder: Optional["TapeRecorder"] = None
-
-
 def watch(tensor: Tensor, label: str) -> Tensor:
     """Register ``tensor``'s value under ``label`` for replay read-back.
 
@@ -220,13 +182,13 @@ def watch(tensor: Tensor, label: str) -> Tensor:
     accumulation an eager ``value += float(t.data)`` loop performs, so
     watched diagnostics stay bitwise comparable in float64.
     """
-    recorder = _active_recorder
-    if recorder is not None:
-        recorder._watch(tensor, label)
+    for observer in dispatch.observers():
+        if isinstance(observer, TapeRecorder):
+            observer._watch(tensor, label)
     return tensor
 
 
-class TapeRecorder:
+class TapeRecorder(dispatch.Observer):
     """Capture one eager epoch's op stream into a tape.
 
     Usage::
@@ -254,77 +216,35 @@ class TapeRecorder:
         self._slot_by_id: Dict[int, int] = {}
         self._op_index_by_out_id: Dict[int, int] = {}
         self._keepalive: List[Tensor] = []
-        self._patches: List[Tuple[Any, str, Any]] = []
         self._entered = False
+        self._started = 0.0
+        #: Capture window length and the recorded ops' share of it.
+        self._window = 0.0
+        self._op_time = 0.0
 
     # -- context management --------------------------------------------
     def __enter__(self) -> "TapeRecorder":
-        global _active_recorder
         if self._entered:
             raise RuntimeError("a TapeRecorder cannot be re-entered")
-        with _capture_lock:
-            if _active_recorder is not None:
-                raise RuntimeError(
-                    "another TapeRecorder is already capturing; tape "
-                    "patches are process-global and cannot nest"
-                )
-            _active_recorder = self
-        try:
-            self._install()
-        except BaseException:
-            with _capture_lock:
-                _active_recorder = None
-            raise
+        if any(isinstance(observer, TapeRecorder)
+               for observer in dispatch.observers()):
+            raise RuntimeError(
+                "another TapeRecorder is already capturing on this "
+                "thread; captures cannot nest"
+            )
         self._entered = True
+        self._started = time.perf_counter()
+        dispatch.attach(self)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _active_recorder
-        self._uninstall()
-        with _capture_lock:
-            _active_recorder = None
+        dispatch.detach(self)
+        self._window = time.perf_counter() - self._started
 
-    def _install(self) -> None:
-        from . import ops as ops_module
-
-        for kind, attrs in _TENSOR_METHODS.items():
-            wrapper = None
-            for attr in attrs:
-                original = getattr(Tensor, attr)
-                if wrapper is None:
-                    wrapper = self._make_wrapper(kind, original)
-                self._patches.append((Tensor, attr, original))
-                setattr(Tensor, attr, wrapper)
-        for func_name in _OPS_FUNCTIONS:
-            original = getattr(ops_module, func_name)
-            wrapper = self._make_wrapper(func_name, original)
-            # Rebind every module-level reference (``from repro.autograd
-            # import spmm`` included) by identity scan, profiler-style.
-            for module in list(sys.modules.values()):
-                namespace = getattr(module, "__dict__", None)
-                if not isinstance(namespace, dict):
-                    continue
-                for attr, value in list(namespace.items()):
-                    if value is original:
-                        self._patches.append((module, attr, original))
-                        setattr(module, attr, wrapper)
-
-    def _uninstall(self) -> None:
-        while self._patches:
-            owner, attr, original = self._patches.pop()
-            setattr(owner, attr, original)
-
-    def _make_wrapper(self, kind: str, original: Callable) -> Callable:
-        recorder = self
-
-        def recorded(*args, **kwargs):
-            out = original(*args, **kwargs)
-            recorder._record(kind, args, kwargs, out)
-            return out
-
-        recorded.__name__ = getattr(original, "__name__", kind)
-        recorded.__doc__ = original.__doc__
-        return recorded
+    def op(self, kind: str, args: tuple, kwargs: dict, out: Tensor,
+           started: float, elapsed: float) -> None:
+        self._op_time += elapsed
+        self._record(kind, args, kwargs, out)
 
     # -- slot bookkeeping ----------------------------------------------
     def _new_slot(self, kind: int, shape: tuple, requires: bool) -> int:
@@ -406,9 +326,10 @@ class TapeRecorder:
             ``"float64"`` (bitwise oracle) or ``"float32"`` (fast
             training policy).
         """
+        started = time.perf_counter()
         if self._entered is False:
             raise RuntimeError("finalize() requires a completed capture")
-        if _active_recorder is self:
+        if self in dispatch.observers():
             raise RuntimeError("finalize() must be called after the "
                                "recorder context exits")
         if dtype not in ("float64", "float32"):
@@ -444,7 +365,7 @@ class TapeRecorder:
                     "order_root does not reach a gradient-receiving "
                     "output; pass the capture epoch's final loss"
                 )
-        return Tape(
+        tape = Tape(
             recorder=self,
             output_slots=output_slots,
             backward_order=backward_order,
@@ -452,6 +373,11 @@ class TapeRecorder:
             reuse_buffers=reuse_buffers,
             dtype=dtype,
         )
+        dispatch.overhead(
+            "tape.capture", "forward",
+            self._window - self._op_time + time.perf_counter() - started,
+        )
+        return tape
 
 
 def _op_flops(kind: str, in_shapes: Sequence[tuple], out_shape: tuple,
@@ -559,7 +485,6 @@ class Tape:
             )
             op.fwd = self._build_fwd(op)
             op.bwd = self._build_bwd(op)
-        self._profiler_hook = None
 
     # -- graph passes ---------------------------------------------------
     def _consumer_counts(self, ops: List[_TapeOp]) -> Dict[int, int]:
@@ -1044,13 +969,6 @@ class Tape:
                 data = data.astype(self.dtype)
             self._values[slot] = data
 
-    def _active_profiler(self):
-        # Lazy import: autograd must not depend on observability at
-        # import time (observability imports autograd lazily too).
-        from ..observability.profiler import active_profiler
-
-        return active_profiler()
-
     def replay(self) -> Tuple[List[Tensor], Dict[str, float]]:
         """Execute the tape forward; return output tensors + watch values.
 
@@ -1063,51 +981,53 @@ class Tape:
         """
         from ..observability import get_tracer
 
-        profiler = self._active_profiler()
+        observed = bool(dispatch.observers())
+        started = time.perf_counter()
+        kernel_time = 0.0
         with get_tracer().span("tape.replay", ops=len(self._forward)):
             self._load_params()
-            if profiler is None:
+            if not observed:
                 for op in self._forward:
                     op.fwd()
             else:
                 for op in self._forward:
-                    started = time.perf_counter()
-                    op.fwd()
-                    profiler.record_external(
-                        op.kind, "forward",
-                        started, time.perf_counter() - started,
-                        op.flops, op.shape,
+                    kernel_time += dispatch.kernel(
+                        op.kind, "forward", op.flops, op.shape, op.fwd
                     )
         watched: Dict[str, float] = {}
         for label, slot in self._watches:
             watched[label] = watched.get(label, 0.0) + float(
                 self._values[slot]
             )
-        return self._wrap_outputs(), watched
+        outputs = self._wrap_outputs()
+        if observed:
+            dispatch.overhead("tape.overhead", "forward",
+                              time.perf_counter() - started - kernel_time)
+        return outputs, watched
 
     def _run_backward(self, seeds: List[Optional[np.ndarray]]) -> None:
+        observed = bool(dispatch.observers())
+        started = time.perf_counter()
         grads: List[Optional[np.ndarray]] = [None] * len(self._slot_kinds)
         for slot, seed in zip(self._output_slots, seeds):
             if seed is not None:
                 self._acc(grads, slot, seed)
-        profiler = self._active_profiler()
-        if profiler is None:
+        if not observed:
             for op in self._backward_ops:
                 grad = grads[op.out]
                 if grad is not None:
                     op.bwd(grads, grad)
             return
+        kernel_time = 0.0
         for op in self._backward_ops:
             grad = grads[op.out]
-            if grad is None:
-                continue
-            started = time.perf_counter()
-            op.bwd(grads, grad)
-            profiler.record_external(
-                op.kind, "backward",
-                started, time.perf_counter() - started,
-                op.bwd_flops, op.shape,
-            )
+            if grad is not None:
+                kernel_time += dispatch.kernel(
+                    op.kind, "backward", op.bwd_flops, op.shape,
+                    op.bwd, grads, grad,
+                )
+        dispatch.overhead("tape.overhead", "backward",
+                          time.perf_counter() - started - kernel_time)
 
     def _wrap_outputs(self) -> List[Tensor]:
         tape = self

@@ -15,6 +15,9 @@ Design notes
   the graph and accumulates gradients.
 * Broadcasting follows numpy semantics; gradients of broadcast operands are
   reduced back to the operand's shape by :func:`_unbroadcast`.
+* Every op that builds a graph node is declared with
+  :func:`~repro.autograd.dispatch.primitive`, the one seam through which
+  the op profiler and the tape recorder observe it.
 * Sparse inputs: graph convolutions multiply a *constant* sparse matrix
   (the normalized Laplacian) with a dense parameter-dependent matrix.  The
   sparse side never requires a gradient, so :func:`repro.autograd.ops.spmm`
@@ -26,6 +29,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+
+from .dispatch import primitive
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -291,6 +296,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
+    @primitive("add")
     def __add__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data + other_t.data
@@ -305,12 +311,14 @@ class Tensor:
 
     __radd__ = __add__
 
+    @primitive("neg")
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
         return Tensor._make(-self.data, (self,), backward)
 
+    @primitive("sub")
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data - other_t.data
@@ -326,6 +334,7 @@ class Tensor:
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other).__sub__(self)
 
+    @primitive("mul")
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * other_t.data
@@ -340,6 +349,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
+    @primitive("div")
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data / other_t.data
@@ -355,6 +365,7 @@ class Tensor:
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other).__truediv__(self)
 
+    @primitive("pow")
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
@@ -368,6 +379,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Matrix ops
     # ------------------------------------------------------------------
+    @primitive("matmul")
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix product ``self @ other`` (2-D operands)."""
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -386,6 +398,7 @@ class Tensor:
     def __rmatmul__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other).matmul(self)
 
+    @primitive("transpose")
     def transpose(self) -> "Tensor":
         """2-D transpose."""
         def backward(grad: np.ndarray) -> None:
@@ -393,6 +406,7 @@ class Tensor:
 
         return Tensor._make(self.data.T, (self,), backward)
 
+    @primitive("reshape")
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -404,6 +418,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("getitem")
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
 
@@ -417,6 +432,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
+    @primitive("sum")
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
         in_shape = self.data.shape
@@ -440,6 +456,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise nonlinearities (used by the GCN and baselines)
     # ------------------------------------------------------------------
+    @primitive("tanh")
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
@@ -448,6 +465,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("relu")
     def relu(self) -> "Tensor":
         out_data = np.maximum(self.data, 0.0)
 
@@ -456,6 +474,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("sigmoid")
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
 
@@ -464,6 +483,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("exp")
     def exp(self) -> "Tensor":
         out_data = np.exp(np.clip(self.data, -700.0, 700.0))
 
@@ -472,6 +492,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("log")
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
 
@@ -480,6 +501,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("sqrt")
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
 
@@ -488,6 +510,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("abs")
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
 
@@ -496,6 +519,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    @primitive("clip_min")
     def clip_min(self, minimum: float) -> "Tensor":
         """Elementwise ``max(x, minimum)``; gradient passes where x > minimum."""
         out_data = np.maximum(self.data, minimum)

@@ -725,8 +725,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     tracer = Tracer()
     profiler = OpProfiler(tracer=tracer)
     with use_registry(registry), use_tracer(tracer):
-        # The profiler wraps training only: refinement and serving run
-        # un-patched, so op-table coverage is measured against exactly
+        # The profiler observes training only: refinement and serving run
+        # unobserved, so op-table coverage is measured against exactly
         # the forward/backward spans the ops were recorded under.
         with tracer.span("profile.train", epochs=config.epochs), \
                 profiler.enabled():

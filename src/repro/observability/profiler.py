@@ -5,7 +5,7 @@ forward/backward (Eq 8-10); this module measures it at the operation
 level.  Inside a ``with profiler.enabled():`` block every
 :class:`~repro.autograd.Tensor` op — the arithmetic/matmul/reduction
 methods plus the free functions in :mod:`repro.autograd.ops` (``spmm``,
-``softmax``, ...) — is wrapped so that:
+``softmax``, ...) — is observed so that:
 
 * the forward call is timed and tagged with op name, output shape, and
   estimated FLOPs (``matmul``/``spmm`` get exact FLOP formulas,
@@ -16,76 +16,37 @@ methods plus the free functions in :mod:`repro.autograd.ops` (``spmm``,
   additionally lands in the trace as an ``op.<name>`` event, nested
   under whatever span (epoch, refinement iteration) was open.
 
-Everything aggregates into a per-op table — calls, total/self time,
-FLOPs, effective GFLOP/s — via :func:`format_op_table`.
+Everything aggregates into a per-op table — calls, time, FLOPs,
+effective GFLOP/s — via :func:`format_op_table`.
 
 Zero cost when disabled
 -----------------------
-Instrumentation is installed by *monkey-patching at enable time* and
-fully removed at exit: outside ``profiler.enabled()`` the ``Tensor``
-class and the op functions are the original objects, so profiled-off
-overhead is zero by construction (asserted, together with the bounded
+The profiler is an observer of the op-dispatch seam
+(:mod:`repro.autograd.dispatch`): every primitive is declared there once,
+where it is defined, and nothing is patched at runtime.  Outside
+``profiler.enabled()`` no observer is attached and a primitive pays one
+attribute check (the bound is asserted, together with the bounded
 profiled-on overhead, in ``benchmarks/test_profiler_overhead.py``).
-Free functions are re-bound in every module that imported them by
-identity scan over ``sys.modules`` (``from repro.autograd import spmm``
-references included), and restored the same way.
 
-Only one profiler can be enabled at a time (patching is process-global);
-ops are recorded from any thread, with per-thread nesting stacks so
-self-time stays correct if composites ever nest.
+A profiler sees the ops of the thread that enabled it.  Profilers nest:
+each one attached records every op.  Compiled tape execution reports
+through the same seam — each replayed kernel under its op kind
+(``gcn_layer`` fused kernels included), plus ``tape.capture`` and
+``tape.overhead`` rows for the tape's own bookkeeping outside its ops
+and kernels.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..autograd import dispatch
 from .trace import Tracer, get_tracer
 
-__all__ = ["OpProfiler", "OpStat", "format_op_table", "active_profiler"]
+__all__ = ["OpProfiler", "OpStat", "format_op_table"]
 
-
-#: op name → Tensor attribute names sharing that implementation.  The
-#: reflected aliases (``__radd__``/``__rmul__``) are separate class-dict
-#: entries for the same function and must be patched (and restored)
-#: individually; ``__rsub__``/``__rtruediv__``/``__rmatmul__`` delegate
-#: through the forward method at call time and need no patch.
-_TENSOR_METHODS: Dict[str, Tuple[str, ...]] = {
-    "add": ("__add__", "__radd__"),
-    "neg": ("__neg__",),
-    "sub": ("__sub__",),
-    "mul": ("__mul__", "__rmul__"),
-    "div": ("__truediv__",),
-    "pow": ("__pow__",),
-    "matmul": ("matmul", "__matmul__"),
-    "transpose": ("transpose",),
-    "reshape": ("reshape",),
-    "getitem": ("__getitem__",),
-    "sum": ("sum",),
-    "tanh": ("tanh",),
-    "relu": ("relu",),
-    "sigmoid": ("sigmoid",),
-    "exp": ("exp",),
-    "log": ("log",),
-    "sqrt": ("sqrt",),
-    "abs": ("abs",),
-    "clip_min": ("clip_min",),
-}
-
-#: Free functions in repro.autograd.ops that are primitives (do their
-#: numeric work directly).  Composites built from profiled primitives
-#: (row_norms, frobenius_norm, normalize_rows) are deliberately absent —
-#: profiling them would double-count their constituent ops.
-_OPS_FUNCTIONS: Tuple[str, ...] = (
-    "spmm",
-    "concat",
-    "stack",
-    "threshold_mask",
-    "softmax",
-    "log_softmax",
-)
 
 #: Backward-to-forward FLOP ratio per op.  matmul's reverse pass is two
 #: matmuls (grad @ Bᵀ and Aᵀ @ grad) → 2×; spmm's is one spmm → 1×;
@@ -130,15 +91,13 @@ def _estimate_flops(op: str, args: tuple, out: Any) -> int:
 class OpStat:
     """Aggregated timings for one (op, direction) pair."""
 
-    __slots__ = ("op", "direction", "calls", "total_time", "self_time",
-                 "flops")
+    __slots__ = ("op", "direction", "calls", "total_time", "flops")
 
     def __init__(self, op: str, direction: str) -> None:
         self.op = op
         self.direction = direction
         self.calls = 0
         self.total_time = 0.0
-        self.self_time = 0.0
         self.flops = 0
 
     @property
@@ -151,29 +110,12 @@ class OpStat:
             "direction": self.direction,
             "calls": self.calls,
             "total_time": self.total_time,
-            "self_time": self.self_time,
             "flops": self.flops,
             "gflops_per_s": self.gflops_per_s,
         }
 
 
-# Process-global guard: patching rewrites shared classes/modules, so two
-# concurrently enabled profilers would corrupt each other's restore.
-_active_lock = threading.Lock()
-_active_profiler: Optional["OpProfiler"] = None
-
-
-def active_profiler() -> Optional["OpProfiler"]:
-    """The currently enabled profiler, if any.
-
-    Compiled execution (:mod:`repro.autograd.tape`) bypasses the eager
-    patch points, so the tape replay loop asks for the active profiler
-    explicitly and reports its kernels via :meth:`OpProfiler.record_external`.
-    """
-    return _active_profiler
-
-
-class OpProfiler:
+class OpProfiler(dispatch.Observer):
     """Aggregates per-op forward/backward timings and FLOPs.
 
     Parameters
@@ -193,85 +135,47 @@ class OpProfiler:
         self.trace_ops = bool(trace_ops)
         self._stats: Dict[Tuple[str, str], OpStat] = {}
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._patches: List[Tuple[Any, str, Any]] = []
         self._active = False
 
     # -- enable / disable ----------------------------------------------
     def enabled(self) -> "OpProfiler":
-        """``with profiler.enabled(): ...`` installs the op hooks."""
+        """``with profiler.enabled(): ...`` observes this thread's ops."""
         return self
 
     def __enter__(self) -> "OpProfiler":
-        global _active_profiler
-        with _active_lock:
-            if _active_profiler is not None:
-                raise RuntimeError(
-                    "another OpProfiler is already enabled; profiling "
-                    "patches are process-global and cannot nest"
-                )
-            _active_profiler = self
-        try:
-            self._install()
-        except BaseException:
-            with _active_lock:
-                _active_profiler = None
-            raise
         self._active = True
+        dispatch.attach(self)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _active_profiler
         self._active = False
-        self._uninstall()
-        with _active_lock:
-            _active_profiler = None
+        dispatch.detach(self)
 
-    def _install(self) -> None:
-        from ..autograd.tensor import Tensor
-        from ..autograd import ops as ops_module
+    # -- observer notifications -----------------------------------------
+    def op(self, kind: str, args: tuple, kwargs: dict, out: Any,
+           started: float, elapsed: float) -> None:
+        flops = _estimate_flops(kind, args, out)
+        shape = tuple(getattr(out, "shape", ()))
+        self.kernel(kind, "forward", started, elapsed, flops, shape)
+        backward = getattr(out, "_backward", None)
+        if backward is not None:
+            out._backward = self._wrap_backward(kind, backward, flops, shape)
 
-        for op_name, attrs in _TENSOR_METHODS.items():
-            wrapper = None
-            for attr in attrs:
-                original = getattr(Tensor, attr)
-                if wrapper is None:
-                    wrapper = self._make_wrapper(op_name, original)
-                self._patches.append((Tensor, attr, original))
-                setattr(Tensor, attr, wrapper)
-        for func_name in _OPS_FUNCTIONS:
-            original = getattr(ops_module, func_name)
-            wrapper = self._make_wrapper(func_name, original)
-            # Rebind every module-level reference to the function —
-            # ``from repro.autograd import spmm`` imports included.
-            for module in list(sys.modules.values()):
-                namespace = getattr(module, "__dict__", None)
-                if not isinstance(namespace, dict):
-                    continue
-                for attr, value in list(namespace.items()):
-                    if value is original:
-                        self._patches.append((module, attr, original))
-                        setattr(module, attr, wrapper)
+    def kernel(self, kind: str, direction: str, started: float,
+               elapsed: float, flops: int, shape: tuple) -> None:
+        self._record(kind, direction, elapsed, int(flops))
+        if self.trace_ops:
+            tracer = self.tracer if self.tracer is not None else get_tracer()
+            suffix = "" if direction == "forward" else f".{direction}"
+            tracer.add_event(f"op.{kind}{suffix}", started, elapsed,
+                             shape=list(shape), flops=int(flops))
 
-    def _uninstall(self) -> None:
-        while self._patches:
-            owner, attr, original = self._patches.pop()
-            setattr(owner, attr, original)
+    def overhead(self, kind: str, direction: str, elapsed: float) -> None:
+        self._record(kind, direction, elapsed, 0)
 
     # -- recording ------------------------------------------------------
-    def _frames(self) -> List[float]:
-        frames = getattr(self._local, "frames", None)
-        if frames is None:
-            frames = self._local.frames = []
-        return frames
-
     def _record(
-        self,
-        op: str,
-        direction: str,
-        elapsed: float,
-        self_time: float,
-        flops: int,
+        self, op: str, direction: str, elapsed: float, flops: int
     ) -> None:
         key = (op, direction)
         with self._lock:
@@ -280,53 +184,7 @@ class OpProfiler:
                 stat = self._stats[key] = OpStat(op, direction)
             stat.calls += 1
             stat.total_time += elapsed
-            stat.self_time += self_time
             stat.flops += flops
-
-    def _trace(
-        self, name: str, started: float, elapsed: float, **attrs: Any
-    ) -> None:
-        if not self.trace_ops:
-            return
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        tracer.add_event(name, started, elapsed, **attrs)
-
-    def _make_wrapper(self, op_name: str, original: Callable) -> Callable:
-        profiler = self
-
-        def profiled(*args, **kwargs):
-            frames = profiler._frames()
-            frames.append(0.0)
-            started = time.perf_counter()
-            try:
-                out = original(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - started
-                child_time = frames.pop()
-                if frames:
-                    frames[-1] += elapsed
-            flops = _estimate_flops(op_name, args, out)
-            profiler._record(
-                op_name, "forward", elapsed, elapsed - child_time, flops
-            )
-            shape = tuple(getattr(out, "shape", ()))
-            profiler._trace(
-                f"op.{op_name}", started, elapsed,
-                shape=list(shape), flops=flops,
-            )
-            backward = getattr(out, "_backward", None)
-            if backward is not None:
-                out._backward = profiler._wrap_backward(
-                    op_name, backward, flops, shape
-                )
-            return out
-
-        profiled.__name__ = getattr(original, "__name__", op_name)
-        profiled.__qualname__ = getattr(
-            original, "__qualname__", profiled.__name__
-        )
-        profiled.__doc__ = original.__doc__
-        return profiled
 
     def _wrap_backward(
         self,
@@ -343,50 +201,14 @@ class OpProfiler:
                 # backward() ran after the profiler context closed (the
                 # tensor outlived it); stay out of the books.
                 return backward(grad)
-            frames = profiler._frames()
-            frames.append(0.0)
             started = time.perf_counter()
             try:
                 return backward(grad)
             finally:
-                elapsed = time.perf_counter() - started
-                child_time = frames.pop()
-                if frames:
-                    frames[-1] += elapsed
-                profiler._record(
-                    op_name, "backward", elapsed, elapsed - child_time, flops
-                )
-                profiler._trace(
-                    f"op.{op_name}.backward", started, elapsed,
-                    shape=list(shape), flops=flops,
-                )
+                profiler.kernel(op_name, "backward", started,
+                                time.perf_counter() - started, flops, shape)
 
         return profiled_backward
-
-    def record_external(
-        self,
-        op: str,
-        direction: str,
-        started: float,
-        elapsed: float,
-        flops: int,
-        shape: tuple = (),
-    ) -> None:
-        """Book one externally-timed kernel call (tape replay path).
-
-        Compiled tape kernels never pass through the monkey-patched op
-        wrappers, so the replay loop times them itself and lands them
-        here; they aggregate into the same table (``gcn_layer`` fused
-        kernels included) and emit the same ``op.<name>`` trace events.
-        """
-        if not self._active:
-            return
-        self._record(op, direction, elapsed, elapsed, int(flops))
-        suffix = "" if direction == "forward" else f".{direction}"
-        self._trace(
-            f"op.{op}{suffix}", started, elapsed,
-            shape=list(shape), flops=int(flops),
-        )
 
     # -- results --------------------------------------------------------
     def stats(self) -> List[OpStat]:
@@ -397,10 +219,11 @@ class OpProfiler:
             )
 
     def total_time(self, direction: Optional[str] = None) -> float:
-        """Summed *self* time (nesting-safe) across ops."""
+        """Summed time across ops (rows never overlap: primitives do not
+        nest, and tape rows exclude the kernels they surround)."""
         with self._lock:
             return sum(
-                stat.self_time
+                stat.total_time
                 for stat in self._stats.values()
                 if direction is None or stat.direction == direction
             )
@@ -421,15 +244,13 @@ def format_op_table(
     stats = profiler.stats()
     if limit:
         stats = stats[:limit]
-    headers = ("op", "dir", "calls", "total(s)", "self(s)", "GFLOP",
-               "GFLOP/s")
+    headers = ("op", "dir", "calls", "total(s)", "GFLOP", "GFLOP/s")
     rows = [
         (
             stat.op,
             stat.direction,
             str(stat.calls),
             f"{stat.total_time:.4f}",
-            f"{stat.self_time:.4f}",
             f"{stat.flops / 1e9:.3f}",
             f"{stat.gflops_per_s:.2f}",
         )

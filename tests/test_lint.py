@@ -43,10 +43,12 @@ Autograd encapsulation
 ----------------------
 ``Tensor._make`` is the raw graph-node constructor: it wires parents
 and a backward closure with no validation, and the tape/profiler
-machinery assumes every node is produced by the patched public ops.  A
-``._make`` call outside ``repro.autograd`` would create graph nodes the
+machinery assumes every node is produced by a primitive declared through
+the op-dispatch seam (``@primitive(kind)``, ``repro.autograd.dispatch``).
+A ``._make`` call outside ``repro.autograd`` would create graph nodes the
 tape cannot capture and the profiler cannot attribute, so the lint bans
-it everywhere else under ``src/repro``.
+it everywhere else under ``src/repro``; inside ``repro.autograd`` every
+function that calls it must be declared ``@primitive``.
 """
 
 import ast
@@ -202,21 +204,60 @@ def _print_violations(path, label=None):
     return found
 
 
+def _is_make_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_make"
+    )
+
+
 def _make_violations(path, label=None):
     label = label if label is not None else str(path)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_make"
-        ):
+        if _is_make_call(node):
             found.append(
                 f"{label}:{node.lineno}: ._make() call — raw graph-node "
                 "construction belongs inside repro.autograd; build tensors "
                 "through the public Tensor ops instead"
             )
+    return found
+
+
+def _declared_primitive(function):
+    for decorator in getattr(function, "decorator_list", ()):
+        target = (
+            decorator.func if isinstance(decorator, ast.Call) else decorator
+        )
+        name = getattr(target, "attr", getattr(target, "id", None))
+        if name == "primitive":
+            return True
+    return False
+
+
+def _undispatched_violations(path, label=None):
+    """``._make`` calls whose enclosing function is not ``@primitive``."""
+    label = label if label is not None else str(path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            function = node
+        elif _is_make_call(node) and not _declared_primitive(function):
+            name = getattr(function, "name", "<module or lambda>")
+            found.append(
+                f"{label}:{node.lineno}: {name} calls Tensor._make but is "
+                "not declared @primitive(kind) — the profiler and the tape "
+                "recorder cannot see the op"
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
     return found
 
 
@@ -338,6 +379,45 @@ def test_no_make_outside_autograd():
         "profiler only see nodes built by the public ops):\n"
         + "\n".join(violations)
     )
+
+
+def test_every_make_caller_is_a_primitive():
+    violations = []
+    for path in sorted((SRC_ROOT / "autograd").rglob("*.py")):
+        violations.extend(
+            _undispatched_violations(
+                path, label=str(path.relative_to(SRC_ROOT.parent))
+            )
+        )
+    assert not violations, (
+        "autograd functions building graph nodes outside the dispatch "
+        "seam:\n" + "\n".join(violations)
+    )
+
+
+def test_dispatch_lint_catches_undeclared_primitive(tmp_path):
+    sample = tmp_path / "bad.py"
+    sample.write_text(
+        "from repro.autograd.tensor import Tensor\n"
+        "def cube(x):\n"
+        "    return Tensor._make(x.data ** 3, (x,), None)\n"
+    )
+    assert any("cube calls Tensor._make" in v
+               for v in _undispatched_violations(sample))
+
+
+def test_dispatch_lint_allows_declared_primitive(tmp_path):
+    sample = tmp_path / "ok.py"
+    sample.write_text(
+        "from repro.autograd.dispatch import primitive\n"
+        "from repro.autograd.tensor import Tensor\n"
+        "@primitive('cube')\n"
+        "def cube(x):\n"
+        "    def backward(grad):\n"
+        "        x._accumulate(3 * grad * x.data ** 2)\n"
+        "    return Tensor._make(x.data ** 3, (x,), backward)\n"
+    )
+    assert not _undispatched_violations(sample)
 
 
 def test_make_lint_catches_call(tmp_path):

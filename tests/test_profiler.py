@@ -1,13 +1,14 @@
-"""Tests for the per-op autograd profiler: patching/restoration, FLOP
-accounting, backward attribution, and the trace/trainer integration."""
+"""Tests for the per-op autograd profiler: the dispatch-seam observer
+contract, FLOP accounting, backward attribution, and the trace/trainer
+integration."""
+
+import threading
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 
 import repro.autograd
-from repro.autograd import Tensor
-from repro.autograd import ops as ops_module
+from repro.autograd import Tensor, dispatch
 from repro.core import GAlignConfig, GAlignTrainer
 from repro.graphs import generators, noisy_copy_pair
 from repro.observability import (
@@ -20,41 +21,51 @@ from repro.observability import (
 )
 
 
+#: Bound at import time, before any profiler is enabled.
+EARLY_BOUND = {"prop": repro.autograd.spmm}
+
+
 def _by_key(profiler):
     return {(stat.op, stat.direction): stat for stat in profiler.stats()}
 
 
 class TestPatching:
-    def test_tensor_methods_restored_after_exit(self):
-        originals = {
-            attr: Tensor.__dict__[attr]
-            for attr in ("matmul", "__matmul__", "__add__", "__radd__",
-                         "__mul__", "__rmul__", "sum", "tanh")
-        }
+    """Nothing is patched: profilers attach to the per-thread seam."""
+
+    def test_no_observer_remains_after_exit(self):
         profiler = OpProfiler()
         with profiler.enabled():
-            for attr, original in originals.items():
-                assert Tensor.__dict__[attr] is not original
-        for attr, original in originals.items():
-            assert Tensor.__dict__[attr] is original
+            assert dispatch.observers() == (profiler,)
+        assert dispatch.observers() == ()
 
-    def test_ops_functions_restored_in_every_module(self):
-        original = ops_module.spmm
-        assert repro.autograd.spmm is original  # re-exported reference
-        with OpProfiler().enabled():
-            assert ops_module.spmm is not original
-            # the identity scan re-bound the from-import too
-            assert repro.autograd.spmm is ops_module.spmm
-        assert ops_module.spmm is original
-        assert repro.autograd.spmm is original
+    def test_early_bound_op_reference_is_profiled(self):
+        sparse = sp.identity(3, format="csr")
+        profiler = OpProfiler()
+        with profiler.enabled():
+            EARLY_BOUND["prop"](sparse, Tensor(np.ones((3, 2))))
+        assert _by_key(profiler)[("spmm", "forward")].calls == 1
 
-    def test_only_one_profiler_at_a_time(self):
-        with OpProfiler().enabled():
-            with pytest.raises(RuntimeError, match="already enabled"):
-                OpProfiler().__enter__()
-        # the guard released: a fresh profiler enables fine
-        with OpProfiler().enabled():
-            pass
+    def test_nested_profilers_both_record(self):
+        outer, inner = OpProfiler(), OpProfiler()
+        with outer.enabled():
+            with inner.enabled():
+                a = Tensor(np.ones((2, 2)), requires_grad=True)
+                (a @ a).sum().backward()
+        for profiler in (outer, inner):
+            stats = _by_key(profiler)
+            for key in (("matmul", "forward"), ("sum", "forward"),
+                        ("matmul", "backward"), ("sum", "backward")):
+                assert stats[key].calls == 1, key
+
+    def test_other_thread_ops_are_not_seen(self):
+        profiler = OpProfiler()
+        with profiler.enabled():
+            ones = Tensor(np.ones((2, 2)))
+            worker = threading.Thread(target=lambda: ones @ ones)
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert profiler.stats() == []
 
     def test_disabled_profiler_records_nothing(self):
         profiler = OpProfiler()
@@ -184,8 +195,7 @@ class TestTrainerIntegration:
         stats = _by_key(profiler)
         assert stats[("spmm", "forward")].calls > 0
         assert stats[("matmul", "backward")].calls > 0
-        # after training the patches are gone
-        assert ops_module.spmm is repro.autograd.spmm
+        assert dispatch.observers() == ()
 
     def test_format_op_table_lists_busiest_ops(self):
         profiler = OpProfiler()

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.autograd
 from repro.autograd import (
     Tensor,
     TapeRecorder,
+    dispatch,
     frobenius_norm,
     gradcheck,
     normalize_rows,
@@ -26,6 +28,9 @@ from repro.core.sampling import SampledGAlignTrainer
 from repro.core.trainer import GAlignTrainer
 from repro.graphs import generators, noisy_copy_pair
 from repro.observability import OpProfiler, Tracer, format_op_table, use_tracer
+
+#: Bound at import time, before any capture window opens.
+EARLY_BOUND = {"prop": repro.autograd.spmm}
 
 MODES = [
     pytest.param(fuse, reuse, id=f"fuse={fuse}-reuse={reuse}")
@@ -291,11 +296,38 @@ class TestRecorder:
         with pytest.raises(ValueError, match="not recorded"):
             recorder.finalize([Tensor(1.0)])
 
-    def test_capture_restores_patches(self):
-        original = Tensor.__add__
-        with TapeRecorder():
-            assert Tensor.__add__ is not original
-        assert Tensor.__add__ is original
+    def test_capture_leaves_no_observer(self):
+        with TapeRecorder() as recorder:
+            assert dispatch.observers() == (recorder,)
+        assert dispatch.observers() == ()
+
+    def test_early_bound_op_reference_is_captured(self):
+        # A reference taken before the capture window opens is the same
+        # function object the seam observes, so the op joins the tape.
+        rng = np.random.default_rng(3)
+        adjacency = sp.random(8, 8, density=0.4, random_state=3,
+                              format="csr")
+        features = Tensor(rng.normal(size=(8, 4)))
+        weight = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+
+        def loss_fn():
+            hidden = EARLY_BOUND["prop"](
+                adjacency, features.matmul(weight)
+            ).tanh()
+            return (hidden * hidden).sum()
+
+        eager = loss_fn()
+        eager.backward()
+        eager_grad = weight.grad.copy()
+        recorder = TapeRecorder()
+        with recorder:
+            total = loss_fn()
+        tape = recorder.finalize([total], dtype="float64")
+        weight.zero_grad()
+        (out,), _watched = tape.replay()
+        out.backward()
+        assert out.data.tobytes() == eager.data.tobytes()
+        assert weight.grad.tobytes() == eager_grad.tobytes()
 
     def test_watch_is_noop_outside_capture(self):
         t = Tensor(2.0)
@@ -400,6 +432,11 @@ class TestObservabilityIntegration:
         assert ("gcn_layer", "backward") in by_key
         forward = by_key[("gcn_layer", "forward")]
         assert forward.calls > 0 and forward.flops > 0
+        # The tape's own time: one capture, and one forward plus one
+        # reverse-pass loop per replayed epoch.
+        assert by_key[("tape.capture", "forward")].calls == 1
+        assert by_key[("tape.overhead", "forward")].calls == 3
+        assert by_key[("tape.overhead", "backward")].calls == 3
         assert "gcn_layer" in format_op_table(profiler)
 
     def test_capture_and_replay_spans_traced(self):
