@@ -15,18 +15,25 @@ This module provides that row-streaming layer:
 * :func:`streaming_evaluate` — Success@q / MAP / AUC without full S.
 * :class:`StreamingAligner` — end-to-end: trained model + pair → anchors,
   in O(block · n₂) peak memory.
+
+Blocks are built, sanitized and selected from by :mod:`repro.core.scoring`,
+the scorer the serving indexes share, so streamed answers carry the same
+scores and the same canonical tie order; that module also states the
+batch-invariance contract.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from ..graphs import AlignmentPair
-from ..metrics import EvaluationReport
+from ..metrics import EvaluationReport, anchor_ranks
 from ..observability import MetricsRegistry, get_registry, get_tracer
 from ..parallel import (
     AttachedArrays,
@@ -39,6 +46,7 @@ from ..parallel import (
 from ..resilience import validate_pair
 from .config import GAlignConfig
 from .model import MultiOrderGCN
+from .scoring import RunningTopK, check_layers, score_block
 
 __all__ = [
     "iter_score_blocks",
@@ -49,35 +57,22 @@ __all__ = [
 ]
 
 
-def _sanitize_block(
-    block: np.ndarray,
+def _record_sanitized(
+    registry: MetricsRegistry,
     start: int,
     stop: int,
-    registry: MetricsRegistry,
+    bad_entries: int,
     layer: Optional[int] = None,
-) -> np.ndarray:
-    """Replace non-finite score entries with ``-inf``, counting the event.
-
-    Graceful degradation: NaN/Inf scores (broken embeddings, an
-    overflowed layer) become ``-inf`` so they can never win top-k or
-    outrank a true anchor, instead of poisoning every consumer.  The
-    single sanitization path for aggregated blocks
-    (:func:`iter_score_blocks`), parallel block workers, and the
-    per-layer blocks of :func:`streaming_find_stable_nodes`.
-    """
-    finite = np.isfinite(block)
-    if finite.all():
-        return block
-    block = np.where(finite, block, -np.inf)
+) -> None:
+    """Count and emit a block whose NaN/Inf scores :func:`score_block`
+    set to ``-inf``, so the degradation stays visible."""
+    if not bad_entries:
+        return
     registry.increment("resilience.streaming_sanitized_blocks")
-    payload = {
-        "rows": [start, stop],
-        "bad_entries": int(np.count_nonzero(~finite)),
-    }
+    payload = {"rows": [start, stop], "bad_entries": bad_entries}
     if layer is not None:
         payload["layer"] = layer
     registry.emit("resilience.streaming_sanitized", payload)
-    return block
 
 
 def _build_block(
@@ -88,20 +83,15 @@ def _build_block(
     stop: int,
     registry: MetricsRegistry,
 ) -> np.ndarray:
-    """``Σ_l θ(l) · H_s(l)[start:stop] @ H_t(l)ᵀ``, sanitized and timed.
-
-    The one definition of "a score block", shared by the serial iterator
-    and the parallel block workers — which is what makes parallel
-    streaming bit-identical to serial streaming.
-    """
+    """Source rows ``[start, stop)`` of S via :func:`score_block`, timed
+    and counted under ``streaming.*``."""
     started = time.perf_counter()
-    block = None
-    for h_source, h_target, weight in zip(
-        source_embeddings, target_embeddings, layer_weights
-    ):
-        partial = weight * (h_source[start:stop] @ h_target.T)
-        block = partial if block is None else block + partial
-    block = _sanitize_block(block, start, stop, registry)
+    block, bad = score_block(
+        [h[start:stop] for h in source_embeddings],
+        target_embeddings,
+        layer_weights,
+    )
+    _record_sanitized(registry, start, stop, bad)
     elapsed = time.perf_counter() - started
     registry.record_time("streaming.block_time", elapsed)
     registry.increment("streaming.blocks")
@@ -123,17 +113,6 @@ def _block_ranges(n_source: int, block_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _check_layers(
-    source_embeddings: Sequence[np.ndarray],
-    target_embeddings: Sequence[np.ndarray],
-    layer_weights: Sequence[float],
-) -> None:
-    if len(source_embeddings) != len(target_embeddings):
-        raise ValueError("layer count mismatch between source and target")
-    if len(source_embeddings) != len(layer_weights):
-        raise ValueError("layer_weights must match the number of layers")
-
-
 def iter_score_blocks(
     source_embeddings: Sequence[np.ndarray],
     target_embeddings: Sequence[np.ndarray],
@@ -152,55 +131,73 @@ def iter_score_blocks(
     ``resilience.streaming_sanitized_blocks``) so downstream top-k and
     ranking consumers degrade gracefully instead of emitting NaN.
     """
-    ranges = _block_ranges(source_embeddings[0].shape[0], block_size)
-    _check_layers(source_embeddings, target_embeddings, layer_weights)
+    source, target, weights = check_layers(
+        source_embeddings, target_embeddings, layer_weights
+    )
+    ranges = _block_ranges(source[0].shape[0], block_size)
     if registry is None:
         registry = get_registry()
     for start, stop in ranges:
         yield range(start, stop), _build_block(
-            source_embeddings, target_embeddings, layer_weights,
-            start, stop, registry,
+            source, target, weights, start, stop, registry
         )
 
 
-def _block_top_k(block: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row top-k (targets, scores) of one block, descending score."""
-    # argpartition then sort the k winners per row.
-    top = np.argpartition(block, -k, axis=1)[:, -k:]
-    row_index = np.arange(block.shape[0])[:, None]
-    order = np.argsort(block[row_index, top], axis=1)[:, ::-1]
-    sorted_top = top[row_index, order]
-    return sorted_top, block[row_index, sorted_top]
-
-
-def _top_k_block_task(
-    manifest: Dict,
-    num_layers: int,
-    layer_weights: Tuple[float, ...],
-    start: int,
-    stop: int,
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pool task: score one row block from shm embeddings, return its top-k."""
+def _block_task(
+    manifest: Dict, num_layers: int, weights: Sequence[float], start: int,
+    stop: int, consumer: Callable[..., Any], args: Tuple,
+) -> Any:
+    """Pool task: build one row block from shm embeddings, consume it."""
     with AttachedArrays(manifest) as arrays:
         block = _build_block(
             load_embeddings(arrays, "src", num_layers),
             load_embeddings(arrays, "tgt", num_layers),
-            layer_weights,
+            weights,
             start, stop,
             get_registry(),
         )
-        targets, scores = _block_top_k(block, k)
-        return np.ascontiguousarray(targets), np.ascontiguousarray(scores)
+        return consumer(block, *args)
 
 
-def _publish_layers(
-    store: SharedArrayStore,
-    source_embeddings: Sequence[np.ndarray],
-    target_embeddings: Sequence[np.ndarray],
-) -> None:
-    publish_embeddings(store, "src", source_embeddings)
-    publish_embeddings(store, "tgt", target_embeddings)
+def _map_blocks(
+    consumer: Callable[..., Any], block_args: Sequence[Tuple],
+    ranges: Sequence[Tuple[int, int]], source: Sequence[np.ndarray],
+    target: Sequence[np.ndarray], weights: Sequence[float],
+    registry: MetricsRegistry, workers: Optional[int], label: str,
+) -> List[Any]:
+    """``consumer(block, *args)`` for every row block, in block order.
+
+    ``workers=0`` builds the blocks inline; ``workers >= 1`` builds them
+    in a process pool from shared-memory embeddings.  ``consumer`` is a
+    module-level function so it pickles by reference; both paths run the
+    same :func:`_build_block`, so results are bit-identical.
+    """
+    if not resolve_workers(workers):
+        return [
+            consumer(
+                _build_block(source, target, weights, start, stop, registry),
+                *args,
+            )
+            for (start, stop), args in zip(ranges, block_args)
+        ]
+    with SharedArrayStore(registry=registry) as store:
+        publish_embeddings(store, "src", source)
+        publish_embeddings(store, "tgt", target)
+        manifest = store.manifest()
+        return WorkerPool(workers, registry=registry).map(
+            _block_task,
+            [
+                (manifest, len(weights), weights, start, stop, consumer, args)
+                for (start, stop), args in zip(ranges, block_args)
+            ],
+            labels=[f"{label}[{start}:{stop}]" for start, stop in ranges],
+        )
+
+
+def _select_top_k(block: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    selector = RunningTopK(block.shape[0], k)
+    selector.push(block)
+    return selector.result()
 
 
 def streaming_top_k(
@@ -217,8 +214,10 @@ def streaming_top_k(
     Returns
     -------
     (targets, scores):
-        ``targets[v]`` are v's k best target nodes (descending score) and
-        ``scores[v]`` the matching alignment scores.
+        ``targets[v]`` are v's k best target nodes and ``scores[v]`` the
+        matching alignment scores, in the canonical order of
+        :mod:`repro.core.scoring` (descending score, ascending target id
+        among ties) — the order the serving indexes answer in.
 
     Notes
     -----
@@ -234,80 +233,31 @@ def streaming_top_k(
     ``workers >= 1`` scores blocks in a process pool (embeddings travel
     through shared memory); results are bit-identical to ``workers=0``.
     """
+    source, target, weights = check_layers(
+        source_embeddings, target_embeddings, layer_weights
+    )
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_layers(source_embeddings, target_embeddings, layer_weights)
-    n_source = source_embeddings[0].shape[0]
-    n_target = target_embeddings[0].shape[0]
-    k = min(k, n_target)
+    n_source = source[0].shape[0]
+    k = min(k, target[0].shape[0])
     ranges = _block_ranges(n_source, block_size)
     if registry is None:
         registry = get_registry()
-    workers = resolve_workers(workers)
-    weights = tuple(float(w) for w in layer_weights)
-    all_targets = np.empty((n_source, k), dtype=np.int64)
-    all_scores = np.empty((n_source, k))
     with get_tracer().span("streaming.top_k", k=k, n_source=n_source):
-        if workers:
-            with SharedArrayStore(registry=registry) as store:
-                _publish_layers(store, source_embeddings, target_embeddings)
-                manifest = store.manifest()
-                pool = WorkerPool(workers, registry=registry)
-                blocks = pool.map(
-                    _top_k_block_task,
-                    [
-                        (manifest, len(weights), weights, start, stop, k)
-                        for start, stop in ranges
-                    ],
-                    labels=[f"top_k[{start}:{stop}]" for start, stop in ranges],
-                )
-            for (start, stop), (targets, scores) in zip(ranges, blocks):
-                all_targets[start:stop] = targets
-                all_scores[start:stop] = scores
-        else:
-            for start, stop in ranges:
-                block = _build_block(
-                    source_embeddings, target_embeddings, weights,
-                    start, stop, registry,
-                )
-                targets, scores = _block_top_k(block, k)
-                all_targets[start:stop] = targets
-                all_scores[start:stop] = scores
-    return all_targets, all_scores
-
-
-def _block_ranks(
-    block: np.ndarray, start: int, anchors: Sequence[Tuple[int, int]]
-) -> List[int]:
-    """Pessimistic ranks of the given (source, target) anchors in a block."""
-    ranks: List[int] = []
-    for source, target in anchors:
-        row = block[source - start]
-        true_score = row[target]
-        above = int(np.count_nonzero(row > true_score))
-        tied = int(np.count_nonzero(row == true_score)) - 1
-        ranks.append(above + tied + 1)
-    return ranks
-
-
-def _evaluate_block_task(
-    manifest: Dict,
-    num_layers: int,
-    layer_weights: Tuple[float, ...],
-    start: int,
-    stop: int,
-    anchors: Tuple[Tuple[int, int], ...],
-) -> List[int]:
-    """Pool task: ranks of one block's groundtruth anchors, from shm."""
-    with AttachedArrays(manifest) as arrays:
-        block = _build_block(
-            load_embeddings(arrays, "src", num_layers),
-            load_embeddings(arrays, "tgt", num_layers),
-            layer_weights,
-            start, stop,
-            get_registry(),
+        blocks = _map_blocks(
+            _select_top_k, [(k,)] * len(ranges), ranges,
+            source, target, weights, registry, workers, "top_k",
         )
-        return _block_ranks(block, start, anchors)
+    if not blocks:
+        return np.empty((0, k), dtype=np.int64), np.empty((0, k))
+    targets, scores = zip(*blocks)
+    return np.concatenate(targets), np.concatenate(scores)
+
+
+def _rank_anchors(block: np.ndarray, anchors: Dict[int, int]) -> np.ndarray:
+    if not anchors:
+        return np.empty(0, dtype=np.int64)
+    return anchor_ranks(block, anchors)
 
 
 def streaming_evaluate(
@@ -321,9 +271,9 @@ def streaming_evaluate(
 ) -> EvaluationReport:
     """Success@{1,10} / MAP / AUC computed without materializing S.
 
-    Ranks are derived per streamed block with the same pessimistic
-    tie-breaking as :func:`repro.metrics.anchor_ranks`.  ``workers >= 1``
-    scores blocks in a process pool; the report is bit-identical to
+    Each streamed block is ranked by :func:`repro.metrics.anchor_ranks`
+    (pessimistic ties) against its own anchors.  ``workers >= 1`` scores
+    blocks in a process pool; the report is bit-identical to
     ``workers=0``.
 
     Raises
@@ -336,10 +286,11 @@ def streaming_evaluate(
     """
     if not groundtruth:
         raise ValueError("groundtruth is empty")
-    _check_layers(source_embeddings, target_embeddings, layer_weights)
-    n_source = source_embeddings[0].shape[0]
-    n_target = target_embeddings[0].shape[0]
-    if not any(0 <= source < n_source for source in groundtruth):
+    source, target, weights = check_layers(
+        source_embeddings, target_embeddings, layer_weights
+    )
+    n_source = source[0].shape[0]
+    if not any(0 <= node < n_source for node in groundtruth):
         keys = sorted(groundtruth)
         raise ValueError(
             f"no groundtruth source id falls in [0, {n_source}): got "
@@ -348,54 +299,23 @@ def streaming_evaluate(
             "the source embeddings (wrong pair, or source/target swapped)"
         )
     ranges = _block_ranges(n_source, block_size)
-    anchors_per_block = [
-        tuple(
-            (source, groundtruth[source])
-            for source in range(start, stop)
-            if source in groundtruth
-        )
+    # Each block's anchors, keyed by row within the block.
+    anchors = [
+        ({
+            node - start: groundtruth[node]
+            for node in range(start, stop)
+            if node in groundtruth
+        },)
         for start, stop in ranges
     ]
     if registry is None:
         registry = get_registry()
-    workers = resolve_workers(workers)
-    weights = tuple(float(w) for w in layer_weights)
-    if workers:
-        with SharedArrayStore(registry=registry) as store:
-            _publish_layers(store, source_embeddings, target_embeddings)
-            manifest = store.manifest()
-            pool = WorkerPool(workers, registry=registry)
-            rank_lists = pool.map(
-                _evaluate_block_task,
-                [
-                    (manifest, len(weights), weights, start, stop, anchors)
-                    for (start, stop), anchors in zip(
-                        ranges, anchors_per_block
-                    )
-                ],
-                labels=[f"eval[{start}:{stop}]" for start, stop in ranges],
-            )
-    else:
-        rank_lists = [
-            _block_ranks(
-                _build_block(
-                    source_embeddings, target_embeddings, weights,
-                    start, stop, registry,
-                ),
-                start,
-                anchors,
-            )
-            for (start, stop), anchors in zip(ranges, anchors_per_block)
-        ]
-    ranks = [rank for block_ranks in rank_lists for rank in block_ranks]
-    rank_array = np.asarray(ranks)
-    negatives = max(1, n_target - 1)
-    return EvaluationReport(
-        map=float(np.mean(1.0 / rank_array)),
-        auc=float(np.mean((negatives + 1.0 - rank_array) / negatives)),
-        success_at_1=float(np.mean(rank_array <= 1)),
-        success_at_10=float(np.mean(rank_array <= 10)),
-        num_anchors=len(rank_array),
+    ranks = _map_blocks(
+        _rank_anchors, anchors, ranges,
+        source, target, weights, registry, workers, "eval",
+    )
+    return EvaluationReport.from_ranks(
+        np.concatenate(ranks), target[0].shape[0]
     )
 
 
@@ -426,26 +346,22 @@ def streaming_find_stable_nodes(
     "not stable" *visibly* instead of silently dropping them through NaN
     comparisons.
     """
-    if not source_embeddings:
-        raise ValueError("need at least one layer of embeddings")
+    source, target, weights = check_layers(
+        source_embeddings, target_embeddings, layer_weights
+    )
     if registry is None:
         registry = get_registry()
     stable_sources: List[int] = []
     stable_targets: List[int] = []
-    n_source = source_embeddings[0].shape[0]
-    for start, stop in _block_ranges(n_source, block_size):
+    for start, stop in _block_ranges(source[0].shape[0], block_size):
         started = time.perf_counter()
-        layer_blocks = [
-            _sanitize_block(
-                h_source[start:stop] @ h_target.T,
-                start, stop, registry, layer=layer,
-            )
-            for layer, (h_source, h_target) in enumerate(
-                zip(source_embeddings, target_embeddings)
-            )
-        ]
+        layer_blocks = []
+        for layer, (h_source, h_target) in enumerate(zip(source, target)):
+            block, bad = score_block([h_source[start:stop]], [h_target], [1.0])
+            _record_sanitized(registry, start, stop, bad, layer=layer)
+            layer_blocks.append(block)
         aggregate = None
-        for block, weight in zip(layer_blocks, layer_weights):
+        for block, weight in zip(layer_blocks, weights):
             aggregate = weight * block if aggregate is None else aggregate + weight * block
         candidates = aggregate.argmax(axis=1)
         rows = np.arange(stop - start)

@@ -85,6 +85,21 @@ class EvaluationReport:
     success_at_10: float
     num_anchors: int
 
+    @classmethod
+    def from_ranks(
+        cls, ranks: np.ndarray, n_target: int
+    ) -> "EvaluationReport":
+        """The report for 1-based anchor ranks among ``n_target`` targets."""
+        ranks = np.asarray(ranks)
+        negatives = max(1, n_target - 1)
+        return cls(
+            map=float(np.mean(1.0 / ranks)),
+            auc=float(np.mean((negatives + 1.0 - ranks) / negatives)),
+            success_at_1=float(np.mean(ranks <= 1)),
+            success_at_10=float(np.mean(ranks <= 10)),
+            num_anchors=len(ranks),
+        )
+
     def as_dict(self) -> Dict[str, float]:
         return {
             "MAP": self.map,
@@ -104,12 +119,6 @@ def evaluate_alignment(
     scores: np.ndarray, groundtruth: Dict[int, int]
 ) -> EvaluationReport:
     """Compute MAP / AUC / Success@{1,10} in one pass over ranks."""
-    ranks = anchor_ranks(scores, groundtruth)
-    negatives = max(1, scores.shape[1] - 1)
-    return EvaluationReport(
-        map=float(np.mean(1.0 / ranks)),
-        auc=float(np.mean((negatives + 1.0 - ranks) / negatives)),
-        success_at_1=float(np.mean(ranks <= 1)),
-        success_at_10=float(np.mean(ranks <= 10)),
-        num_anchors=len(groundtruth),
+    return EvaluationReport.from_ranks(
+        anchor_ranks(scores, groundtruth), scores.shape[1]
     )

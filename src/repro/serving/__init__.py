@@ -14,7 +14,8 @@ This package turns a trained model + pair into a long-lived service:
   int8 codes, scales) under the same guarantees.
 * :mod:`~repro.serving.index` — **AlignmentIndex**: exact top-k with
   Cauchy-Schwarz norm-based candidate pruning; bit-identical with
-  pruning on or off, cross-checkable against
+  pruning on or off, scoring and selecting through
+  :mod:`repro.core.scoring` like
   :func:`repro.core.streaming.streaming_top_k`.
 * :mod:`~repro.serving.ann` — **AnnIndex**: IVF coarse quantizer
   (deterministic seeded k-means) over the target embeddings plus int8

@@ -51,9 +51,10 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.scoring import RunningTopK, canonical_top_k
 from ..observability import MetricsRegistry, get_registry
 from ..resilience import AnnParameterError
-from .index import AlignmentIndex, _canonical_top_k, _check_sources
+from .index import AlignmentIndex, _check_sources
 
 __all__ = [
     "DEFAULT_QUANT_ROWS",
@@ -424,9 +425,10 @@ class AnnProber:
         its upper bound reaches the row's kth-largest lower bound over
         all its probed lists, which guarantees the true top-k of the
         probed set — boundary ties included — is among the candidates.
-        The kth is a running one, like :meth:`AlignmentIndex.top_k`'s:
-        it only rises, so a pair dropped against it is below the final
-        kth too, and a last filter applies the final value.  Rows with
+        The kth is the :class:`~repro.core.scoring.RunningTopK` one
+        :meth:`AlignmentIndex.top_k` uses, fed the lower bounds: it only
+        rises, so a pair dropped against it is below the final kth too,
+        and a last filter applies the final value.  Rows with
         at most ``k`` probed targets keep them all; unquantized state
         keeps every probed pair.
         """
@@ -442,13 +444,11 @@ class AnnProber:
         )
         if self.quantized:
             l1 = np.abs(queries).sum(axis=1)
-            # The k largest lower bounds per row so far; -inf until a
-            # row has seen k probed targets, so its kth keeps everything.
-            best = np.full((batch, k), -np.inf)
-            kth = np.full(batch, -np.inf)
+            # Running kth over the lower bounds: -inf until a row has
+            # seen k probed targets, so its kth keeps everything.
+            selector = RunningTopK(batch, k)
         kept_rows = [np.empty(0, dtype=np.int64)]
         kept_positions = [np.empty(0, dtype=np.int64)]
-        kept_upper = [np.empty(0)]
         rows_probed = 0
         for cluster in np.flatnonzero(np.diff(edges)):
             start, stop = self.offsets[cluster], self.offsets[cluster + 1]
@@ -473,21 +473,14 @@ class AnnProber:
             # float GEMM rounding on both sides.
             margin = 0.5 * l1[rows, None] * scales
             margin = margin + 1e-9 * (np.abs(approx) + 1.0)
-            merged = np.concatenate([best[rows], approx - margin], axis=1)
-            merged.partition(stop - start, axis=1)
-            best[rows] = merged[:, -k:]
-            kth[rows] = merged[:, -k]
-            upper = approx + margin
-            hit = np.flatnonzero(upper >= kth[rows, None])
-            hit_rows, columns = np.divmod(hit, stop - start)
-            kept_rows.append(rows[hit_rows])
-            kept_positions.append(columns + start)
-            kept_upper.append(upper.ravel()[hit])
-        rows = np.concatenate(kept_rows)
-        positions = np.concatenate(kept_positions)
+            selector.push(
+                approx + margin, start, rows=rows, bound=approx - margin
+            )
         if self.quantized:
-            final = np.concatenate(kept_upper) >= kth[rows]
-            rows, positions = rows[final], positions[final]
+            rows, positions, _ = selector.candidates()
+        else:
+            rows = np.concatenate(kept_rows)
+            positions = np.concatenate(kept_positions)
 
         registry.increment("serving.ann.queries", batch)
         registry.increment("serving.ann.lists_probed", nprobe * batch)
@@ -663,7 +656,7 @@ class AnnIndex:
             "serving.ann.rescore_blocks",
             np.unique(ids // self.exact.block_size).size,
         )
-        out_targets, out_scores = _canonical_top_k(
+        out_targets, out_scores = canonical_top_k(
             rows, ids, scores, sources.size, k
         )
         registry.record_time(

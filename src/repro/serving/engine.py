@@ -21,7 +21,7 @@ so concurrent readers on different stripes never contend on a single
 global lock.
 
 Rows whose every score was sanitized to ``-inf`` (broken embeddings —
-see :func:`~repro.core.streaming.streaming_top_k`) are surfaced as
+see :func:`~repro.core.scoring.score_block`) are surfaced as
 ``aligned=False`` with the non-finite entries dropped, never as a bogus
 "best" target.
 

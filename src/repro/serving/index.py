@@ -18,15 +18,13 @@ strictly below its current kth-best score, no remaining block can contain
 a top-k member — not even a tie, because the skip test is strict — and
 scoring stops.
 
-Selection is block by block too: the full (batch × n_target) score
-matrix is never built and no row is ever fully sorted.  After each
-block the running kth-best score per row is updated, only the block
-entries ``>= kth`` are kept as (row, target id, score) triples, and the
-block is dropped.  Because kth only rises, an entry below the running
-kth is strictly below the final kth, so every canonical top-k member —
-boundary ties included — survives.  One vectorized lexsort over the
-survivors (:func:`_canonical_top_k`) then yields the answer.  Transient
-memory is O(batch × (block + survivors)).
+Scoring and selection go through :mod:`repro.core.scoring`, the scorer
+streaming shares: each block is scored by ``score_block`` and folded
+into a ``RunningTopK``, which keeps only entries at or above the running
+kth and finishes with the canonical order (descending score, ascending
+target id).  The full (batch × n_target) score matrix is never built and
+no row is ever fully sorted; transient memory is
+O(batch × (block + survivors)).
 
 Exactness guarantees:
 
@@ -34,34 +32,19 @@ Exactness guarantees:
   strictly below the final kth value, and scored blocks are computed by
   the same per-block kernel in both modes, so ``prune=True`` and
   ``prune=False`` return bit-identical targets *and* scores.
-* **Deterministic ties.**  Selection uses the canonical order
-  (descending score, ascending target id), so tied scores at the kth
-  boundary resolve identically in every mode and for every ``k``
-  (a top-k answer is always a prefix of the top-(k+1) answer).
+* **Deterministic ties.**  Tied scores at the kth boundary resolve
+  identically in every mode and for every ``k`` (a top-k answer is
+  always a prefix of the top-(k+1) answer).
 * **Batch invariance.**  For a fixed index (fixed target block
-  partition), a source node gets the same target ids in the same tie
-  order whether it is queried alone, in any batch, cached, or
-  microbatched, and its scores are bit-identical across batches of
-  equal height — what ANN ≡ exact and the shard oracles rely on.
-  Across heights the scores are not bitwise: BLAS picks the GEMM
-  kernel by shape, and a score can move within the GEMM's rounding
-  error, a few ULPs (two targets that close could swap).  Single-row
-  queries are padded to two rows, so the GEMV kernel is never used.
-  ``tests/test_serving_index.py`` pins both halves at a realistic
-  width.
+  partition), the contract stated in :mod:`repro.core.scoring`: same
+  ids and tie order alone or in any batch, bitwise scores across
+  batches of equal height.  Single-row queries are padded to two rows,
+  so the GEMV kernel is never used.  ``tests/test_serving_index.py``
+  pins both halves at a realistic width.
 
-Versus :func:`repro.core.streaming.streaming_top_k` (which scores
-full-width rows) the index agrees exactly when
-``target_block_size >= n_target``; with narrower blocks BLAS may pick a
-different kernel for the column-blocked product and individual scores
-can drift by a few ULPs (observed ~1e-15 absolute at small dims).
-:meth:`AlignmentIndex.verify_against_streaming` therefore compares
-descending-sorted scores with an ULP-scale tolerance, and the serving
-tests pin exact streaming equality with a full-width index.
-
-Non-finite scores are sanitized to ``-inf`` exactly like
-:func:`~repro.core.streaming.iter_score_blocks`, so a fully-poisoned row
-comes back as all ``-inf`` rather than NaN (the
+Non-finite scores are sanitized to ``-inf`` (counted in
+``serving.index.sanitized_blocks``), so a fully-poisoned row comes back
+as all ``-inf`` rather than NaN (the
 :class:`~repro.serving.engine.QueryEngine` surfaces those as
 ``aligned: false``).
 """
@@ -73,6 +56,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.scoring import RunningTopK, check_layers, score_block
 from ..observability import MetricsRegistry, get_registry
 
 __all__ = ["AlignmentIndex"]
@@ -91,31 +75,6 @@ def _check_sources(sources, n_source: int) -> np.ndarray:
         bad = int(sources[out_of_range][0])
         raise IndexError(f"source node {bad} out of range [0, {n_source})")
     return sources
-
-
-def _canonical_top_k(
-    rows: np.ndarray, ids: np.ndarray, scores: np.ndarray, batch: int,
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """First ``k`` pooled candidates per row in canonical order.
-
-    ``rows``/``ids``/``scores`` are parallel 1-D arrays, one entry per
-    candidate.  One ``lexsort`` keyed (row, descending score, ascending
-    id) orders every row at once; an entry's rank within its row is its
-    distance from the row's first sorted position.  Returns
-    ``(targets, scores)`` of shape ``(batch, k)``; rows with fewer than
-    ``k`` candidates are right-padded with ``(-1, -inf)``.
-    """
-    order = np.lexsort((ids, -scores, rows))
-    rows = rows[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    keep = rank < k
-    rows, rank, order = rows[keep], rank[keep], order[keep]
-    out_targets = np.full((batch, k), -1, dtype=np.int64)
-    out_scores = np.full((batch, k), -np.inf)
-    out_targets[rows, rank] = ids[order]
-    out_scores[rows, rank] = scores[order]
-    return out_targets, out_scores
 
 
 class AlignmentIndex:
@@ -144,33 +103,13 @@ class AlignmentIndex:
         prune: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if not source_embeddings or not target_embeddings:
-            raise ValueError("need at least one layer of embeddings per side")
-        if len(source_embeddings) != len(target_embeddings):
-            raise ValueError(
-                f"layer count mismatch: {len(source_embeddings)} source vs "
-                f"{len(target_embeddings)} target layers"
-            )
-        if len(layer_weights) != len(source_embeddings):
-            raise ValueError(
-                f"layer_weights has {len(layer_weights)} entries for "
-                f"{len(source_embeddings)} layers"
-            )
         if target_block_size < 1:
             raise ValueError(
                 f"target_block_size must be >= 1, got {target_block_size}"
             )
-        self._source = [np.asarray(h) for h in source_embeddings]
-        self._target = [np.asarray(h) for h in target_embeddings]
-        self._weights = [float(w) for w in layer_weights]
-        for name, layers in (("source", self._source), ("target", self._target)):
-            rows = layers[0].shape[0]
-            for index, layer in enumerate(layers):
-                if layer.ndim != 2 or layer.shape[0] != rows:
-                    raise ValueError(
-                        f"{name} layer {index} has shape {layer.shape}, "
-                        f"expected 2-D with {rows} rows like layer 0"
-                    )
+        self._source, self._target, self._weights = check_layers(
+            source_embeddings, target_embeddings, layer_weights
+        )
         self.prune = bool(prune)
         self.block_size = int(target_block_size)
         self.registry = registry
@@ -238,26 +177,16 @@ class AlignmentIndex:
         return padded, batch_ids, [layer[batch_ids] for layer in self._source]
 
     # ------------------------------------------------------------------
-    def _score_block(
+    def _block_scores(
         self, queries: List[np.ndarray], start: int, stop: int,
         registry: MetricsRegistry,
     ) -> np.ndarray:
-        """θ-weighted scores of the query rows against targets [start, stop).
-
-        Same accumulation order as
-        :func:`~repro.core.streaming.iter_score_blocks` (per-layer
-        ``weight * (Q @ Tᵀ)`` partials summed layer by layer), so any
-        drift versus the streaming path comes only from BLAS kernel
-        choice for narrow column blocks (see module docstring), never
-        from a different summation order.
-        """
-        block = None
-        for query, target, weight in zip(queries, self._target, self._weights):
-            partial = weight * (query @ target[start:stop].T)
-            block = partial if block is None else block + partial
-        finite = np.isfinite(block)
-        if not finite.all():
-            block = np.where(finite, block, -np.inf)
+        """Scores of the query rows against targets ``[start, stop)``."""
+        block, bad = score_block(
+            queries, [target[start:stop] for target in self._target],
+            self._weights,
+        )
+        if bad:
             registry.increment("serving.index.sanitized_blocks")
         return block
 
@@ -284,52 +213,24 @@ class AlignmentIndex:
 
         padded, batch_ids, queries = self._queries(sources)
         query_norms = self._query_norms[batch_ids]
-        batch = batch_ids.size
-
-        kth = np.full(batch, -np.inf)
-        top_buffer = np.empty((batch, 0))
-        seen = 0
-        kept_rows: List[np.ndarray] = []
-        kept_ids: List[np.ndarray] = []
-        kept_scores: List[np.ndarray] = []
+        selector = RunningTopK(batch_ids.size, k)
         blocks_scored = 0
         blocks_pruned = 0
         for position, block_index in enumerate(self._block_order):
             start, stop = self._block_bounds[block_index]
-            if prune and seen >= k:
-                bounds = query_norms * self._block_max_norm[block_index]
-                if np.all(bounds < kth):
-                    # Blocks are visited in descending max-norm order and
-                    # kth only grows, so every remaining block prunes too.
-                    blocks_pruned = self.num_blocks - position
-                    break
-            block = self._score_block(queries, start, stop, registry)
+            if prune and np.all(
+                query_norms * self._block_max_norm[block_index]
+                < selector.kth
+            ):
+                # Blocks are visited in descending max-norm order and
+                # kth only grows, so every remaining block prunes too.
+                blocks_pruned = self.num_blocks - position
+                break
+            selector.push(
+                self._block_scores(queries, start, stop, registry), start
+            )
             blocks_scored += 1
-            seen += stop - start
-            # A fresh array, so it can be partitioned in place.
-            merged = np.concatenate([top_buffer, block], axis=1)
-            if merged.shape[1] >= k:
-                merged.partition(merged.shape[1] - k, axis=1)
-                top_buffer = merged[:, -k:]
-                kth = top_buffer[:, 0]
-            else:
-                top_buffer = merged
-            # kth only rises, so an entry below it now is strictly below
-            # the final kth: every canonical top-k member, ties included,
-            # survives this filter.
-            flat = np.flatnonzero(block >= kth[:, None])
-            rows, columns = np.divmod(flat, stop - start)
-            kept_rows.append(rows)
-            kept_ids.append(columns + start)
-            kept_scores.append(np.take(block, flat))
-
-        rows = np.concatenate(kept_rows)
-        scores = np.concatenate(kept_scores)
-        final = scores >= kth[rows]
-        out_targets, out_scores = _canonical_top_k(
-            rows[final], np.concatenate(kept_ids)[final], scores[final],
-            batch, k,
-        )
+        out_targets, out_scores = selector.result()
         if padded:
             out_targets = out_targets[:1]
             out_scores = out_scores[:1]
@@ -353,7 +254,7 @@ class AlignmentIndex:
         """Exact scores of ``(row, target id)`` pairs of a query batch.
 
         ``rows`` index ``sources``; ``ids`` are target ids.  Every block
-        holding a requested id is scored once through :meth:`_score_block`
+        holding a requested id is scored once through :meth:`_block_scores`
         at the full batch height — the GEMM shapes :meth:`top_k` runs on
         this batch, hence the same bits, which is what lets the ANN
         tier's float rescoring reproduce exact answers (see
@@ -372,7 +273,7 @@ class AlignmentIndex:
         for block in touched:
             start, stop = self._block_bounds[block]
             picks = order[edges[block]:edges[block + 1]]
-            scores[picks] = self._score_block(
+            scores[picks] = self._block_scores(
                 queries, start, stop, registry
             )[rows[picks], ids[picks] - start]
         registry.increment("serving.index.blocks_scored", touched.size)
@@ -384,43 +285,8 @@ class AlignmentIndex:
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
         padded, _, queries = self._queries(sources)
         blocks = [
-            self._score_block(queries, a, e, registry)
+            self._block_scores(queries, a, e, registry)
             for a, e in self._block_bounds
         ]
         rows = np.concatenate(blocks, axis=1)
         return rows[:1] if padded else rows
-
-    def verify_against_streaming(
-        self, k: int = 1, block_size: int = 256, rtol: float = 1e-9,
-        atol: float = 1e-12,
-    ) -> bool:
-        """Cross-check every source's top-k scores against the existing
-        :func:`~repro.core.streaming.streaming_top_k` path.
-
-        Compares descending-sorted scores, which is robust to two
-        benign differences: streaming's tie order among equal scores is
-        unspecified (the index's is canonical), and narrow column
-        blocks may drift from the full-width product by a few ULPs (see
-        module docstring) — hence the ULP-scale default tolerances.
-        With ``target_block_size >= n_target`` the comparison is exact
-        for any ``rtol``/``atol``.  Raises ``RuntimeError`` naming the
-        first mismatching source on failure.
-        """
-        from ..core.streaming import streaming_top_k
-
-        _, expected = streaming_top_k(
-            self._source, self._target, self._weights,
-            k=k, block_size=block_size, registry=self._registry(),
-        )
-        _, actual = self.top_k(np.arange(self.n_source), k=k)
-        close = np.isclose(expected, actual, rtol=rtol, atol=atol)
-        # -inf (sanitized) entries compare equal only to -inf.
-        close |= expected == actual
-        if not close.all():
-            mismatch = np.flatnonzero(~np.all(close, axis=1))
-            raise RuntimeError(
-                f"index top-{k} scores diverge from streaming_top_k for "
-                f"{mismatch.size} sources (first: {int(mismatch[0])})"
-            )
-        self._registry().increment("serving.index.streaming_checks")
-        return True

@@ -54,6 +54,7 @@ from typing import (
 
 import numpy as np
 
+from ..core.scoring import canonical_top_k
 from ..observability import (
     MetricsRegistry,
     get_logger,
@@ -77,7 +78,7 @@ from ..resilience import (
     SimulatedKill,
 )
 from .ann import AnnProber, _artifact_ann_state, weighted_queries
-from .index import AlignmentIndex, _canonical_top_k, _check_sources
+from .index import AlignmentIndex, _check_sources
 
 __all__ = ["plan_shards", "ShardedIndex"]
 
@@ -561,7 +562,7 @@ class ShardedIndex:
             registry.observe(
                 "serving.sharded.ann_shards_involved", len(shard_args)
             )
-        targets, scores = _canonical_top_k(
+        targets, scores = canonical_top_k(
             rows, ids, scores, int(sources.size), k
         )
         return targets, scores, meta

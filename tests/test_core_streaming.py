@@ -1,5 +1,7 @@
 """Tests for memory-bounded streaming alignment (paper §VI-C)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,13 @@ class TestIterScoreBlocks:
             list(iter_score_blocks(source, target[:-1], weights[:-1]))
         with pytest.raises(ValueError):
             list(iter_score_blocks(source, target, weights[:-1]))
+        # Empty layer lists: every Eq 11/12 entry point raises ValueError.
+        with pytest.raises(ValueError):
+            list(iter_score_blocks([], [], []))
+        with pytest.raises(ValueError):
+            streaming_top_k([], [], [])
+        with pytest.raises(ValueError):
+            streaming_evaluate([], [], [], {0: 0})
 
 
 class TestStreamingTopK:
@@ -113,6 +122,49 @@ class TestStreamingEvaluate:
             streaming_evaluate(source, target, weights, {})
 
 
+class TestMemoryBound:
+    """§VI-C: streaming holds O(block_size · n_target), never all of S.
+
+    2048 sources x 20000 targets: S is 32 blocks of 64 rows, and each
+    consumer must peak below 5 blocks.
+    """
+
+    BLOCK = 64
+    N_TARGET = 20_000
+
+    @pytest.fixture(scope="class")
+    def embeddings(self):
+        rng = np.random.default_rng(21)
+        source = [rng.standard_normal((2048, 16)) for _ in range(3)]
+        target = [rng.standard_normal((self.N_TARGET, 16)) for _ in range(3)]
+        return source, target, [0.5, 0.3, 0.2]
+
+    def peak_blocks(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (self.BLOCK * self.N_TARGET * 8)
+
+    def test_top_k_peak(self, embeddings):
+        source, target, weights = embeddings
+        blocks = self.peak_blocks(lambda: streaming_top_k(
+            source, target, weights, k=10, block_size=self.BLOCK, workers=0,
+        ))
+        assert blocks < 5, f"streaming_top_k peaked at {blocks:.2f} blocks"
+
+    def test_evaluate_peak(self, embeddings):
+        source, target, weights = embeddings
+        groundtruth = {node: node for node in range(2048)}
+        blocks = self.peak_blocks(lambda: streaming_evaluate(
+            source, target, weights, groundtruth, block_size=self.BLOCK,
+            workers=0,
+        ))
+        assert blocks < 5, f"streaming_evaluate peaked at {blocks:.2f} blocks"
+
+
 class TestStreamingAligner:
     def test_top_anchors_structure(self, trained):
         pair, model, config, *_ = trained
@@ -165,6 +217,15 @@ class TestStreamingStableNodes:
 
         with pytest.raises(ValueError):
             streaming_find_stable_nodes([], [], [], threshold=0.5)
+        # Layer/weight counts must agree instead of zip truncating.
+        rng = np.random.default_rng(0)
+        s3 = [rng.standard_normal((6, 4)) for _ in range(3)]
+        t3 = [rng.standard_normal((5, 4)) for _ in range(3)]
+        with pytest.raises(ValueError):
+            streaming_find_stable_nodes(s3, t3, [0.5, 0.5], threshold=0.5)
+        with pytest.raises(ValueError):
+            streaming_find_stable_nodes(s3, t3[:2], [0.5, 0.5],
+                                        threshold=0.5)
 
 
 class TestSanitizedRows:
