@@ -200,10 +200,10 @@ def test_serving_latency_histogram_under_concurrent_load():
         ) as response:
             payload = json.loads(response.read())
     assert not errors
-    hist = payload["metrics"]["serving.query_latency_hist"]
+    hist = payload["metrics"]["serving.query_latency"]
     print_section("serving latency histogram (concurrent load)")
     print(f"count {hist['count']}  p50 {hist['p50'] * 1e3:.3f}ms  "
           f"p99 {hist['p99'] * 1e3:.3f}ms")
     assert hist["count"] == threads * per_thread
     assert 0.0 < hist["p50"] <= hist["p99"]
-    assert payload["metrics"]["serving.batch.size_hist"]["count"] >= 1
+    assert payload["metrics"]["serving.batch.size"]["count"] >= 1

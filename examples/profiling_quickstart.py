@@ -81,7 +81,7 @@ def main() -> None:
     print()
 
     # 3. Latency distributions land in the registry as histograms.
-    epochs = registry.histogram("trainer.epoch_time_hist").snapshot()
+    epochs = registry.histogram("trainer.epoch_time").snapshot()
     print(f"epoch latency: count={epochs['count']} "
           f"p50={epochs['p50'] * 1e3:.1f}ms p99={epochs['p99'] * 1e3:.1f}ms")
     print()

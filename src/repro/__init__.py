@@ -11,7 +11,7 @@ Networks* (Huynh Thanh Trung et al.), built from scratch in Python:
 * :mod:`repro.metrics` — Success@q, MAP, AUC, matchings.
 * :mod:`repro.analysis` — t-SNE / PCA / embedding diagnostics.
 * :mod:`repro.eval` — experiment runner and paper-style reporting.
-* :mod:`repro.observability` — metrics registry, timers, BENCH export.
+* :mod:`repro.observability` — metrics registry, tracing, BENCH export.
 * :mod:`repro.resilience` — input validation, NaN/divergence recovery,
   fault injection, resumable-training support.
 * :mod:`repro.serving` — online query serving: memory-mapped alignment

@@ -194,7 +194,7 @@ class AlignmentRefiner:
 
         for iteration in range(max(1, config.refinement_iterations)):
             with tracer.span("refine.iteration", iteration=iteration), \
-                    registry.timed("refine.iteration_time") as iteration_timer:
+                    registry.timed("refine.iteration_time"):
                 with tracer.span("refine.embed"):
                     prop_source = weighted_propagation_matrix(
                         pair.source, influence_source
@@ -232,9 +232,6 @@ class AlignmentRefiner:
                     matrices, config.stability_threshold, reference_scores=scores
                 )
             registry.increment("refine.iterations")
-            registry.record_histogram(
-                "refine.iteration_time_hist", iteration_timer.elapsed
-            )
             log.record_iteration(quality, len(sources), len(np.unique(targets)))
 
             if quality > best_quality:

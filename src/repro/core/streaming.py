@@ -93,10 +93,10 @@ def _build_block(
     )
     _record_sanitized(registry, start, stop, bad)
     elapsed = time.perf_counter() - started
-    registry.record_time("streaming.block_time", elapsed)
+    registry.record_histogram("streaming.block_time", elapsed)
     registry.increment("streaming.blocks")
     registry.increment("streaming.rows", stop - start)
-    # Only block-build time is charged to the trace (as to the timer):
+    # Only block-build time is charged to the trace (as to the histogram):
     # a generator span would bill the consumer's work to this frame.
     get_tracer().add_event(
         "streaming.block", started, elapsed, rows=[start, stop]
@@ -375,7 +375,7 @@ def streaming_find_stable_nodes(
             stable_sources.append(start + int(local))
             stable_targets.append(int(candidates[local]))
         elapsed = time.perf_counter() - started
-        registry.record_time("streaming.block_time", elapsed)
+        registry.record_histogram("streaming.block_time", elapsed)
         registry.increment("streaming.blocks")
         registry.increment("streaming.rows", stop - start)
         get_tracer().add_event(

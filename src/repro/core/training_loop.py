@@ -183,7 +183,7 @@ def run_resilient_training(
     epoch = start_epoch
     while epoch < config.epochs:
         with tracer.span("trainer.epoch", epoch=epoch), \
-                registry.timed("trainer.epoch_time") as epoch_timer:
+                registry.timed("trainer.epoch_time"):
             if fault_injector is not None:
                 fault_injector.at_step(epoch)
             optimizer.zero_grad()
@@ -200,7 +200,12 @@ def run_resilient_training(
                     )
                 with tracer.span("trainer.clip_grad"):
                     try:
-                        clip_grad_norm(model.parameters(), max_norm=5.0)
+                        grad_norm = clip_grad_norm(
+                            model.parameters(), max_norm=5.0
+                        )
+                        registry.record_histogram(
+                            "trainer.grad_norm", grad_norm
+                        )
                     except TrainingDivergedError:
                         # Non-finite gradients: leave them unclipped for
                         # the health check below, which rolls the epoch
@@ -218,9 +223,6 @@ def run_resilient_training(
             ):
                 optimizer.step()
             recovery.commit(loss_value)
-        registry.record_histogram(
-            "trainer.epoch_time_hist", epoch_timer.elapsed
-        )
         registry.increment("trainer.epochs")
         log.record(loss_value, consistency_value, adaptivity_value)
         epoch += 1

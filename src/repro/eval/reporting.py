@@ -82,10 +82,10 @@ def format_metrics_table(
     """Render a registry (or a snapshot dict) as timing/counter columns.
 
     One row per metric: counters show their value under ``total``; gauges
-    and timers show observation count plus last/mean/min/max (timers in
-    seconds); histograms add p50/p90/p99.  Stats that are ``None`` (an
-    empty gauge's min/max, an empty histogram's quantiles) render as
-    ``-``, never as a fake zero.
+    show observation count plus last/mean/min/max; histograms show
+    count/total/mean/min/max (durations in seconds) plus p50/p90/p99.
+    Stats that are ``None`` (an empty gauge's min/max, an empty
+    histogram's quantiles) render as ``-``, never as a fake zero.
     """
     if isinstance(metrics, MetricsRegistry):
         snapshot = metrics.snapshot(prefix)

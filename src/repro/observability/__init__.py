@@ -2,7 +2,7 @@
 
 The instrumentation substrate behind the training/refinement/serving hot
 paths.  See :mod:`repro.observability.registry` for the metric kinds
-(counters, gauges, timers, histograms) and the process-wide default
+(counters, gauges, histograms) and the process-wide default
 registry, :mod:`repro.observability.export` for the ``BENCH_*.json``
 artifact schema and Prometheus text exposition,
 :mod:`repro.observability.trace` for span tracing with Chrome-trace
@@ -19,7 +19,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     Timer,
-    TimerStat,
     get_registry,
     set_registry,
     use_registry,
@@ -69,7 +68,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Timer",
-    "TimerStat",
     "get_registry",
     "set_registry",
     "use_registry",

@@ -4,11 +4,12 @@ The benchmark artifact format every perf PR appends to.  A payload looks
 like::
 
     {
-      "schema": "repro.bench/v1",
+      "schema": "repro.bench/v2",
       "run": {"command": "align", "pair": "ba-noisy-copy", "seed": 0, ...},
       "metrics": {
-        "trainer.epoch_time": {"kind": "timer", "count": 50, "total": 1.9,
-                               "last": 0.04, "mean": 0.038, "min": ..., "max": ...},
+        "trainer.epoch_time": {"kind": "histogram", "count": 50, "total": 1.9,
+                               "mean": 0.038, "min": ..., "max": ...,
+                               "p50": ..., "p90": ..., "p99": ...},
         "refine.stable_nodes": {"kind": "gauge", "count": 6, "last": 61, ...},
         "runner.runs": {"kind": "counter", "value": 4}
       }
@@ -28,7 +29,7 @@ import json
 import math
 from typing import Any, Dict, Iterator, List, Optional
 
-from .registry import Counter, Histogram, MetricsRegistry, TimerStat
+from .registry import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -41,12 +42,11 @@ __all__ = [
 ]
 
 #: Schema identifier embedded in (and required of) every BENCH_*.json.
-BENCH_SCHEMA = "repro.bench/v1"
+BENCH_SCHEMA = "repro.bench/v2"
 
 _REQUIRED_FIELDS = {
     "counter": ("value",),
     "gauge": ("count", "last", "mean", "min", "max"),
-    "timer": ("count", "last", "mean", "min", "max", "total"),
     "histogram": ("count", "total", "mean", "min", "max", "p50", "p90", "p99"),
 }
 
@@ -170,12 +170,12 @@ def to_prometheus_text(
 
     What a stock Prometheus scraper expects from ``GET
     /metrics?format=prometheus``: dotted names mangled to underscores,
-    counters as ``counter``, gauges and timers as ``gauge`` (the last
-    observed value), and histograms as cumulative ``_bucket{le=...}``
-    series — the underflow bucket under ``le="<lower>"``, the log-spaced
-    body under each bucket's upper edge, the overflow under
-    ``le="+Inf"`` — plus exact ``_sum``/``_count`` companions taken from
-    the same locked state snapshot the registry merges across processes.
+    counters as ``counter``, gauges as ``gauge`` (the last observed
+    value), and histograms (durations included) as cumulative
+    ``_bucket{le=...}`` series — one per entry of the histogram's
+    ``upper_edges``, the overflow under ``le="+Inf"`` — plus exact
+    ``_sum``/``_count`` companions taken from the same locked state
+    snapshot the registry merges across processes.
     """
     lines: List[str] = []
     for name in registry.names(prefix):
@@ -188,13 +188,11 @@ def to_prometheus_text(
             state = metric.state()
             lines.append(f"# TYPE {exposed} histogram")
             cumulative = 0
-            last = len(state["bucket_counts"]) - 1
-            for index, bucket_count in enumerate(state["bucket_counts"]):
+            edges = [_prometheus_value(e) for e in metric.upper_edges]
+            for upper, bucket_count in zip(
+                edges + ["+Inf"], state["bucket_counts"]
+            ):
                 cumulative += int(bucket_count)
-                if index == last:
-                    upper = "+Inf"
-                else:
-                    upper = _prometheus_value(metric._edges(index)[1])
                 lines.append(
                     f'{exposed}_bucket{{le="{upper}"}} {cumulative}'
                 )
@@ -202,11 +200,9 @@ def to_prometheus_text(
                 f"{exposed}_sum {_prometheus_value(state['total'])}"
             )
             lines.append(f"{exposed}_count {state['count']}")
-        else:  # Gauge and its TimerStat subclass
-            state = metric.state()
-            suffix = "_seconds" if isinstance(metric, TimerStat) else ""
-            lines.append(f"# TYPE {exposed}{suffix} gauge")
+        else:
+            lines.append(f"# TYPE {exposed} gauge")
             lines.append(
-                f"{exposed}{suffix} {_prometheus_value(state['last'])}"
+                f"{exposed} {_prometheus_value(metric.state()['last'])}"
             )
     return "\n".join(lines) + "\n"

@@ -1,20 +1,19 @@
-"""Process-wide metrics substrate: counters, gauges, timers, event hooks.
+"""Process-wide metrics substrate: counters, gauges, histograms, event hooks.
 
 Zero-dependency (stdlib only) instrumentation used by the training,
 refinement, streaming, and evaluation hot paths.  Metric names are
 hierarchical dotted strings (``trainer.epoch_time``, ``refine.stable_nodes``,
 ``runner.method.GAlign.wall``) so exports group naturally by subsystem.
 
-Four metric kinds:
+Three metric kinds, one per quantity:
 
 * :class:`Counter` — monotonic event count (epochs run, rows streamed).
 * :class:`Gauge` — last observed value plus running min/max/mean over all
   observations (loss components, stable-node counts).
-* :class:`TimerStat` — accumulated seconds with count/min/max/mean
-  (per-epoch, per-iteration, per-block wall time).
-* :class:`Histogram` — fixed log-spaced buckets with p50/p90/p99 quantile
-  estimates (serving query latency, batch sizes, per-epoch times) — the
-  distribution view a mean-only :class:`TimerStat` cannot give.
+* :class:`Histogram` — every distribution: fixed log-spaced buckets with
+  count/total/min/max/mean and p50/p90/p99 estimates (per-epoch,
+  per-iteration and per-block wall time, query latency, batch sizes,
+  gradient norms).  :meth:`MetricsRegistry.timed` records durations here.
 
 All metrics are thread-safe: serving increments counters from
 ``ThreadingHTTPServer`` handler threads and the microbatcher thread
@@ -32,13 +31,13 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "Counter",
     "Gauge",
-    "TimerStat",
     "Histogram",
     "Timer",
     "MetricsRegistry",
@@ -164,34 +163,20 @@ class Gauge:
                 self.maximum = float(state["max"])
 
 
-class TimerStat(Gauge):
-    """Accumulated wall-clock seconds; observations come from :class:`Timer`."""
-
-    kind = "timer"
-
-    __slots__ = ()
-
-    def observe(self, seconds: float) -> None:
-        if seconds < 0.0:
-            raise ValueError(f"timer {self.name}: negative duration {seconds}")
-        self.set(seconds)
-
-    def snapshot(self) -> Dict[str, Any]:
-        snapshot = super().snapshot()
-        snapshot["total"] = self.total
-        return snapshot
-
-
 class Histogram:
     """Fixed log-spaced buckets with interpolated quantile estimates.
 
-    The latency-distribution metric kind: a mean-only :class:`TimerStat`
-    hides tail latency entirely, so serving query latency, batch sizes,
-    and per-epoch times land here instead.  The bucket layout is fixed at
+    The distribution metric kind: durations, serving batch sizes and
+    gradient norms all land here.  The bucket layout is fixed at
     construction — ``buckets_per_decade`` log-spaced buckets per decade
     from ``lower`` to ``upper`` (defaults cover 1 µs to ~1000 s, wide
     enough for both sub-millisecond cache hits and hour-scale epochs) —
     so merging snapshots across processes stays well-defined.
+
+    Bucket ``i`` holds the values in ``(upper_edges[i-1], upper_edges[i]]``
+    — the underflow bucket ``[0, lower]``, the overflow bucket everything
+    above the last edge — so its cumulative count is exactly what a
+    Prometheus ``le="upper_edges[i]"`` bucket promises.
 
     Quantiles are estimated by walking the cumulative bucket counts and
     interpolating geometrically inside the winning bucket; the estimate
@@ -202,9 +187,13 @@ class Histogram:
 
     kind = "histogram"
 
+    #: The ``state()`` fields that define the bucket layout; two
+    #: histograms merge only when these agree.
+    LAYOUT = ("lower", "upper", "buckets_per_decade")
+
     __slots__ = (
-        "name", "count", "total", "minimum", "maximum",
-        "lower", "upper", "buckets_per_decade", "bucket_counts", "_lock",
+        "name", "count", "total", "minimum", "maximum", "lower", "upper",
+        "buckets_per_decade", "upper_edges", "bucket_counts", "_lock",
     )
 
     def __init__(
@@ -229,9 +218,11 @@ class Histogram:
         self.upper = float(upper)
         self.buckets_per_decade = int(buckets_per_decade)
         decades = math.log10(self.upper / self.lower)
-        # One underflow bucket (< lower), the log-spaced body, and one
-        # overflow bucket (>= upper).
+        # One underflow bucket (<= lower), the log-spaced body, and one
+        # overflow bucket (above the last body edge).
         body = max(1, math.ceil(decades * self.buckets_per_decade))
+        step = 10.0 ** (1.0 / self.buckets_per_decade)
+        self.upper_edges = [self.lower * step ** i for i in range(body + 1)]
         self.bucket_counts = [0] * (body + 2)
         self.count = 0
         self.total = 0.0
@@ -239,23 +230,11 @@ class Histogram:
         self.maximum = float("-inf")
         self._lock = threading.Lock()
 
-    def _bucket_index(self, value: float) -> int:
-        if value < self.lower:
-            return 0
-        if value >= self.upper:
-            return len(self.bucket_counts) - 1
-        offset = math.log10(value / self.lower) * self.buckets_per_decade
-        return min(1 + int(offset), len(self.bucket_counts) - 2)
-
     def _edges(self, index: int) -> tuple:
         """(low, high) value bounds of bucket ``index``."""
-        if index == 0:
-            return (0.0, self.lower)
-        if index == len(self.bucket_counts) - 1:
-            return (self.upper, float("inf"))
-        step = 10.0 ** (1.0 / self.buckets_per_decade)
-        low = self.lower * step ** (index - 1)
-        return (low, low * step)
+        edges = self.upper_edges
+        low = 0.0 if index == 0 else edges[index - 1]
+        return (low, edges[index] if index < len(edges) else float("inf"))
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -264,7 +243,7 @@ class Histogram:
                 f"histogram {self.name}: observations must be finite and "
                 f">= 0, got {value}"
             )
-        index = self._bucket_index(value)
+        index = bisect_left(self.upper_edges, value)
         with self._lock:
             self.count += 1
             self.total += value
@@ -344,9 +323,7 @@ class Histogram:
 
     def merge(self, state: Dict[str, Any]) -> None:
         """Fold another histogram's :meth:`state` into this one (exact)."""
-        layout = (
-            state["lower"], state["upper"], state["buckets_per_decade"],
-        )
+        layout = tuple(state[field] for field in self.LAYOUT)
         if layout != (self.lower, self.upper, self.buckets_per_decade):
             raise ValueError(
                 f"histogram {self.name}: cannot merge mismatched bucket "
@@ -411,11 +388,11 @@ class MetricsRegistry:
         self._lock = threading.RLock()
 
     # -- metric accessors ----------------------------------------------
-    def _metric(self, name: str, factory) -> Any:
+    def _metric(self, name: str, factory, **layout) -> Any:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = factory(_validate_name(name))
+                metric = factory(_validate_name(name), **layout)
                 self._metrics[name] = metric
             elif not isinstance(metric, factory):
                 raise TypeError(
@@ -427,27 +404,12 @@ class MetricsRegistry:
         return self._metric(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        metric = self._metrics.get(name)
-        if isinstance(metric, TimerStat):
-            raise TypeError(f"metric {name!r} is a timer, not a gauge")
         return self._metric(name, Gauge)
-
-    def timer(self, name: str) -> TimerStat:
-        return self._metric(name, TimerStat)
 
     def histogram(self, name: str, **layout) -> Histogram:
         """Create-or-get a histogram; ``layout`` kwargs (``lower``,
         ``upper``, ``buckets_per_decade``) only apply on first creation."""
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = Histogram(_validate_name(name), **layout)
-                self._metrics[name] = metric
-            elif not isinstance(metric, Histogram):
-                raise TypeError(
-                    f"metric {name!r} is a {metric.kind}, not a histogram"
-                )
-            return metric
+        return self._metric(name, Histogram, **layout)
 
     # -- recording shortcuts -------------------------------------------
     def increment(self, name: str, amount: int = 1) -> int:
@@ -456,15 +418,13 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
 
-    def record_time(self, name: str, seconds: float) -> None:
-        self.timer(name).observe(seconds)
-
     def record_histogram(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
     def timed(self, name: str) -> Timer:
-        """``with registry.timed("trainer.epoch_time"): ...``"""
-        return Timer(self.timer(name).observe)
+        """``with registry.timed("trainer.epoch_time"): ...`` — the
+        elapsed seconds land in the histogram ``name``."""
+        return Timer(self.histogram(name).observe)
 
     # -- hooks ----------------------------------------------------------
     def add_hook(self, hook: Callable[[str, Dict[str, Any]], None]) -> None:
@@ -558,30 +518,26 @@ class MetricsRegistry:
     def merge_state(self, state: Dict[str, Dict[str, Any]]) -> None:
         """Fold a :meth:`dump_state` payload into this registry.
 
-        Counters add, gauge/timer counts and totals add (min/max extend,
+        Counters add, gauge counts and totals add (min/max extend,
         ``last`` takes the merged state's), histograms add bucketwise.
         Merging worker states in task-submission order reproduces the
         metric values of the equivalent serial run.
         """
         for name, metric_state in state.items():
             kind = metric_state.get("kind")
-            if kind == Counter.kind:
-                self.counter(name).merge(metric_state)
-            elif kind == Gauge.kind:
-                self.gauge(name).merge(metric_state)
-            elif kind == TimerStat.kind:
-                self.timer(name).merge(metric_state)
-            elif kind == Histogram.kind:
-                self.histogram(
-                    name,
-                    lower=metric_state["lower"],
-                    upper=metric_state["upper"],
-                    buckets_per_decade=metric_state["buckets_per_decade"],
-                ).merge(metric_state)
-            else:
+            factory = _KINDS.get(kind)
+            if factory is None:
                 raise ValueError(
                     f"metric {name!r}: unknown kind {kind!r} in state dump"
                 )
+            layout = {
+                field: metric_state[field]
+                for field in getattr(factory, "LAYOUT", ())
+            }
+            self._metric(name, factory, **layout).merge(metric_state)
+
+
+_KINDS = {factory.kind: factory for factory in (Counter, Gauge, Histogram)}
 
 
 # ----------------------------------------------------------------------

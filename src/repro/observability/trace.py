@@ -1,6 +1,6 @@
 """Span tracing: nested wall-time spans with Chrome-trace export.
 
-PR 1's flat counters/timers say *what* happened; this module says *where
+The registry's counters and histograms say *what* happened; this module says *where
 time goes*.  Instrumented code opens spans::
 
     with tracer.span("trainer.epoch", epoch=i):

@@ -43,7 +43,7 @@ Failure semantics
 Workers record metrics into a fresh registry which travels back with
 each result and is merged into the parent registry in submission order
 (see :meth:`~repro.observability.MetricsRegistry.merge_state`), so
-counters, timers, and histograms match the serial run.  The pool itself
+counters, gauges, and histograms match the serial run.  The pool itself
 contributes ``parallel.*`` metrics: task count and latency, retries,
 crashes, worker utilization, and shared-memory bytes.
 """
@@ -199,7 +199,6 @@ def _run_task(
             except Exception as error:
                 value = error
                 failed = True
-        registry.record_histogram("parallel.task_seconds", timer.elapsed)
     spans = serialize_spans(tracer) if tracer is not None and len(tracer) \
         else None
     return value, registry.dump_state(), timer.elapsed, failed, spans
@@ -408,14 +407,13 @@ class WorkerPool:
                     for position in range(index, len(tasks))
                 )
                 break
-            with registry.timed("parallel.task_time") as timer:
+            with registry.timed("parallel.task_time"):
                 try:
                     value = fn(*args)
                 except Exception as error:
                     if not return_exceptions:
                         raise
                     value = TaskFailure(error)
-            registry.record_histogram("parallel.task_seconds", timer.elapsed)
             registry.increment("parallel.tasks")
             results.append(value)
         return results
@@ -684,7 +682,7 @@ class WorkerPool:
                 # waiting for it would blow the latency bound.
                 executor.shutdown(wait=not expired, cancel_futures=True)
         wall = time.perf_counter() - started
-        # Merge worker registries in submission order so gauges/timers
+        # Merge worker registries in submission order so gauges
         # end up exactly as the serial loop would have left them; graft
         # shipped span trees in the same order, under whatever span this
         # map() is running in (the scatter span at a fan-out site).

@@ -495,7 +495,7 @@ class AnnProber:
             registry.observe(
                 "serving.ann.candidate_fraction", rows.size / rows_probed
             )
-        registry.record_time(
+        registry.record_histogram(
             "serving.ann.probe_time", time.perf_counter() - started
         )
         return rows, self.order[positions]
@@ -659,7 +659,7 @@ class AnnIndex:
         out_targets, out_scores = canonical_top_k(
             rows, ids, scores, sources.size, k
         )
-        registry.record_time(
+        registry.record_histogram(
             "serving.ann.query_time", time.perf_counter() - started
         )
         return out_targets, out_scores

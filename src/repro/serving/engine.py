@@ -26,7 +26,7 @@ see :func:`~repro.core.scoring.score_block`) are surfaced as
 "best" target.
 
 Everything is observable under ``serving.*`` in the metrics registry:
-query counters and latency timers, batch-size gauges, cache
+query counters, latency and batch-size histograms, cache
 hits/misses/evictions, and unaligned-row counts.
 """
 
@@ -460,12 +460,11 @@ class QueryEngine:
         registry = self._registry()
         latency = time.perf_counter() - started
         registry.increment("serving.queries")
-        registry.record_time("serving.query_latency", latency)
-        registry.record_histogram("serving.query_latency_hist", latency)
+        registry.record_histogram("serving.query_latency", latency)
         if cached:
-            registry.record_time("serving.query_latency_cached", latency)
+            registry.record_histogram("serving.query_latency_cached", latency)
         else:
-            registry.record_time("serving.query_latency_uncached", latency)
+            registry.record_histogram("serving.query_latency_uncached", latency)
         targets, scores, aligned, meta = value
         if not aligned:
             registry.increment("serving.unaligned")
@@ -722,8 +721,7 @@ class QueryEngine:
                     meta,
                 )
         registry.increment("serving.batches")
-        registry.observe("serving.batch.size", len(batch))
-        registry.record_histogram("serving.batch.size_hist", len(batch))
+        registry.record_histogram("serving.batch.size", len(batch))
         return values
 
     def _take_batch_locked(self) -> List[_Pending]:
@@ -849,7 +847,6 @@ class QueryEngine:
         misses = counter("serving.cache.misses")
         lookups = hits + misses
         latency = snapshot.get("serving.query_latency", {})
-        latency_hist = snapshot.get("serving.query_latency_hist", {})
         return {
             "fingerprint": self.fingerprint,
             "n_source": self.index.n_source,
@@ -889,7 +886,7 @@ class QueryEngine:
                 "mean": latency.get("mean", 0.0) * 1e3,
                 "max": latency.get("max", 0.0) * 1e3,
                 "count": latency.get("count", 0),
-                "p50": _ms_or_none(latency_hist.get("p50")),
-                "p99": _ms_or_none(latency_hist.get("p99")),
+                "p50": _ms_or_none(latency.get("p50")),
+                "p99": _ms_or_none(latency.get("p99")),
             },
         }

@@ -350,7 +350,7 @@ class FrontDoor:
                             break
                         self._cond.wait(remaining)
                 old.engine.close()
-                registry.record_time(
+                registry.record_histogram(
                     "serving.frontdoor.drain_time",
                     time.perf_counter() - drain_started,
                 )

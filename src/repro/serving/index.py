@@ -242,7 +242,7 @@ class AlignmentIndex:
             "serving.index.prune_fraction",
             blocks_pruned / max(1, self.num_blocks),
         )
-        registry.record_time(
+        registry.record_histogram(
             "serving.index.query_time", time.perf_counter() - started
         )
         return out_targets, out_scores

@@ -14,8 +14,8 @@ Routes
 ``GET /stats``
     Engine operational snapshot plus the ``serving.*`` metrics.
 ``GET /metrics``
-    The full metrics registry as a ``repro.bench/v1`` payload — every
-    counter, gauge, timer, and histogram (with p50/p90/p99), not just
+    The full metrics registry as a ``repro.bench/v2`` payload — every
+    counter, gauge, and histogram (with p50/p90/p99), not just
     the ``serving.*`` prefix.  Scrape-friendly: what ``--metrics-out``
     writes at shutdown, available live.  ``?format=prometheus`` renders
     the same registry in the Prometheus text exposition format

@@ -199,7 +199,7 @@ class TestServing:
         payload = load_bench_json(bench)
         assert payload["run"]["command"] == "query"
         assert payload["metrics"]["serving.queries"]["value"] == 2
-        hist = payload["metrics"]["serving.query_latency_hist"]
+        hist = payload["metrics"]["serving.query_latency"]
         assert hist["kind"] == "histogram" and hist["count"] == 2
 
     def test_query_metrics_out_needs_in_process(self, artifact_dir, tmp_path):
@@ -266,8 +266,8 @@ class TestProfile:
         assert "op.spmm.backward" in names
         assert "serving.score_batch" in names
         metrics = load_bench_json(bench)["metrics"]
-        assert metrics["trainer.epoch_time_hist"]["count"] == 3
-        assert metrics["serving.query_latency_hist"]["count"] == 4
+        assert metrics["trainer.epoch_time"]["count"] == 3
+        assert metrics["serving.query_latency"]["count"] == 4
 
     def test_profile_parser_defaults(self):
         args = build_parser().parse_args(["profile"])

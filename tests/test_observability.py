@@ -1,4 +1,4 @@
-"""Tests for the observability subsystem: registry, timers, hooks, export,
+"""Tests for the observability subsystem: registry, histograms, hooks, export,
 and the instrumentation threaded through trainer/refiner/streaming/runner."""
 
 import json
@@ -154,11 +154,11 @@ class TestHistogram:
             registry.histogram("c")
 
     def test_histogram_exports_in_bench_payload(self, registry, tmp_path):
-        registry.record_histogram("serving.query_latency_hist", 0.002)
+        registry.record_histogram("serving.query_latency", 0.002)
         path = str(tmp_path / "BENCH_hist.json")
         write_bench_json(path, registry)
         loaded = load_bench_json(path)
-        stats = loaded["metrics"]["serving.query_latency_hist"]
+        stats = loaded["metrics"]["serving.query_latency"]
         assert stats["kind"] == "histogram"
         assert stats["p50"] == pytest.approx(0.002)
 
@@ -234,7 +234,7 @@ class TestTimer:
     def test_timed_records_into_registry(self, registry):
         with registry.timed("t"):
             pass
-        stat = registry.timer("t")
+        stat = registry.histogram("t")
         assert stat.count == 1
         assert stat.total >= 0.0
 
@@ -242,11 +242,11 @@ class TestTimer:
         with pytest.raises(RuntimeError):
             with registry.timed("t"):
                 raise RuntimeError("boom")
-        assert registry.timer("t").count == 1
+        assert registry.histogram("t").count == 1
 
     def test_negative_duration_rejected(self, registry):
         with pytest.raises(ValueError):
-            registry.timer("t").observe(-1.0)
+            registry.histogram("t").observe(-1.0)
 
 
 class TestRegistry:
@@ -256,8 +256,8 @@ class TestRegistry:
             registry.gauge("x")
         registry.observe("g", 1.0)
         with pytest.raises(TypeError):
-            registry.timer("g")
-        registry.record_time("t", 0.1)
+            registry.histogram("g")
+        registry.record_histogram("t", 0.1)
         with pytest.raises(TypeError):
             registry.gauge("t")
 
@@ -311,7 +311,7 @@ class TestBenchExport:
     def test_payload_validates(self, registry):
         registry.increment("a.b")
         registry.observe("c", 1.5)
-        registry.record_time("d", 0.2)
+        registry.record_histogram("d", 0.2)
         payload = bench_payload(registry, run={"seed": 0})
         assert validate_bench_payload(payload) is payload
         assert payload["schema"] == BENCH_SCHEMA
@@ -334,7 +334,7 @@ class TestBenchExport:
             validate_bench_payload(payload)
 
     def test_write_load_roundtrip(self, registry, tmp_path):
-        registry.record_time("trainer.epoch_time", 0.5)
+        registry.record_histogram("trainer.epoch_time", 0.5)
         path = str(tmp_path / "BENCH_roundtrip.json")
         written = write_bench_json(path, registry, run={"command": "test"})
         loaded = load_bench_json(path)
@@ -361,7 +361,7 @@ class TestBenchExport:
 
     def test_reexport_is_byte_identical(self, registry, tmp_path):
         registry.increment("a.b", 3)
-        registry.record_time("t", 0.25)
+        registry.record_histogram("t", 0.25)
         registry.record_histogram("h", 0.01)
         first = tmp_path / "BENCH_a.json"
         second = tmp_path / "BENCH_b.json"
@@ -386,12 +386,14 @@ class TestInstrumentedComponents:
                                 registry=registry)
         _, log = trainer.train(tiny_pair)
         assert registry.counter("trainer.epochs").value == config.epochs
-        assert registry.timer("trainer.epoch_time").count == config.epochs
-        assert registry.timer("trainer.forward_time").count == config.epochs
-        assert registry.timer("trainer.backward_time").count == config.epochs
-        assert registry.timer("trainer.step_time").count == config.epochs
-        assert registry.histogram("trainer.epoch_time_hist").count == \
-            config.epochs
+        assert registry.histogram("trainer.epoch_time").count == config.epochs
+        assert registry.histogram("trainer.forward_time").count == config.epochs
+        assert registry.histogram("trainer.backward_time").count == config.epochs
+        assert registry.histogram("trainer.step_time").count == config.epochs
+        # one pre-clip gradient norm per (clean) epoch
+        grad_norm = registry.histogram("trainer.grad_norm")
+        assert grad_norm.count == config.epochs
+        assert grad_norm.minimum > 0.0
         # the log is a view over the registry: same trajectory both ways
         assert registry.gauge("trainer.loss.total").last == log.total[-1]
         assert registry.gauge("trainer.loss.total").count == len(log.total)
@@ -423,7 +425,7 @@ class TestInstrumentedComponents:
             GAlign(tiny_config()).align(tiny_pair)
         iterations = registry.counter("refine.iterations").value
         assert iterations >= 1
-        assert registry.histogram("refine.iteration_time_hist").count == \
+        assert registry.histogram("refine.iteration_time").count == \
             iterations
         assert registry.gauge("refine.quality").count == iterations
         assert registry.gauge("refine.stable_nodes").count == iterations
@@ -441,7 +443,7 @@ class TestInstrumentedComponents:
             tiny_pair.source.num_nodes
         assert registry.counter("streaming.blocks").value == \
             -(-tiny_pair.source.num_nodes // 8)
-        assert registry.timer("streaming.block_time").count == \
+        assert registry.histogram("streaming.block_time").count == \
             registry.counter("streaming.blocks").value
 
     def test_runner_records_wall_time_and_manifest(self, tiny_pair):
@@ -451,7 +453,7 @@ class TestInstrumentedComponents:
         specs = [MethodSpec("GAlign", lambda: GAlign(tiny_config()))]
         with use_registry(registry):
             results = runner.run_pair(tiny_pair, specs)
-        wall = registry.timer("runner.method.GAlign.wall")
+        wall = registry.histogram("runner.method.GAlign.wall")
         assert wall.count == 2
         assert results["GAlign"].time_seconds == pytest.approx(wall.mean)
         assert registry.counter("runner.runs").value == 2
@@ -478,10 +480,42 @@ class TestInstrumentedComponents:
             assert json.load(handle) == manifest
 
 
+class TestOneKindPerQuantity:
+    def test_train_refine_serve_records_three_kinds(self, tiny_pair):
+        from repro.serving import AlignmentIndex, QueryEngine
+
+        registry = MetricsRegistry()
+        config = tiny_config()
+        with use_registry(registry):
+            galign = GAlign(config)
+            galign.align(tiny_pair)
+            log = galign.refinement_log
+            index = AlignmentIndex(
+                log.best_source_embeddings, log.best_target_embeddings,
+                config.resolved_layer_weights(), registry=registry,
+            )
+            with QueryEngine(index, max_delay_ms=1.0,
+                             registry=registry) as engine:
+                for source in (0, 1, 0):
+                    engine.query(source, k=3)
+                latency_ms = engine.stats()["latency_ms"]
+        snapshot = registry.snapshot()
+        assert {stats["kind"] for stats in snapshot.values()} <= \
+            {"counter", "gauge", "histogram"}
+        assert [name for name in snapshot if name.endswith("_hist")] == []
+        for name in ("trainer.epoch_time", "refine.iteration_time",
+                     "serving.query_latency", "serving.batch.size"):
+            assert snapshot[name]["kind"] == "histogram", name
+        assert snapshot["trainer.epoch_time"]["count"] == config.epochs
+        assert snapshot["serving.query_latency"]["count"] == 3
+        assert set(latency_ms) == {"mean", "max", "count", "p50", "p99"}
+        assert latency_ms["count"] == 3
+
+
 class TestMetricsTable:
     def test_renders_registry_and_snapshot(self, registry):
         registry.increment("runner.runs", 3)
-        registry.record_time("trainer.epoch_time", 0.25)
+        registry.record_histogram("trainer.epoch_time", 0.25)
         text = format_metrics_table(registry, title="Metrics")
         assert "Metrics" in text
         assert "runner.runs" in text and "trainer.epoch_time" in text
@@ -491,7 +525,7 @@ class TestMetricsTable:
         assert "runner.runs" not in filtered
 
     def test_renders_histograms_and_null_stats(self, registry):
-        registry.record_histogram("serving.latency_hist", 0.004)
+        registry.record_histogram("serving.latency", 0.004)
         registry.gauge("empty.gauge")  # no observations: min/max are None
         text = format_metrics_table(registry)
         assert "P50" in text and "P99" in text
@@ -532,12 +566,13 @@ class TestMetricStateMerge:
 
     def test_timer_merge_accumulates_total(self):
         parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.record_time("t", 0.5)
-        worker.record_time("t", 1.5)
-        parent.timer("t").merge(worker.timer("t").state())
-        assert parent.timer("t").count == 2
-        assert parent.timer("t").total == pytest.approx(2.0)
-        assert parent.timer("t").last == pytest.approx(1.5)
+        parent.record_histogram("t", 0.5)
+        worker.record_histogram("t", 1.5)
+        parent.histogram("t").merge(worker.histogram("t").state())
+        assert parent.histogram("t").count == 2
+        assert parent.histogram("t").total == pytest.approx(2.0)
+        assert parent.histogram("t").maximum == pytest.approx(1.5)
+        assert sum(parent.histogram("t").bucket_counts) == 2
 
     def test_histogram_merge_is_exact(self):
         serial = MetricsRegistry()
@@ -570,7 +605,7 @@ class TestMetricStateMerge:
         for sink in (serial, worker):
             sink.increment("runs", 5)
             sink.observe("quality", 0.6)
-            sink.record_time("wall", 0.25)
+            sink.record_histogram("wall", 0.25)
             sink.record_histogram("latency", 0.004)
         parent.merge_state(worker.dump_state())
         assert parent.snapshot() == serial.snapshot()
@@ -586,7 +621,7 @@ class TestMetricStateMerge:
         registry = MetricsRegistry()
         registry.increment("runs")
         registry.record_histogram("latency", 0.01)
-        registry.record_time("wall", 0.1)
+        registry.record_histogram("wall", 0.1)
         state = registry.dump_state()
         restored = MetricsRegistry()
         restored.merge_state(pickle.loads(pickle.dumps(state)))

@@ -276,7 +276,7 @@ class TestPrometheusEndpoint:
         assert status == 200
         assert headers["Content-Type"] == "application/json"
         payload = json.loads(body)
-        assert payload["schema"] == "repro.bench/v1"
+        assert payload["schema"] == "repro.bench/v2"
 
     def test_unknown_format_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -202,8 +202,7 @@ class TestWorkerPoolMetrics:
             _square, [(i,) for i in range(5)]
         )
         assert registry.counter("parallel.tasks").value == 5
-        assert registry.timer("parallel.task_time").count == 5
-        assert registry.histogram("parallel.task_seconds").count == 5
+        assert registry.histogram("parallel.task_time").count == 5
 
     def test_worker_registry_state_merged(self):
         registry = MetricsRegistry()

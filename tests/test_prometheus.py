@@ -9,6 +9,7 @@ format bugs instead of mirroring them.
 import math
 import re
 
+import numpy as np
 import pytest
 
 from repro.observability import MetricsRegistry, to_prometheus_text
@@ -62,7 +63,8 @@ def build_registry():
     registry.increment("serving.http.requests", 7)
     registry.observe("serving.cache.hit_rate", 0.25)
     registry.observe("serving.cache.hit_rate", 0.75)
-    registry.record_time("engine.batch.wall", 0.125)
+    with registry.timed("engine.batch.wall"):
+        pass
     for value in (0.5, 1.0, 2.0, 4.0, 250.0):
         registry.record_histogram("serving.query.latency_ms", value)
     return registry
@@ -85,13 +87,16 @@ class TestRendering:
             ("serving_cache_hit_rate", {}, 0.75)
         ]
 
-    def test_timer_exports_seconds_gauge(self):
-        metrics = parse_exposition(to_prometheus_text(build_registry()))
-        timer = metrics["engine_batch_wall_seconds"]
-        assert timer["kind"] == "gauge"
-        assert timer["samples"] == [
-            ("engine_batch_wall_seconds", {}, 0.125)
-        ]
+    def test_former_timer_exports_histogram(self):
+        registry = build_registry()
+        metrics = parse_exposition(to_prometheus_text(registry))
+        timer = metrics["engine_batch_wall"]
+        assert timer["kind"] == "histogram"
+        by_name = {name: value for name, _, value in timer["samples"]}
+        assert by_name["engine_batch_wall_count"] == 1
+        assert by_name["engine_batch_wall_sum"] == \
+            registry.histogram("engine.batch.wall").total
+        assert "engine_batch_wall_seconds" not in metrics
 
     def test_prefix_filters(self):
         text = to_prometheus_text(build_registry(), prefix="serving.cache")
@@ -146,9 +151,29 @@ class TestHistogramRoundTrip:
         metrics = parse_exposition(to_prometheus_text(registry))
         for name, stats in registry.snapshot().items():
             exposed = name.replace(".", "_")
-            if stats["kind"] == "timer":
-                exposed += "_seconds"
             assert exposed in metrics, f"{name} missing from exposition"
+            assert metrics[exposed]["kind"] == stats["kind"]
+
+    def test_bucket_counts_honour_le(self):
+        # Prometheus ``le`` means "<=": the cumulative count at every
+        # exposed edge must equal the observations <= that edge, both
+        # at the decade edges themselves and on a random sample.
+        registry = MetricsRegistry()
+        values = [10.0 ** e for e in range(-6, 4)]
+        rng = np.random.default_rng(7)
+        values += list(10.0 ** rng.uniform(-7, 4, size=500))
+        for value in values:
+            registry.record_histogram("h", value)
+        metrics = parse_exposition(to_prometheus_text(registry))
+        buckets = [
+            (float(labels["le"]), count)
+            for name, labels, count in metrics["h"]["samples"]
+            if name == "h_bucket"
+        ]
+        assert len(buckets) == len(registry.histogram("h").bucket_counts)
+        for le, count in buckets:
+            expected = sum(1 for value in values if value <= le)
+            assert count == expected, f"le={le!r}"
 
 
 class TestSpecialValues:

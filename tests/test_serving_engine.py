@@ -215,8 +215,8 @@ class TestMicrobatching:
                 thread.join()
             assert not errors
             assert registry.get("serving.batches").value == 1
-            batch_gauge = registry.get("serving.batch.size")
-            assert batch_gauge.last == 4
+            batch_size = registry.get("serving.batch.size")
+            assert batch_size.count == 1 and batch_size.maximum == 4
             for position, result in enumerate(results):
                 targets, scores = engine.index.top_k(position, k=2)
                 assert list(result.targets) == list(targets[0])

@@ -190,12 +190,12 @@ class TestRoutes:
             payload = json.loads(response.read())
         validate_bench_payload(payload)
         assert payload["run"]["fingerprint"] == artifact.fingerprint
-        hist = payload["metrics"]["serving.query_latency_hist"]
+        hist = payload["metrics"]["serving.query_latency"]
         assert hist["kind"] == "histogram"
         assert hist["count"] >= 2
         assert hist["p50"] is not None and hist["p99"] is not None
         assert hist["p50"] <= hist["p99"]
-        assert payload["metrics"]["serving.batch.size_hist"]["count"] >= 1
+        assert payload["metrics"]["serving.batch.size"]["count"] >= 1
 
     def test_query_defaults_k_to_one(self, server):
         server_obj, _, _, _ = server
