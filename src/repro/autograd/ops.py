@@ -3,7 +3,10 @@
 These complement the methods on ``Tensor`` with operations that either take
 multiple tensors (``concat``, ``stack``), mix sparse and dense operands
 (``spmm``), or implement the paper-specific activations (``threshold_mask``
-for the σ_< gate of the adaptivity loss, Eq 9).
+for the σ_< gate of the adaptivity loss, Eq 9).  Each graph-building
+function checks its arguments and makes one
+:func:`~repro.autograd.tensor.apply` call; the arithmetic lives in the op
+table (:mod:`repro.autograd.optable`).
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .dispatch import primitive
-from .tensor import Tensor
+from .tensor import Tensor, apply
 
 __all__ = [
     "spmm",
@@ -30,7 +32,6 @@ __all__ = [
 ]
 
 
-@primitive("spmm")
 def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     """Sparse @ dense product where the sparse operand is a constant.
 
@@ -42,47 +43,17 @@ def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     """
     if not sp.issparse(sparse_matrix):
         raise TypeError("spmm expects a scipy sparse matrix as the left operand")
-    csr = sparse_matrix.tocsr()
-    out_data = csr @ dense.data
-
-    def backward(grad: np.ndarray) -> None:
-        if dense.requires_grad:
-            dense._accumulate(csr.T @ grad)
-
-    return Tensor._make(np.asarray(out_data), (dense,), backward)
+    return apply("spmm", (dense,), csr=sparse_matrix.tocsr())
 
 
-@primitive("concat")
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``; gradient splits back."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(index)])
-
-    return Tensor._make(out_data, tuple(tensors), backward)
+    return apply("concat", tensors, axis=axis)
 
 
-@primitive("stack")
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack same-shape tensors along a new axis."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slabs = np.moveaxis(grad, axis, 0)
-        for tensor, slab in zip(tensors, slabs):
-            if tensor.requires_grad:
-                tensor._accumulate(slab)
-
-    return Tensor._make(out_data, tuple(tensors), backward)
+    return apply("stack", tensors, axis=axis)
 
 
 def row_norms(matrix: Tensor, eps: float = 1e-12) -> Tensor:
@@ -113,7 +84,6 @@ def normalize_rows(matrix: Tensor, eps: float = 1e-12) -> Tensor:
     return matrix * inverse
 
 
-@primitive("threshold_mask")
 def threshold_mask(values: Tensor, threshold: float) -> Tensor:
     """The paper's σ_< activation (Eq 9): identity below ``threshold``, 0 above.
 
@@ -121,47 +91,17 @@ def threshold_mask(values: Tensor, threshold: float) -> Tensor:
     confidence gate that ignores perturbations large enough to have destroyed
     a node's neighbourhood.
     """
-    keep = values.data < threshold
-    out_data = np.where(keep, values.data, 0.0)
-
-    def backward(grad: np.ndarray) -> None:
-        if values.requires_grad:
-            values._accumulate(grad * keep)
-
-    return Tensor._make(out_data, (values,), backward)
+    return apply("threshold_mask", (values,), threshold=threshold)
 
 
-@primitive("softmax")
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax."""
-    shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        if not logits.requires_grad:
-            return
-        inner = (grad * out_data).sum(axis=axis, keepdims=True)
-        logits._accumulate(out_data * (grad - inner))
-
-    return Tensor._make(out_data, (logits,), backward)
+    return apply("softmax", (logits,), axis=axis)
 
 
-@primitive("log_softmax")
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax."""
-    shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
-    probs = np.exp(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        if not logits.requires_grad:
-            return
-        inner = grad.sum(axis=axis, keepdims=True)
-        logits._accumulate(grad - probs * inner)
-
-    return Tensor._make(out_data, (logits,), backward)
+    return apply("log_softmax", (logits,), axis=axis)
 
 
 def dropout_mask(shape: tuple, rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -10,13 +10,15 @@ explicit tape:
 
 * :class:`TapeRecorder` is an observer of the op-dispatch seam
   (:mod:`repro.autograd.dispatch`): for the duration of ONE eager epoch
-  it records every primitive the capturing thread runs into an explicit
-  tape: op kind, input/output value slots, and constant operands (the
-  CSR Laplacian, scalar coefficients, index arrays).
+  it records every ``apply(kind, inputs, **meta)`` call the capturing
+  thread makes into an explicit tape: op kind, input/output value slots,
+  and a snapshot of the constant meta (the CSR Laplacian, scalar
+  coefficients, index arrays).
 * :meth:`TapeRecorder.finalize` turns the recording into a :class:`Tape`:
-  kernels are compiled once into per-op callables (no per-epoch closure
-  allocation), graph-level passes run — GCN-layer fusion, single-consumer
-  buffer reuse — and the dtype policy is applied.
+  graph-level passes run — GCN-layer fusion, single-consumer buffer
+  reuse — the dtype policy is applied, and each op's forward and
+  backward kernels are built once from its op-table entry
+  (:mod:`repro.autograd.optable`), so replay allocates no closures.
 * :meth:`Tape.replay` re-executes the graph against the parameters' live
   values and returns ordinary output :class:`~repro.autograd.Tensor`
   objects whose ``backward()`` runs the tape's hand-scheduled reverse
@@ -30,25 +32,27 @@ each replayed kernel (forward and backward), plus two bookkeeping rows —
 Bitwise contract
 ----------------
 In ``float64`` the replay is *bitwise equal* to eager execution, forward
-and backward.  Forward kernels repeat the eager numpy expressions verbatim
-in capture order; the reverse pass replays the op backwards in the order
-eager's depth-first topological sort would fire them (recorded from the
-capture epoch's graph — reverse-creation order is **not** the same and
-would reorder gradient accumulation), and gradient accumulation mirrors
-``Tensor._accumulate`` (unbroadcast, cast to the slot dtype, copy-then-add)
-slot by slot.  The fused GCN kernel keeps the contract because its three
-constituent adjoints are applied in the same order, on the same arrays,
-with single-consumer intermediates (asserted in ``tests/test_tape.py``).
+and backward, because eager and tape run the same op-table entry: its
+forward in capture order (``out=`` only redirects the destination), and
+its per-input VJPs in the order eager's depth-first topological sort
+would fire them (recorded from the capture epoch's graph — reverse-
+creation order is **not** the same and would reorder gradient
+accumulation), with gradient accumulation mirroring
+``Tensor._accumulate`` (unbroadcast, cast to the slot dtype,
+copy-then-add) slot by slot.  The fused ``gcn_layer`` entry composes the
+``matmul``, ``spmm`` and activation entries in eager order on
+single-consumer intermediates, so it keeps the contract too (asserted,
+with gradcheck, in ``tests/test_tape.py``).
 
 Optimization passes
 -------------------
 * **Fusion** — the GCN layer pattern ``matmul → spmm → tanh|relu`` (Eq 1's
-  ``σ(C H W)``) collapses into one ``gcn_layer`` op with a hand-written
-  fused backward, eliminating the intermediate graph nodes.  It applies
-  only when both intermediates are single-consumer and neither is a tape
-  output or watch value.
-* **Buffer reuse** — every non-view op output of static shape gets a
-  persistent ``out=`` buffer, so steady-state replay allocates almost
+  ``σ(C H W)``) collapses into one ``gcn_layer`` op whose backward pulls
+  the gradient through the activation and ``spmm`` once, eliminating the
+  intermediate graph nodes.  It applies only when both intermediates
+  are single-consumer and neither is a tape output or watch value.
+* **Buffer reuse** — every ``out_capable`` op output of static shape gets
+  a persistent ``out=`` buffer, so steady-state replay allocates almost
   nothing; where the tape proves an input is single-consumer, op-produced,
   not aliased by a view, and not needed by any backward, the op writes
   straight into the input's buffer (in-place execution).
@@ -75,10 +79,10 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dispatch
-from .tensor import Tensor, _index_add, _unbroadcast
+from .optable import OPS, Op
+from .tensor import Tensor, _unbroadcast
 
 __all__ = ["TapeRecorder", "Tape", "watch"]
 
@@ -87,71 +91,16 @@ _SLOT_PARAM = 0
 _SLOT_CONST = 1
 _SLOT_OP = 2
 
-#: Op kinds whose outputs are (or may be) numpy views of their input —
-#: they own no memory, so they never get persistent buffers and their
-#: sources are never overwritten in place.
-_VIEW_KINDS = frozenset({"transpose", "reshape", "getitem"})
-
-#: Kinds whose compiled forward can write into a preallocated ``out=``
-#: buffer of the (static) output shape.
-_OUT_CAPABLE = frozenset({
-    "add", "sub", "mul", "div", "neg", "pow", "matmul", "tanh", "relu",
-    "sqrt", "abs", "log", "clip_min", "exp", "sum",
-})
-
-#: Elementwise kinds that may additionally alias their output onto a
-#: dying input's buffer (ufunc in-place is well-defined; matmul is not).
-_INPLACE_CAPABLE = frozenset({
-    "add", "sub", "mul", "div", "neg", "pow", "tanh", "relu",
-    "sqrt", "abs", "log", "clip_min", "exp",
-})
-
-def _positional(args: tuple, kwargs: dict, position: int, name: str,
-                default: Any) -> Any:
-    if len(args) > position:
-        return args[position]
-    return kwargs.get(name, default)
-
-
-def _split_op(kind: str, args: tuple, kwargs: dict) -> Tuple[tuple, dict]:
-    """Split an op call into (tensor-operand values, constant meta)."""
-    if kind in ("add", "sub", "mul", "div", "matmul"):
-        return (args[0], args[1]), {}
-    if kind == "pow":
-        return (args[0],), {"exponent": args[1]}
-    if kind == "getitem":
-        index = args[1]
-        if isinstance(index, np.ndarray):
-            index = index.copy()
-        elif isinstance(index, tuple):
-            index = tuple(
-                part.copy() if isinstance(part, np.ndarray) else part
-                for part in index
-            )
-        elif isinstance(index, list):
-            index = list(index)
-        return (args[0],), {"index": index}
-    if kind == "sum":
-        return (args[0],), {
-            "axis": _positional(args, kwargs, 1, "axis", None),
-            "keepdims": bool(_positional(args, kwargs, 2, "keepdims", False)),
-        }
-    if kind == "clip_min":
-        return (args[0],), {"minimum": args[1]}
-    if kind == "spmm":
-        return (args[1],), {"csr": args[0].tocsr()}
-    if kind in ("concat", "stack"):
-        return tuple(args[0]), {
-            "axis": int(_positional(args, kwargs, 1, "axis", 0))
-        }
-    if kind == "threshold_mask":
-        return (args[0],), {"threshold": args[1]}
-    if kind in ("softmax", "log_softmax"):
-        return (args[0],), {
-            "axis": _positional(args, kwargs, 1, "axis", -1)
-        }
-    # Unary tensor methods (neg, transpose, reshape, tanh, ...).
-    return (args[0],), {}
+def _snapshot(value: Any) -> Any:
+    """Freeze a meta value the caller may mutate after the op returns
+    (index arrays and lists, also inside an index tuple)."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, list):
+        return list(value)
+    if isinstance(value, tuple):
+        return tuple(_snapshot(part) for part in value)
+    return value
 
 
 class _TapeOp:
@@ -241,10 +190,19 @@ class TapeRecorder(dispatch.Observer):
         dispatch.detach(self)
         self._window = time.perf_counter() - self._started
 
-    def op(self, kind: str, args: tuple, kwargs: dict, out: Tensor,
+    def op(self, kind: str, inputs: tuple, meta: dict, out: Tensor,
            started: float, elapsed: float) -> None:
         self._op_time += elapsed
-        self._record(kind, args, kwargs, out)
+        input_slots = tuple(self._slot_for(tensor) for tensor in inputs)
+        out_slot = self._new_slot(_SLOT_OP, out.data.shape,
+                                  out.requires_grad)
+        self._slot_by_id[id(out)] = out_slot
+        self._op_index_by_out_id[id(out)] = len(self.ops)
+        self._keepalive.append(out)
+        self.ops.append(_TapeOp(
+            kind, input_slots, out_slot,
+            {name: _snapshot(value) for name, value in meta.items()},
+        ))
 
     # -- slot bookkeeping ----------------------------------------------
     def _new_slot(self, kind: int, shape: tuple, requires: bool) -> int:
@@ -254,43 +212,25 @@ class TapeRecorder(dispatch.Observer):
         self.slot_requires.append(requires)
         return slot
 
-    def _slot_for(self, value: Any) -> int:
-        if isinstance(value, Tensor):
-            slot = self._slot_by_id.get(id(value))
-            if slot is not None:
-                return slot
-            if value.requires_grad and value._backward is not None:
-                raise RuntimeError(
-                    "a tensor produced by an op outside the capture "
-                    "window flowed into the tape; capture the whole "
-                    "loss computation inside one recorder context"
-                )
-            self._keepalive.append(value)
-            if value.requires_grad:
-                slot = self._new_slot(_SLOT_PARAM, value.data.shape, True)
-                self.slot_params[slot] = value
-            else:
-                slot = self._new_slot(_SLOT_CONST, value.data.shape, False)
-                self.slot_consts[slot] = value.data
-            self._slot_by_id[id(value)] = slot
+    def _slot_for(self, tensor: Tensor) -> int:
+        slot = self._slot_by_id.get(id(tensor))
+        if slot is not None:
             return slot
-        # Raw scalar/array operand: eager wraps it in Tensor(value)
-        # (float64 coercion) — snapshot the same conversion.
-        data = np.asarray(value, dtype=np.float64)
-        slot = self._new_slot(_SLOT_CONST, data.shape, False)
-        self.slot_consts[slot] = data
+        if tensor.requires_grad and tensor._backward is not None:
+            raise RuntimeError(
+                "a tensor produced by an op outside the capture "
+                "window flowed into the tape; capture the whole "
+                "loss computation inside one recorder context"
+            )
+        self._keepalive.append(tensor)
+        if tensor.requires_grad:
+            slot = self._new_slot(_SLOT_PARAM, tensor.data.shape, True)
+            self.slot_params[slot] = tensor
+        else:
+            slot = self._new_slot(_SLOT_CONST, tensor.data.shape, False)
+            self.slot_consts[slot] = tensor.data
+        self._slot_by_id[id(tensor)] = slot
         return slot
-
-    def _record(self, kind: str, args: tuple, kwargs: dict,
-                out: Tensor) -> None:
-        operands, meta = _split_op(kind, args, kwargs)
-        input_slots = tuple(self._slot_for(value) for value in operands)
-        out_slot = self._new_slot(_SLOT_OP, out.data.shape,
-                                  out.requires_grad)
-        self._slot_by_id[id(out)] = out_slot
-        self._op_index_by_out_id[id(out)] = len(self.ops)
-        self._keepalive.append(out)
-        self.ops.append(_TapeOp(kind, input_slots, out_slot, meta))
 
     def _watch(self, tensor: Tensor, label: str) -> None:
         self.watches.append((label, self._slot_for(tensor)))
@@ -380,58 +320,6 @@ class TapeRecorder(dispatch.Observer):
         return tape
 
 
-def _op_flops(kind: str, in_shapes: Sequence[tuple], out_shape: tuple,
-              meta: dict) -> Tuple[int, int]:
-    """(forward, backward) FLOP estimates from static shapes."""
-    out_size = int(np.prod(out_shape)) if out_shape else 1
-    if kind == "matmul":
-        m, k = in_shapes[0] if len(in_shapes[0]) == 2 else (1, 1)
-        n = out_size // m if m else 0
-        forward = 2 * m * k * n
-        return forward, 2 * forward
-    if kind == "spmm":
-        cols = out_shape[-1] if out_shape else 1
-        forward = 2 * int(meta["csr"].nnz) * int(cols)
-        return forward, forward
-    if kind == "gcn_layer":
-        m, k = in_shapes[0]
-        n = in_shapes[1][-1]
-        matmul = 2 * m * k * n
-        spmm = 2 * int(meta["csr"].nnz) * int(n)
-        return matmul + spmm + out_size, 2 * matmul + spmm + out_size
-    if kind in ("transpose", "reshape", "getitem", "concat", "stack"):
-        return 0, 0
-    if kind in ("softmax", "log_softmax"):
-        return 4 * out_size, 4 * out_size
-    if kind == "sum":
-        in_size = int(np.prod(in_shapes[0])) if in_shapes[0] else 1
-        return in_size, in_size
-    return out_size, out_size
-
-
-#: Per-kind value dependencies of the backward kernel: which of the op's
-#: slots ("in0", "in1", "out") must still hold their forward value when
-#: the reverse pass runs.  Drives buffer-reuse safety.
-_BACKWARD_READS: Dict[str, Tuple[str, ...]] = {
-    "mul": ("in0", "in1"),
-    "div": ("in0", "in1"),
-    "pow": ("in0",),
-    "matmul": ("in0", "in1"),
-    "tanh": ("out",),
-    "relu": ("in0",),
-    "sigmoid": ("out",),
-    "exp": ("out",),
-    "log": ("in0",),
-    "sqrt": ("out",),
-    "abs": ("in0",),
-    "clip_min": ("in0",),
-    "threshold_mask": ("in0",),
-    "softmax": ("out",),
-    "log_softmax": ("out",),
-    "gcn_layer": ("in0", "in1", "out"),
-}
-
-
 class Tape:
     """An executable, optimized recording of one training epoch.
 
@@ -478,13 +366,13 @@ class Tape:
         self._backward_ops = [forward[i] for i in backward_order]
         self._plan_buffers(reuse_buffers)
         for op in self._forward:
-            in_shapes = [self._slot_shapes[s] for s in op.inputs]
+            entry = OPS[op.kind]
             op.shape = self._slot_shapes[op.out]
-            op.flops, op.bwd_flops = _op_flops(
-                op.kind, in_shapes, op.shape, op.meta
+            op.flops, op.bwd_flops = entry.flops(
+                [self._slot_shapes[s] for s in op.inputs], op.shape, op.meta
             )
-            op.fwd = self._build_fwd(op)
-            op.bwd = self._build_bwd(op)
+            op.fwd = self._forward_kernel(op, entry)
+            op.bwd = self._backward_kernel(op, entry)
 
     # -- graph passes ---------------------------------------------------
     def _consumer_counts(self, ops: List[_TapeOp]) -> Dict[int, int]:
@@ -570,7 +458,7 @@ class Tape:
         aliased: set = set()
         view_out: set = set()
         for op in ops:
-            if op.kind in _VIEW_KINDS:
+            if OPS[op.kind].view:
                 root = alias_root.get(op.inputs[0], op.inputs[0])
                 alias_root[op.out] = root
                 aliased.add(root)
@@ -582,22 +470,21 @@ class Tape:
         for op in ops:
             if not self._slot_requires[op.out]:
                 continue
-            for ref in _BACKWARD_READS.get(op.kind, ()):
+            for ref in OPS[op.kind].reads:
                 if ref == "out":
                     backward_needs.add(op.out)
-                else:
-                    position = int(ref[2:])
-                    if position < len(op.inputs):
-                        backward_needs.add(op.inputs[position])
+                elif ref < len(op.inputs):
+                    backward_needs.add(op.inputs[ref])
         protected = set(self._output_slots)
         protected.update(slot for _label, slot in self._watches)
         protected.update(backward_needs)
         protected.update(aliased)
         for op in ops:
-            if op.kind not in _OUT_CAPABLE or op.out in view_out:
+            entry = OPS[op.kind]
+            if not entry.out_capable or op.out in view_out:
                 continue
             shape = self._slot_shapes[op.out]
-            if op.kind in _INPLACE_CAPABLE:
+            if entry.inplace:
                 for slot in op.inputs:
                     if (
                         self._slot_kinds[slot] == _SLOT_OP
@@ -619,153 +506,24 @@ class Tape:
             self.buffered += 1
 
     # -- kernel compilation --------------------------------------------
-    def _out_for(self, op: _TapeOp) -> Callable[[], Optional[np.ndarray]]:
-        values = self._values
-        buffer = self._out_buffer.get(op.out)
-        source = self._inplace_from.get(op.out)
+    def _forward_kernel(self, op: _TapeOp, entry: Op) -> Callable[[], None]:
+        """One zero-argument forward kernel: the entry's forward on the
+        input slots, into the op's planned buffer (``out=`` redirects
+        the destination, never the arithmetic)."""
+        values, slots, out, meta = self._values, op.inputs, op.out, op.meta
+        forward = entry.forward
+        source = self._inplace_from.get(out)
         if source is not None:
-            return lambda: values[source]
-        if buffer is not None:
-            return lambda: buffer
-        return lambda: None
-
-    def _build_fwd(self, op: _TapeOp) -> Callable[[], None]:
-        """One zero-argument forward kernel, allocated once.
-
-        Every kernel repeats the eager op's numpy expression verbatim so
-        the float64 replay is bitwise-equal; ``out=`` only redirects the
-        destination buffer, never the arithmetic.
-        """
-        values = self._values
-        kind, meta, out = op.kind, op.meta, op.out
-        ins = op.inputs
-        out_arr = self._out_for(op)
-        ufuncs = {
-            "add": np.add, "sub": np.subtract, "mul": np.multiply,
-            "div": np.divide, "matmul": np.matmul,
-        }
-        if kind in ufuncs:
-            ufunc, a, b = ufuncs[kind], ins[0], ins[1]
-
             def fwd():
-                values[out] = ufunc(values[a], values[b], out=out_arr())
-            return fwd
-        a = ins[0] if ins else -1
-        if kind == "neg":
-            return lambda: values.__setitem__(
-                out, np.negative(values[a], out=out_arr())
-            )
-        if kind == "pow":
-            exponent = meta["exponent"]
-            return lambda: values.__setitem__(
-                out, np.power(values[a], exponent, out=out_arr())
-            )
-        if kind == "transpose":
-            return lambda: values.__setitem__(out, values[a].T)
-        if kind == "reshape":
-            shape = self._slot_shapes[out]
-            return lambda: values.__setitem__(
-                out, values[a].reshape(shape)
-            )
-        if kind == "getitem":
-            index = meta["index"]
-            return lambda: values.__setitem__(out, values[a][index])
-        if kind == "sum":
-            axis, keepdims = meta["axis"], meta["keepdims"]
-
-            def fwd():
-                values[out] = values[a].sum(
-                    axis=axis, keepdims=keepdims, out=out_arr()
+                values[out] = forward(
+                    [values[s] for s in slots], meta, values[source]
                 )
             return fwd
-        if kind == "tanh":
-            return lambda: values.__setitem__(
-                out, np.tanh(values[a], out=out_arr())
-            )
-        if kind == "relu":
-            return lambda: values.__setitem__(
-                out, np.maximum(values[a], 0.0, out=out_arr())
-            )
-        if kind == "sigmoid":
-            return lambda: values.__setitem__(
-                out, 1.0 / (1.0 + np.exp(-np.clip(values[a], -60.0, 60.0)))
-            )
-        if kind == "exp":
-            return lambda: values.__setitem__(
-                out, np.exp(np.clip(values[a], -700.0, 700.0),
-                            out=out_arr())
-            )
-        if kind == "log":
-            return lambda: values.__setitem__(
-                out, np.log(values[a], out=out_arr())
-            )
-        if kind == "sqrt":
-            return lambda: values.__setitem__(
-                out, np.sqrt(values[a], out=out_arr())
-            )
-        if kind == "abs":
-            return lambda: values.__setitem__(
-                out, np.abs(values[a], out=out_arr())
-            )
-        if kind == "clip_min":
-            minimum = meta["minimum"]
-            return lambda: values.__setitem__(
-                out, np.maximum(values[a], minimum, out=out_arr())
-            )
-        if kind == "spmm":
-            csr = meta["csr"]
-            return lambda: values.__setitem__(
-                out, np.asarray(csr @ values[a])
-            )
-        if kind in ("concat", "stack"):
-            axis = meta["axis"]
-            join = np.concatenate if kind == "concat" else np.stack
-            slots = ins
-            return lambda: values.__setitem__(
-                out, join([values[s] for s in slots], axis=axis)
-            )
-        if kind == "threshold_mask":
-            threshold = meta["threshold"]
+        buffer = self._out_buffer.get(out)
 
-            def fwd():
-                keep = values[a] < threshold
-                values[out] = np.where(keep, values[a], 0.0)
-            return fwd
-        if kind == "softmax":
-            axis = meta["axis"]
-
-            def fwd():
-                logits = values[a]
-                shifted = logits - logits.max(axis=axis, keepdims=True)
-                exp = np.exp(shifted)
-                values[out] = exp / exp.sum(axis=axis, keepdims=True)
-            return fwd
-        if kind == "log_softmax":
-            axis = meta["axis"]
-
-            def fwd():
-                logits = values[a]
-                shifted = logits - logits.max(axis=axis, keepdims=True)
-                log_z = np.log(np.exp(shifted).sum(
-                    axis=axis, keepdims=True
-                ))
-                values[out] = shifted - log_z
-            return fwd
-        if kind == "gcn_layer":
-            csr, activation = meta["csr"], meta["activation"]
-            h, w = ins
-            scratch = meta.setdefault("scratch", [None])
-            out_arr_fn = out_arr
-
-            def fwd():
-                pre = np.asarray(csr @ (values[h] @ values[w]))
-                if activation == "tanh":
-                    values[out] = np.tanh(pre, out=out_arr_fn())
-                else:
-                    scratch[0] = pre
-                    values[out] = np.maximum(pre, 0.0, out=out_arr_fn())
-            return fwd
-        raise AssertionError(f"no forward kernel for op kind {kind!r}")
+        def fwd():
+            values[out] = forward([values[s] for s in slots], meta, buffer)
+        return fwd
 
     def _acc(self, grads: list, slot: int, grad: np.ndarray) -> None:
         """Mirror ``Tensor._accumulate`` for a tape slot."""
@@ -784,182 +542,29 @@ class Tape:
         else:
             grads[slot] += grad
 
-    def _build_bwd(
-        self, op: _TapeOp
+    def _backward_kernel(
+        self, op: _TapeOp, entry: Op
     ) -> Optional[Callable[[list, np.ndarray], None]]:
-        """One backward kernel mirroring the eager closure's expressions."""
+        """The entry's VJPs for the grad-requiring inputs, in operand
+        order — the order eager's backward accumulates them."""
         if not self._slot_requires[op.out]:
             return None
-        values = self._values
-        acc = self._acc
-        requires = self._slot_requires
-        kind, meta = op.kind, op.meta
-        ins = op.inputs
-        a = ins[0] if ins else -1
-        b = ins[1] if len(ins) > 1 else -1
-        need_a = requires[a] if ins else False
-        need_b = requires[b] if len(ins) > 1 else False
-        if kind == "add":
-            def bwd(grads, g):
-                if need_a:
-                    acc(grads, a, g)
-                if need_b:
-                    acc(grads, b, g)
-            return bwd
-        if kind == "neg":
-            return lambda grads, g: acc(grads, a, -g)
-        if kind == "sub":
-            def bwd(grads, g):
-                if need_a:
-                    acc(grads, a, g)
-                if need_b:
-                    acc(grads, b, -g)
-            return bwd
-        if kind == "mul":
-            def bwd(grads, g):
-                if need_a:
-                    acc(grads, a, g * values[b])
-                if need_b:
-                    acc(grads, b, g * values[a])
-            return bwd
-        if kind == "div":
-            def bwd(grads, g):
-                if need_a:
-                    acc(grads, a, g / values[b])
-                if need_b:
-                    acc(grads, b, -g * values[a] / (values[b] ** 2))
-            return bwd
-        if kind == "pow":
-            exponent = meta["exponent"]
-            return lambda grads, g: acc(
-                grads, a, g * exponent * values[a] ** (exponent - 1)
-            )
-        if kind == "matmul":
-            def bwd(grads, g):
-                if need_a:
-                    acc(grads, a, g @ values[b].T)
-                if need_b:
-                    acc(grads, b, values[a].T @ g)
-            return bwd
-        if kind == "transpose":
-            return lambda grads, g: acc(grads, a, g.T)
-        if kind == "reshape":
-            original = self._slot_shapes[a]
-            return lambda grads, g: acc(grads, a, g.reshape(original))
-        if kind == "getitem":
-            index = meta["index"]
-            shape = self._slot_shapes[a]
-            dtype = self.dtype
+        values, slots, out, meta = self._values, op.inputs, op.out, op.meta
+        acc, pullback = self._acc, entry.pullback
+        needed = [
+            (slot, entry.vjps[position])
+            for position, slot in enumerate(slots)
+            if self._slot_requires[slot]
+        ]
 
-            def bwd(grads, g):
-                full = np.zeros(shape, dtype=dtype)
-                _index_add(full, index, g)
-                acc(grads, a, full)
-            return bwd
-        if kind == "sum":
-            axis, keepdims = meta["axis"], meta["keepdims"]
-            in_shape = self._slot_shapes[a]
-
-            def bwd(grads, g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis=axis)
-                acc(grads, a, np.broadcast_to(g, in_shape))
-            return bwd
-        out = op.out
-        if kind == "tanh":
-            return lambda grads, g: acc(
-                grads, a, g * (1.0 - values[out] ** 2)
-            )
-        if kind == "relu":
-            return lambda grads, g: acc(grads, a, g * (values[a] > 0.0))
-        if kind == "sigmoid":
-            def bwd(grads, g):
-                s = values[out]
-                acc(grads, a, g * s * (1.0 - s))
-            return bwd
-        if kind == "exp":
-            return lambda grads, g: acc(grads, a, g * values[out])
-        if kind == "log":
-            return lambda grads, g: acc(grads, a, g / values[a])
-        if kind == "sqrt":
-            return lambda grads, g: acc(
-                grads, a, g * 0.5 / np.maximum(values[out], 1e-300)
-            )
-        if kind == "abs":
-            return lambda grads, g: acc(grads, a, g * np.sign(values[a]))
-        if kind == "clip_min":
-            minimum = meta["minimum"]
-            return lambda grads, g: acc(
-                grads, a, g * (values[a] > minimum)
-            )
-        if kind == "spmm":
-            csr = meta["csr"]
-            return lambda grads, g: acc(grads, a, csr.T @ g)
-        if kind in ("concat", "stack"):
-            axis = meta["axis"]
-            slots = ins
-            slot_requires = [requires[s] for s in slots]
-            if kind == "concat":
-                sizes = [self._slot_shapes[s][axis] for s in slots]
-                offsets = np.cumsum([0] + sizes)
-
-                def bwd(grads, g):
-                    for s, needed, start, stop in zip(
-                        slots, slot_requires, offsets[:-1], offsets[1:]
-                    ):
-                        if needed:
-                            index = [slice(None)] * g.ndim
-                            index[axis] = slice(start, stop)
-                            acc(grads, s, g[tuple(index)])
-                return bwd
-
-            def bwd(grads, g):
-                slabs = np.moveaxis(g, axis, 0)
-                for s, needed, slab in zip(slots, slot_requires, slabs):
-                    if needed:
-                        acc(grads, s, slab)
-            return bwd
-        if kind == "threshold_mask":
-            threshold = meta["threshold"]
-            return lambda grads, g: acc(
-                grads, a, g * (values[a] < threshold)
-            )
-        if kind == "softmax":
-            axis = meta["axis"]
-
-            def bwd(grads, g):
-                soft = values[out]
-                inner = (g * soft).sum(axis=axis, keepdims=True)
-                acc(grads, a, soft * (g - inner))
-            return bwd
-        if kind == "log_softmax":
-            axis = meta["axis"]
-
-            def bwd(grads, g):
-                probs = np.exp(values[out])
-                inner = g.sum(axis=axis, keepdims=True)
-                acc(grads, a, g - probs * inner)
-            return bwd
-        if kind == "gcn_layer":
-            csr, activation = meta["csr"], meta["activation"]
-            scratch = meta.setdefault("scratch", [None])
-            h, w = ins
-
-            def bwd(grads, g):
-                # The three eager adjoints, applied in eager's order on
-                # single-consumer intermediates (see tests/test_tape.py
-                # for the gradcheck + bitwise gates).
-                if activation == "tanh":
-                    g2 = g * (1.0 - values[out] ** 2)
-                else:
-                    g2 = g * (scratch[0] > 0.0)
-                gz = csr.T @ g2
-                if need_a:
-                    acc(grads, h, gz @ values[w].T)
-                if need_b:
-                    acc(grads, w, values[h].T @ gz)
-            return bwd
-        raise AssertionError(f"no backward kernel for op kind {kind!r}")
+        def bwd(grads, g):
+            ins = [values[s] for s in slots]
+            result = values[out]
+            if pullback is not None:
+                g = pullback(g, ins, result, meta)
+            for slot, vjp in needed:
+                acc(grads, slot, vjp(g, ins, result, meta))
+        return bwd
 
     # -- execution ------------------------------------------------------
     def _load_params(self) -> None:

@@ -15,9 +15,11 @@ Design notes
   the graph and accumulates gradients.
 * Broadcasting follows numpy semantics; gradients of broadcast operands are
   reduced back to the operand's shape by :func:`_unbroadcast`.
-* Every op that builds a graph node is declared with
-  :func:`~repro.autograd.dispatch.primitive`, the one seam through which
-  the op profiler and the tape recorder observe it.
+* Every op builds its graph node through :func:`apply`, which runs the
+  kind's entry in the op table (:mod:`repro.autograd.optable`): its
+  forward now, its per-input VJPs at backward time.  ``apply`` is also
+  the one seam through which the op profiler and the tape recorder
+  observe eager ops.
 * Sparse inputs: graph convolutions multiply a *constant* sparse matrix
   (the normalized Laplacian) with a dense parameter-dependent matrix.  The
   sparse side never requires a gradient, so :func:`repro.autograd.ops.spmm`
@@ -26,11 +28,13 @@ Design notes
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .dispatch import primitive
+from .dispatch import observers
+from .optable import OPS, Op
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -69,39 +73,6 @@ def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
     return np.asarray(value, dtype=dtype)
-
-
-def _index_add(full: np.ndarray, index, grad: np.ndarray) -> None:
-    """Accumulate ``grad`` into ``full`` at ``index`` (the getitem adjoint).
-
-    ``np.add.at`` handles every indexing form but is an order of magnitude
-    slower than slice assignment.  Basic indices (ints, slices, tuples of
-    them) and boolean masks select each cell at most once, so
-    ``full[index] += grad`` is exact there; a fancy integer index takes the
-    same fast path only when it is duplicate-free, because repeated
-    positions must *sum* and ``+=`` would keep just the last write.
-    """
-    if isinstance(index, (list, range)):
-        index = np.asarray(index)
-    if isinstance(index, np.ndarray):
-        if index.dtype == bool:
-            full[index] += grad
-            return
-        if index.ndim == 1 and np.unique(index).size == index.size:
-            full[index] += grad
-            return
-        np.add.at(full, index, grad)
-        return
-    if isinstance(index, tuple) and any(
-        isinstance(part, (np.ndarray, list, Tensor)) for part in index
-    ):
-        # Advanced indexing through a tuple can repeat positions; keep
-        # the always-correct scatter.
-        np.add.at(full, index, grad)
-        return
-    # Pure basic indexing (int / slice / tuple of them / Ellipsis /
-    # newaxis): selections are disjoint by construction.
-    full[index] += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -222,7 +193,10 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Create an op result, wiring it into the graph when needed."""
+        """Create an op result, wiring it into the graph when needed.
+
+        The raw node constructor; only :func:`apply` calls it (linted).
+        """
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
@@ -296,154 +270,65 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
-    @primitive("add")
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data + other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-            if other_t.requires_grad:
-                other_t._accumulate(grad)
-
-        return Tensor._make(out_data, (self, other_t), backward)
+        return apply("add", (self, other))
 
     __radd__ = __add__
 
-    @primitive("neg")
     def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+        return apply("neg", (self,))
 
-        return Tensor._make(-self.data, (self,), backward)
-
-    @primitive("sub")
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data - other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-            if other_t.requires_grad:
-                other_t._accumulate(-grad)
-
-        return Tensor._make(out_data, (self, other_t), backward)
+        return apply("sub", (self, other))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__sub__(self)
+        return apply("sub", (other, self))
 
-    @primitive("mul")
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data * other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * other_t.data)
-            if other_t.requires_grad:
-                other_t._accumulate(grad * self.data)
-
-        return Tensor._make(out_data, (self, other_t), backward)
+        return apply("mul", (self, other))
 
     __rmul__ = __mul__
 
-    @primitive("div")
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data / other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / other_t.data)
-            if other_t.requires_grad:
-                other_t._accumulate(-grad * self.data / (other_t.data ** 2))
-
-        return Tensor._make(out_data, (self, other_t), backward)
+        return apply("div", (self, other))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__truediv__(self)
+        return apply("div", (other, self))
 
-    @primitive("pow")
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
+        return apply("pow", (self,), exponent=exponent)
 
     # ------------------------------------------------------------------
     # Matrix ops
     # ------------------------------------------------------------------
-    @primitive("matmul")
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix product ``self @ other`` (2-D operands)."""
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data @ other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad @ other_t.data.T)
-            if other_t.requires_grad:
-                other_t._accumulate(self.data.T @ grad)
-
-        return Tensor._make(out_data, (self, other_t), backward)
+        return apply("matmul", (self, other))
 
     __matmul__ = matmul
 
     def __rmatmul__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).matmul(self)
+        return apply("matmul", (other, self))
 
-    @primitive("transpose")
     def transpose(self) -> "Tensor":
         """2-D transpose."""
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.T)
+        return apply("transpose", (self,))
 
-        return Tensor._make(self.data.T, (self,), backward)
-
-    @primitive("reshape")
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.data.shape
-        out_data = self.data.reshape(shape)
+        return apply("reshape", (self,), shape=shape)
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @primitive("getitem")
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            _index_add(full, index, grad)
-            self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
+        return apply("getitem", (self,), index=index)
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
-    @primitive("sum")
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        in_shape = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, in_shape))
-
-        return Tensor._make(out_data, (self,), backward)
+        return apply("sum", (self,), axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -456,75 +341,66 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise nonlinearities (used by the GCN and baselines)
     # ------------------------------------------------------------------
-    @primitive("tanh")
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
+        return apply("tanh", (self,))
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @primitive("relu")
     def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
+        return apply("relu", (self,))
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (self.data > 0.0))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @primitive("sigmoid")
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
+        return apply("sigmoid", (self,))
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @primitive("exp")
     def exp(self) -> "Tensor":
-        out_data = np.exp(np.clip(self.data, -700.0, 700.0))
+        return apply("exp", (self,))
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @primitive("log")
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
+        return apply("log", (self,))
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @primitive("sqrt")
     def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
+        return apply("sqrt", (self,))
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / np.maximum(out_data, 1e-300))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @primitive("abs")
     def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
+        return apply("abs", (self,))
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.sign(self.data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @primitive("clip_min")
     def clip_min(self, minimum: float) -> "Tensor":
         """Elementwise ``max(x, minimum)``; gradient passes where x > minimum."""
-        out_data = np.maximum(self.data, minimum)
+        return apply("clip_min", (self,), minimum=minimum)
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (self.data > minimum))
 
-        return Tensor._make(out_data, (self,), backward)
+def apply(kind: str, operands: Sequence[ArrayLike], **meta) -> Tensor:
+    """Run the op table's ``kind`` on ``operands``: the one seam of eager ops.
+
+    Wraps raw operands as constant (float64) tensors, computes the
+    forward, builds the graph node (parents in operand order, so eager's
+    topological and gradient-accumulation orders follow the call), and
+    notifies the thread's observers with ``(kind, inputs, meta, out,
+    started, elapsed)``, ``inputs`` being the wrapped operands.
+    """
+    stack = observers()
+    started = time.perf_counter() if stack else 0.0
+    inputs = [
+        value if isinstance(value, Tensor) else Tensor(value)
+        for value in operands
+    ]
+    entry = OPS[kind]
+    ins = [tensor.data for tensor in inputs]
+    data = entry.forward(ins, meta, None)
+    out = Tensor._make(
+        data, inputs,
+        lambda grad: _backprop(entry, inputs, ins, data, meta, grad),
+    )
+    if stack:
+        elapsed = time.perf_counter() - started
+        for observer in stack:
+            observer.op(kind, inputs, meta, out, started, elapsed)
+    return out
+
+
+def _backprop(entry: Op, inputs: Sequence[Tensor], ins: list,
+              out: np.ndarray, meta: dict, grad: np.ndarray) -> None:
+    """A node's backward: each grad-requiring input gets its VJP."""
+    if entry.pullback is not None:
+        grad = entry.pullback(grad, ins, out, meta)
+    for position, tensor in enumerate(inputs):
+        if tensor.requires_grad:
+            tensor._accumulate(entry.vjps[position](grad, ins, out, meta))

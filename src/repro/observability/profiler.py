@@ -8,10 +8,11 @@ methods plus the free functions in :mod:`repro.autograd.ops` (``spmm``,
 ``softmax``, ...) — is observed so that:
 
 * the forward call is timed and tagged with op name, output shape, and
-  estimated FLOPs (``matmul``/``spmm`` get exact FLOP formulas,
-  elementwise ops size-based estimates);
-* the backward closure the op registered is wrapped too, so the reverse
-  pass is attributed to the op that created it;
+  the forward FLOPs its op-table entry (:mod:`repro.autograd.optable`)
+  estimates from static shapes — the same numbers the tape reports for
+  its compiled kernels;
+* the node's backward closure is wrapped too, so the reverse pass is
+  attributed to the op that created it, with the entry's backward FLOPs;
 * when a :class:`~repro.observability.trace.Tracer` is active, each call
   additionally lands in the trace as an ``op.<name>`` event, nested
   under whatever span (epoch, refinement iteration) was open.
@@ -22,9 +23,10 @@ effective GFLOP/s — via :func:`format_op_table`.
 Zero cost when disabled
 -----------------------
 The profiler is an observer of the op-dispatch seam
-(:mod:`repro.autograd.dispatch`): every primitive is declared there once,
-where it is defined, and nothing is patched at runtime.  Outside
-``profiler.enabled()`` no observer is attached and a primitive pays one
+(:mod:`repro.autograd.dispatch`): every eager op builds its node through
+:func:`repro.autograd.tensor.apply`, which notifies the thread's
+observers, and nothing is patched at runtime.  Outside
+``profiler.enabled()`` no observer is attached and an op pays one
 attribute check (the bound is asserted, together with the bounded
 profiled-on overhead, in ``benchmarks/test_profiler_overhead.py``).
 
@@ -43,49 +45,10 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..autograd import dispatch
+from ..autograd.optable import OPS
 from .trace import Tracer, get_tracer
 
 __all__ = ["OpProfiler", "OpStat", "format_op_table"]
-
-
-#: Backward-to-forward FLOP ratio per op.  matmul's reverse pass is two
-#: matmuls (grad @ Bᵀ and Aᵀ @ grad) → 2×; spmm's is one spmm → 1×;
-#: elementwise adjoints cost about their forward; data-movement ops stay
-#: at zero.
-_BACKWARD_FLOP_FACTOR: Dict[str, float] = {"matmul": 2.0}
-
-
-def _size(value: Any) -> int:
-    data = getattr(value, "data", value)
-    return int(getattr(data, "size", 1))
-
-
-def _estimate_flops(op: str, args: tuple, out: Any) -> int:
-    """Forward-pass FLOP estimate for one op call."""
-    try:
-        if op == "matmul":
-            a = getattr(args[0], "data", args[0])
-            if a.ndim == 2:
-                m, k = a.shape
-                n = _size(out) // m if m else 0
-                return 2 * m * k * n
-            return 2 * _size(out)
-        if op == "spmm":
-            sparse = args[0]
-            dense = args[1]
-            cols = getattr(dense, "data", dense).shape[-1]
-            return 2 * int(sparse.nnz) * int(cols)
-        if op in ("transpose", "reshape", "getitem", "concat", "stack"):
-            return 0
-        if op in ("softmax", "log_softmax"):
-            return 4 * _size(out)
-        if op == "sum":
-            return _size(args[0])
-        # Elementwise arithmetic and nonlinearities: one (or a few)
-        # flops per output element — size-based estimate.
-        return _size(out)
-    except (AttributeError, IndexError, TypeError):
-        return 0
 
 
 class OpStat:
@@ -152,14 +115,17 @@ class OpProfiler(dispatch.Observer):
         dispatch.detach(self)
 
     # -- observer notifications -----------------------------------------
-    def op(self, kind: str, args: tuple, kwargs: dict, out: Any,
+    def op(self, kind: str, inputs: tuple, meta: dict, out: Any,
            started: float, elapsed: float) -> None:
-        flops = _estimate_flops(kind, args, out)
-        shape = tuple(getattr(out, "shape", ()))
+        shape = out.shape
+        flops, backward_flops = OPS[kind].flops(
+            [tensor.shape for tensor in inputs], shape, meta
+        )
         self.kernel(kind, "forward", started, elapsed, flops, shape)
-        backward = getattr(out, "_backward", None)
-        if backward is not None:
-            out._backward = self._wrap_backward(kind, backward, flops, shape)
+        if out._backward is not None:
+            out._backward = self._wrap_backward(
+                kind, out._backward, backward_flops, shape
+            )
 
     def kernel(self, kind: str, direction: str, started: float,
                elapsed: float, flops: int, shape: tuple) -> None:
@@ -190,11 +156,10 @@ class OpProfiler(dispatch.Observer):
         self,
         op_name: str,
         backward: Callable,
-        forward_flops: int,
+        flops: int,
         shape: tuple,
     ) -> Callable:
         profiler = self
-        flops = int(forward_flops * _BACKWARD_FLOP_FACTOR.get(op_name, 1.0))
 
         def profiled_backward(grad):
             if not profiler._active:
@@ -219,8 +184,8 @@ class OpProfiler(dispatch.Observer):
             )
 
     def total_time(self, direction: Optional[str] = None) -> float:
-        """Summed time across ops (rows never overlap: primitives do not
-        nest, and tape rows exclude the kernels they surround)."""
+        """Summed time across ops (rows never overlap: ops do not nest,
+        and tape rows exclude the kernels they surround)."""
         with self._lock:
             return sum(
                 stat.total_time

@@ -43,12 +43,13 @@ Autograd encapsulation
 ----------------------
 ``Tensor._make`` is the raw graph-node constructor: it wires parents
 and a backward closure with no validation, and the tape/profiler
-machinery assumes every node is produced by a primitive declared through
-the op-dispatch seam (``@primitive(kind)``, ``repro.autograd.dispatch``).
-A ``._make`` call outside ``repro.autograd`` would create graph nodes the
-tape cannot capture and the profiler cannot attribute, so the lint bans
-it everywhere else under ``src/repro``; inside ``repro.autograd`` every
-function that calls it must be declared ``@primitive``.
+machinery assumes every node is produced by ``apply(kind, inputs,
+**meta)`` (``repro.autograd.tensor``), the one seam that runs an op-table
+entry and notifies the tape recorder and the profiler.  A ``._make``
+call outside ``repro.autograd`` would create graph nodes the tape cannot
+capture and the profiler cannot attribute, so the lint bans it
+everywhere else under ``src/repro``; inside ``repro.autograd`` the only
+function that may call it is ``apply``.
 """
 
 import ast
@@ -226,19 +227,8 @@ def _make_violations(path, label=None):
     return found
 
 
-def _declared_primitive(function):
-    for decorator in getattr(function, "decorator_list", ()):
-        target = (
-            decorator.func if isinstance(decorator, ast.Call) else decorator
-        )
-        name = getattr(target, "attr", getattr(target, "id", None))
-        if name == "primitive":
-            return True
-    return False
-
-
-def _undispatched_violations(path, label=None):
-    """``._make`` calls whose enclosing function is not ``@primitive``."""
+def _make_callers(path, label=None):
+    """``(location, enclosing function name)`` for every ``._make`` call."""
     label = label if label is not None else str(path)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
@@ -247,18 +237,25 @@ def _undispatched_violations(path, label=None):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             function = node
-        elif _is_make_call(node) and not _declared_primitive(function):
+        elif _is_make_call(node):
             name = getattr(function, "name", "<module or lambda>")
-            found.append(
-                f"{label}:{node.lineno}: {name} calls Tensor._make but is "
-                "not declared @primitive(kind) — the profiler and the tape "
-                "recorder cannot see the op"
-            )
+            found.append((f"{label}:{node.lineno}", name))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
     return found
+
+
+def _make_outside_apply_violations(path, label=None):
+    """``._make`` calls whose enclosing function is not ``apply``."""
+    return [
+        f"{location}: {name} calls Tensor._make — graph nodes are built "
+        "only by apply(kind, inputs, **meta), which the profiler and the "
+        "tape recorder observe"
+        for location, name in _make_callers(path, label)
+        if name != "apply"
+    ]
 
 
 def test_source_tree_exists():
@@ -381,43 +378,45 @@ def test_no_make_outside_autograd():
     )
 
 
-def test_every_make_caller_is_a_primitive():
-    violations = []
+def test_only_apply_builds_graph_nodes():
+    violations, callers = [], []
     for path in sorted((SRC_ROOT / "autograd").rglob("*.py")):
-        violations.extend(
-            _undispatched_violations(
-                path, label=str(path.relative_to(SRC_ROOT.parent))
-            )
-        )
+        label = str(path.relative_to(SRC_ROOT.parent))
+        violations.extend(_make_outside_apply_violations(path, label))
+        callers.extend(name for _location, name in _make_callers(path))
     assert not violations, (
         "autograd functions building graph nodes outside the dispatch "
         "seam:\n" + "\n".join(violations)
     )
+    assert callers == ["apply"], "apply must be the node constructor's caller"
 
 
-def test_dispatch_lint_catches_undeclared_primitive(tmp_path):
+def test_dispatch_lint_catches_make_outside_apply(tmp_path):
     sample = tmp_path / "bad.py"
     sample.write_text(
         "from repro.autograd.tensor import Tensor\n"
         "def cube(x):\n"
         "    return Tensor._make(x.data ** 3, (x,), None)\n"
+        "def apply(kind, inputs, **meta):\n"
+        "    def node(data):\n"
+        "        return Tensor._make(data, inputs, None)\n"
+        "    return node(inputs[0].data)\n"
     )
-    assert any("cube calls Tensor._make" in v
-               for v in _undispatched_violations(sample))
+    violations = _make_outside_apply_violations(sample)
+    assert any("cube calls Tensor._make" in v for v in violations)
+    # A helper nested inside apply is a different function.
+    assert any("node calls Tensor._make" in v for v in violations)
 
 
-def test_dispatch_lint_allows_declared_primitive(tmp_path):
+def test_dispatch_lint_allows_make_in_apply(tmp_path):
     sample = tmp_path / "ok.py"
     sample.write_text(
-        "from repro.autograd.dispatch import primitive\n"
         "from repro.autograd.tensor import Tensor\n"
-        "@primitive('cube')\n"
-        "def cube(x):\n"
-        "    def backward(grad):\n"
-        "        x._accumulate(3 * grad * x.data ** 2)\n"
-        "    return Tensor._make(x.data ** 3, (x,), backward)\n"
+        "def apply(kind, inputs, **meta):\n"
+        "    data = inputs[0].data ** 3\n"
+        "    return Tensor._make(data, inputs, lambda grad: None)\n"
     )
-    assert not _undispatched_violations(sample)
+    assert not _make_outside_apply_violations(sample)
 
 
 def test_make_lint_catches_call(tmp_path):
