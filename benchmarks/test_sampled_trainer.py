@@ -9,12 +9,12 @@ modestly lower Success@1 — the trade large-graph users opt into.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core import (
     GAlignTrainer,
-    SampledGAlignTrainer,
     aggregate_alignment,
     layerwise_alignment_matrices,
 )
@@ -50,9 +50,10 @@ def _run():
     dense_s1 = _score(dense_model, config, pair)
 
     started = time.perf_counter()
-    sampled_trainer = SampledGAlignTrainer(
-        config, np.random.default_rng(BASE_SEED), batch_size=128,
-        num_negatives=10,
+    sampled_trainer = GAlignTrainer(
+        replace(config, trainer="sampled", sample_batch_size=128,
+                sample_negatives=10),
+        np.random.default_rng(BASE_SEED),
     )
     sampled_model, _ = sampled_trainer.train(pair)
     sampled_seconds = time.perf_counter() - started

@@ -66,11 +66,12 @@ Optimization passes
 When eager falls back
 ---------------------
 Capture covers one recorder context; anything data-dependent (the sampled
-trainer's per-epoch anchor batches) must stay outside the context and run
-eagerly on top of the replayed outputs (see
-:class:`~repro.core.sampling.SampledGAlignTrainer`).  A tensor produced by
-an op *outside* the capture window cannot join the tape (its history is
-unknown) and raises at capture time.
+Eq 7 term's per-epoch node batches) must stay outside the context and run
+eagerly on top of the replayed outputs — the split
+:class:`~repro.core.training_loop.CompiledLoss` makes between its
+captured and its eager part.  A tensor produced by an op *outside* the
+capture window cannot join the tape (its history is unknown) and raises
+at capture time.
 """
 
 from __future__ import annotations
@@ -256,9 +257,9 @@ class TapeRecorder(dispatch.Observer):
         order_root:
             Tensor whose eager graph fixes the backward execution order
             (it must reach every gradient-receiving output).  Defaults to
-            ``outputs[0]``.  For hybrid static/dynamic training this is
-            the capture epoch's *final* eager loss, so the tape replays
-            its reverse pass in exactly the order eager used.
+            ``outputs[0]``.  :class:`~repro.core.training_loop.CompiledLoss`
+            passes the capture epoch's *final* eager loss, so the tape
+            replays its reverse pass in exactly the order eager used.
         fuse / reuse_buffers:
             Toggle the fusion and buffer-reuse passes (both default on;
             the test matrix exercises all four combinations).

@@ -25,7 +25,7 @@ from .instantiation import (
     mutual_best,
     soft_assignment,
 )
-from .sampling import sampled_consistency_loss, SampledGAlignTrainer
+from .sampling import sampled_consistency_loss
 from .checkpoint import (
     save_model,
     load_model,
@@ -72,7 +72,6 @@ __all__ = [
     "mutual_best",
     "soft_assignment",
     "sampled_consistency_loss",
-    "SampledGAlignTrainer",
     "save_model",
     "load_model",
     "save_training_checkpoint",

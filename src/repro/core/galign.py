@@ -93,27 +93,11 @@ class GAlign(AlignmentMethod):
             self.model = self.pretrained_model
             self.target_model = self.pretrained_model
             self.training_log = None
-        elif config.trainer == "sampled":
-            from .sampling import SampledGAlignTrainer
-
-            if not config.share_weights:
-                raise ValueError(
-                    "the sampled trainer supports shared weights only; "
-                    "use trainer='dense' for the weight-sharing ablation"
-                )
-            trainer = SampledGAlignTrainer(
-                config, rng,
-                batch_size=config.sample_batch_size,
-                num_negatives=config.sample_negatives,
-                fault_injector=self.fault_injector,
+        elif config.trainer == "sampled" and not config.share_weights:
+            raise ValueError(
+                "the sampled trainer supports shared weights only; "
+                "use trainer='dense' for the weight-sharing ablation"
             )
-            self.model, self.training_log = trainer.train(
-                pair,
-                checkpoint_path=self.checkpoint_path,
-                checkpoint_every=self.checkpoint_every,
-                resume_from=self.resume_from,
-            )
-            self.target_model = self.model
         else:
             trainer = GAlignTrainer(
                 config, rng, fault_injector=self.fault_injector

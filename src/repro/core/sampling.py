@@ -11,8 +11,9 @@ negative pairs), giving an O(batch·d) training step.
 With the full pair set the sampled loss equals the squared-Frobenius
 objective restricted to those pairs; in expectation over uniform sampling
 it is proportional to the full loss, so the optimization target is
-unchanged.  ``GAlignConfig`` gains nothing here — large-graph users call
-:class:`SampledGAlignTrainer` in place of the dense trainer.
+unchanged.  ``GAlignConfig(trainer="sampled")`` makes
+:class:`~repro.core.GAlignTrainer` use it, with ``sample_batch_size`` and
+``sample_negatives`` as the batch and negative counts.
 """
 
 from __future__ import annotations
@@ -22,18 +23,9 @@ from typing import List
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Adam, Tensor, TapeRecorder
-from ..graphs import AlignmentPair, propagation_matrix
-from ..observability import MetricsRegistry, get_registry, get_tracer
-from ..resilience import FaultInjector, validate_pair
-from .augment import GraphAugmenter
-from .config import GAlignConfig
-from .losses import adaptivity_loss, combined_loss
-from .model import MultiOrderGCN
-from .trainer import TrainingLog
-from .training_loop import run_resilient_training
+from ..autograd import Tensor
 
-__all__ = ["sampled_consistency_loss", "SampledGAlignTrainer"]
+__all__ = ["sampled_consistency_loss"]
 
 
 def sampled_consistency_loss(
@@ -79,192 +71,3 @@ def sampled_consistency_loss(
         term = (residual * residual).sum()
         total = term if total is None else total + term
     return total
-
-
-class SampledGAlignTrainer:
-    """Alg 1 with the sampled consistency estimator (large-graph mode).
-
-    Drop-in alternative to :class:`~repro.core.GAlignTrainer`: same config,
-    same return shape, O(batch) per step instead of O(n²).
-
-    Parameters
-    ----------
-    batch_size:
-        Nodes sampled per step; all their propagation-neighbours are used
-        as positive pairs.
-    num_negatives:
-        Uniform negative pairs per batch node.
-    """
-
-    def __init__(
-        self,
-        config: GAlignConfig,
-        rng: np.random.Generator,
-        batch_size: int = 256,
-        num_negatives: int = 5,
-        registry: MetricsRegistry | None = None,
-        fault_injector: FaultInjector | None = None,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if num_negatives < 0:
-            raise ValueError(f"num_negatives must be >= 0, got {num_negatives}")
-        self.config = config
-        self.rng = rng
-        #: Metrics sink; ``None`` falls back to the process registry at
-        #: train time (so ``use_registry`` scopes apply).
-        self.registry = registry
-        self.fault_injector = fault_injector
-        self.batch_size = batch_size
-        self.num_negatives = num_negatives
-        self.augmenter = GraphAugmenter(
-            structure_noise=config.augment_structure_noise,
-            attribute_noise=config.augment_attribute_noise,
-            num_views=config.num_augmentations if config.use_augmentation else 0,
-        )
-
-    def train(
-        self,
-        pair: AlignmentPair,
-        *,
-        checkpoint_path: str | None = None,
-        checkpoint_every: int = 1,
-        resume_from: str | None = None,
-    ) -> tuple:
-        """Train a shared-weight model on the pair; returns (model, log).
-
-        Supports the same resilience surface as the dense trainer:
-        rollback recovery on numerical failures, fault injection, and
-        v2 checkpoint save/resume.  The checkpoint captures the RNG
-        state, so a resumed run draws the same node batches and negative
-        pairs an uninterrupted run would.
-        """
-        registry = self.registry if self.registry is not None else get_registry()
-        validate_pair(pair, registry=registry)
-        config = self.config
-        model = MultiOrderGCN(pair.source.num_features, config, self.rng)
-        optimizer = Adam(model.parameters(), lr=config.learning_rate,
-                         weight_decay=config.weight_decay)
-
-        networks = [pair.source, pair.target]
-        propagations = [propagation_matrix(graph) for graph in networks]
-        views = [self.augmenter.augment(graph, self.rng) for graph in networks]
-        view_propagations = [
-            [propagation_matrix(view.graph) for view in graph_views]
-            for graph_views in views
-        ]
-
-        def static_forward() -> list:
-            """The epoch-invariant forwards: GCN embeddings + Eq 9 terms.
-
-            Everything here depends only on the (fixed) graphs, views,
-            and the model weights — never on the per-epoch batch — so
-            it is exactly the part the tape can capture and replay.
-            """
-            results = []
-            for graph, propagation, graph_views, graph_view_props in zip(
-                networks, propagations, views, view_propagations
-            ):
-                embeddings = model.forward(graph, propagation)
-                j_adaptivity = None
-                for view, view_prop in zip(graph_views, graph_view_props):
-                    view_embeddings = model.forward(view.graph, view_prop)
-                    term = adaptivity_loss(
-                        embeddings, view_embeddings, view.correspondence,
-                        threshold=config.adaptivity_threshold,
-                    )
-                    j_adaptivity = (
-                        term if j_adaptivity is None else j_adaptivity + term
-                    )
-                results.append((embeddings, j_adaptivity))
-            return results
-
-        def dynamic_losses(static: list) -> tuple:
-            """Per-epoch batch sampling + Eq 7 estimator (always eager)."""
-            total = None
-            consistency_value = 0.0
-            adaptivity_value = 0.0
-            for graph, propagation, (embeddings, j_adaptivity) in zip(
-                networks, propagations, static
-            ):
-                batch = self.rng.choice(
-                    graph.num_nodes,
-                    size=min(self.batch_size, graph.num_nodes),
-                    replace=False,
-                )
-                registry.observe("trainer.batch_nodes", len(batch))
-                j_consistency = sampled_consistency_loss(
-                    propagation, embeddings, batch, self.num_negatives,
-                    self.rng,
-                )
-                consistency_value += float(j_consistency.data)
-                if j_adaptivity is not None:
-                    adaptivity_value += float(j_adaptivity.data)
-                loss = combined_loss(j_consistency, j_adaptivity, config.gamma)
-                total = loss if total is None else total + loss
-            return total, consistency_value, adaptivity_value
-
-        def compute_losses(_epoch: int) -> tuple:
-            with registry.timed("trainer.forward_time"):
-                return dynamic_losses(static_forward())
-
-        if config.compile:
-            # Hybrid compiled mode: the batch draw is data-dependent, so
-            # the tape captures only the static forwards; each epoch the
-            # sampled estimator is built eagerly on the replayed
-            # embedding/adaptivity tensors, and their gradients flow
-            # back through the tape's reverse pass.  Unlike the dense
-            # trainer this interleaves static and dynamic gradient
-            # accumulation, so float64 agreement with eager is to
-            # tolerance, not bitwise.
-            state = {"tape": None, "h0": None}
-
-            def compute_losses(_epoch: int) -> tuple:  # noqa: F811
-                with registry.timed("trainer.forward_time"):
-                    if state["tape"] is None:
-                        recorder = TapeRecorder()
-                        with get_tracer().span("tape.capture"):
-                            with recorder:
-                                static = static_forward()
-                        outputs = []
-                        for embeddings, j_adaptivity in static:
-                            outputs.extend(embeddings[1:])
-                            if j_adaptivity is not None:
-                                outputs.append(j_adaptivity)
-                        result = dynamic_losses(static)
-                        # The capture epoch's eager total fixes the
-                        # backward accumulation order for every replay.
-                        state["tape"] = recorder.finalize(
-                            outputs,
-                            order_root=result[0],
-                            dtype=config.compile_dtype,
-                        )
-                        state["h0"] = [emb[0] for emb, _ in static]
-                        return result
-                    outs, _watched = state["tape"].replay()
-                    static = []
-                    cursor = 0
-                    for h0, graph_views in zip(state["h0"], views):
-                        layers = outs[cursor:cursor + config.num_layers]
-                        cursor += config.num_layers
-                        j_adaptivity = None
-                        if graph_views:
-                            j_adaptivity = outs[cursor]
-                            cursor += 1
-                        static.append(([h0] + layers, j_adaptivity))
-                    return dynamic_losses(static)
-
-        log = run_resilient_training(
-            model=model,
-            optimizer=optimizer,
-            config=config,
-            registry=registry,
-            log=TrainingLog(registry=registry),
-            compute_losses=compute_losses,
-            rng=self.rng,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            resume_from=resume_from,
-            fault_injector=self.fault_injector,
-        )
-        return model, log

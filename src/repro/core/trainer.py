@@ -3,7 +3,9 @@
 One shared-weight GCN embeds the source network, the target network, and
 their augmented copies; the loss combines consistency (Eq 7, on source and
 target) with adaptivity (Eq 9, between each network and its own perturbed
-views), and Adam updates the shared weights.
+views), and Adam updates the shared weights.  ``config.trainer`` picks the
+Eq 7 term: the exact loss (``"dense"``) or the pair-sampled estimator of
+:mod:`repro.core.sampling` (``"sampled"``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..autograd import Adam, tape_watch
+from ..autograd import Adam
 from ..graphs import AlignmentPair, AttributedGraph, propagation_matrix
 from ..observability import MetricsRegistry, get_registry
 from ..resilience import FaultInjector, validate_graph, validate_pair
@@ -21,6 +23,7 @@ from .augment import AugmentedView, GraphAugmenter
 from .config import GAlignConfig
 from .losses import adaptivity_loss, combined_loss, consistency_loss
 from .model import MultiOrderGCN
+from .sampling import sampled_consistency_loss
 from .training_loop import CompiledLoss, run_resilient_training
 
 __all__ = ["GAlignTrainer", "TrainingLog"]
@@ -68,6 +71,13 @@ class TrainingLog:
 
 class GAlignTrainer:
     """Train a weight-shared multi-order GCN on an alignment pair (Alg 1).
+
+    With ``config.trainer == "sampled"`` each epoch draws
+    ``config.sample_batch_size`` nodes per network and scores Eq 7 on
+    their propagation neighbours plus ``config.sample_negatives``
+    uniform pairs each: O(batch) per step instead of O(n²).  With
+    ``config.compile`` the loss runs through
+    :class:`~repro.core.training_loop.CompiledLoss`.
 
     Training is resilient by default: NaN/Inf losses or gradients and
     loss-spike divergence roll the run back to the last healthy snapshot
@@ -179,56 +189,81 @@ class GAlignTrainer:
             for graph_views in views
         ]
 
-        def compute_losses(_epoch: int) -> tuple:
+        dense = config.trainer == "dense"
+
+        def forward() -> list:
+            """Per network: its embeddings and Eq 9 over its views."""
+            static = []
+            for graph, propagation, graph_views, graph_view_props in zip(
+                networks, propagations, views, view_propagations
+            ):
+                embeddings = model.forward(graph, propagation)
+                j_adaptivity = None
+                for view, view_prop in zip(graph_views, graph_view_props):
+                    term = adaptivity_loss(
+                        embeddings,
+                        model.forward(view.graph, view_prop),
+                        view.correspondence,
+                        threshold=config.adaptivity_threshold,
+                    )
+                    j_adaptivity = (
+                        term if j_adaptivity is None else j_adaptivity + term
+                    )
+                static.append((embeddings, j_adaptivity))
+            return static
+
+        def combine(static: list) -> tuple:
+            """Eq 7 per network (exact or sampled), then Eq 10 over all.
+
+            Returns the total and each network's ``(J_c, J_a)`` pair.
+            """
             total = None
+            terms = []
+            for graph, propagation, (embeddings, j_adaptivity) in zip(
+                networks, propagations, static
+            ):
+                if dense:
+                    j_consistency = consistency_loss(propagation, embeddings)
+                else:
+                    batch = self.rng.choice(
+                        graph.num_nodes,
+                        size=min(config.sample_batch_size, graph.num_nodes),
+                        replace=False,
+                    )
+                    registry.observe("trainer.batch_nodes", len(batch))
+                    j_consistency = sampled_consistency_loss(
+                        propagation, embeddings, batch,
+                        config.sample_negatives, self.rng,
+                    )
+                loss = combined_loss(j_consistency, j_adaptivity, config.gamma)
+                total = loss if total is None else total + loss
+                terms.append((j_consistency, j_adaptivity))
+            return total, terms
+
+        def report(losses: tuple) -> tuple:
+            """``(total, consistency, adaptivity)``, the terms as floats."""
+            total, terms = losses
             consistency_value = 0.0
             adaptivity_value = 0.0
-            with registry.timed("trainer.forward_time"):
-                for graph, propagation, graph_views, graph_view_props in zip(
-                    networks, propagations, views, view_propagations
-                ):
-                    embeddings = model.forward(graph, propagation)
-                    j_consistency = consistency_loss(propagation, embeddings)
-                    consistency_value += float(j_consistency.data)
-                    tape_watch(j_consistency, "consistency")
-
-                    j_adaptivity = None
-                    if graph_views:
-                        for view, view_prop in zip(
-                            graph_views, graph_view_props
-                        ):
-                            view_embeddings = model.forward(
-                                view.graph, view_prop
-                            )
-                            term = adaptivity_loss(
-                                embeddings,
-                                view_embeddings,
-                                view.correspondence,
-                                threshold=config.adaptivity_threshold,
-                            )
-                            j_adaptivity = (
-                                term
-                                if j_adaptivity is None
-                                else j_adaptivity + term
-                            )
-                        adaptivity_value += float(j_adaptivity.data)
-                        tape_watch(j_adaptivity, "adaptivity")
-
-                    loss = combined_loss(
-                        j_consistency, j_adaptivity, config.gamma
-                    )
-                    total = loss if total is None else total + loss
+            for j_consistency, j_adaptivity in terms:
+                consistency_value += float(j_consistency.data)
+                if j_adaptivity is not None:
+                    adaptivity_value += float(j_adaptivity.data)
             return total, consistency_value, adaptivity_value
 
-        loss_fn = compute_losses
+        # The dense loss is static (fixed propagations and views), so the
+        # tape captures all of it; the sampled Eq 7 term depends on each
+        # epoch's batch draw, so the tape captures only the forward + Eq 9
+        # and the rest runs eagerly on the replayed tensors.
+        if dense:
+            capture, finish = (lambda: combine(forward())), report
+        else:
+            capture, finish = forward, (lambda static: report(combine(static)))
         if config.compile:
-            # The dense loss is fully static (fixed propagations, fixed
-            # views): capture epoch 0, replay the tape thereafter.
-            loss_fn = CompiledLoss(
-                compute_losses,
-                dtype=config.compile_dtype,
-                registry=registry,
-            )
+            loss_fn = CompiledLoss(capture, finish, dtype=config.compile_dtype)
+        else:
+            def loss_fn(_epoch: int) -> tuple:
+                return finish(capture())
 
         return run_resilient_training(
             model=model,

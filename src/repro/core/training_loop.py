@@ -1,12 +1,11 @@
-"""Shared resilient epoch loop for the dense and sampled trainers.
+"""The resilient epoch loop and the tape capture wrapper of Alg 1.
 
-Both :class:`~repro.core.trainer.GAlignTrainer` and
-:class:`~repro.core.sampling.SampledGAlignTrainer` run the same outer
-loop: zero grads, compute the Alg 1 loss, backward, clip, step, log.
-They differ only in *how* the loss is computed, so that part arrives
-here as a ``compute_losses(epoch)`` callable and everything around it —
+:class:`~repro.core.trainer.GAlignTrainer` hands its loss to
+:func:`run_resilient_training` as a ``compute_losses(epoch)`` callable;
+everything around it — zero grads, backward, clip, step, log,
 numerical-health guards, rollback recovery, fault-injection hooks, and
-v2 checkpoint save/resume — lives in one place.
+v2 checkpoint save/resume — lives here.  With ``config.compile`` the
+callable is a :class:`CompiledLoss`.
 
 Resume semantics (the property the kill/resume tests pin down): a
 trainer first replays its deterministic prefix (model init, augmented
@@ -18,8 +17,8 @@ the same floating-point steps as an uninterrupted one.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Callable, Optional, Tuple
+import itertools
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,57 +35,70 @@ __all__ = ["run_resilient_training", "CompiledLoss"]
 LossFn = Callable[[int], Tuple[Tensor, float, float]]
 
 
+def _leaves(tree: Any) -> List[Tensor]:
+    """The tensors of a nested list/tuple, depth first, ``None`` skipped."""
+    if isinstance(tree, (list, tuple)):
+        return [leaf for item in tree for leaf in _leaves(item)]
+    return [] if tree is None else [tree]
+
+
+def _refill(tree: Any, leaves: Iterator) -> Any:
+    """``tree`` with each non-``None`` leaf replaced by ``next(leaves)``."""
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_refill(item, leaves) for item in tree)
+    return None if tree is None else next(leaves)
+
+
 class CompiledLoss:
-    """Capture-once / replay-thereafter wrapper for a static ``LossFn``.
+    """Capture-once / replay-thereafter wrapper for Alg 1's loss.
 
-    The first call runs the wrapped eager loss under a
-    :class:`~repro.autograd.TapeRecorder` and returns the eager result,
-    so the capture epoch is identical to uncompiled training; every
-    later call replays the finalized tape (fused kernels, reused
-    buffers, no graph rebuild) against the parameters' live values —
-    which also makes it transparent to rollback recovery and
-    checkpoint resume, both of which only touch parameter data.
+    The loss arrives in two parts: ``capture()`` builds the static part —
+    it depends only on the fixed graphs and views and on the weights —
+    and returns it as a nested list/tuple of tensors (``None`` leaves
+    allowed); ``finish(static)`` runs eagerly on that structure and
+    returns ``(total, consistency, adaptivity)``.
 
-    The eager closure must register the diagnostics it folds into its
-    float returns with :func:`repro.autograd.tape_watch` under the
-    labels ``"consistency"`` and ``"adaptivity"``; the replay path
-    reads them back from the tape.  Only fully static losses qualify —
-    anything data-dependent (the sampled trainer's per-epoch batches)
-    needs the hybrid split in :mod:`repro.core.sampling` instead.
+    The first call runs ``capture`` under a
+    :class:`~repro.autograd.TapeRecorder`, then ``finish`` on its eager
+    result, so the capture epoch is identical to uncompiled training; the
+    tape's backward order is fixed by that epoch's eager total.  Every
+    later call replays the tape (fused kernels, reused buffers, no graph
+    rebuild) against the parameters' live values and hands the replayed
+    tensors, in the same structure, to ``finish``; gradients of the
+    ops ``finish`` adds flow back through the tape's reverse pass.
+    Replay reads only parameter data, so it is transparent to rollback
+    recovery and checkpoint resume.
     """
 
     def __init__(
         self,
-        eager: LossFn,
+        capture: Callable[[], Any],
+        finish: Callable[[Any], Tuple[Tensor, float, float]],
         dtype: str = "float32",
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._eager = eager
+        self._capture = capture
+        self._finish = finish
         self._dtype = dtype
-        self._registry = registry
         #: The compiled tape, available after the first call.
         self.tape = None
+        self._layout = None
 
     def __call__(self, epoch: int) -> Tuple[Tensor, float, float]:
         if self.tape is None:
             recorder = TapeRecorder()
             with get_tracer().span("tape.capture"):
                 with recorder:
-                    total, consistency, adaptivity = self._eager(epoch)
-            self.tape = recorder.finalize([total], dtype=self._dtype)
-            return total, consistency, adaptivity
-        timed = (
-            self._registry.timed("trainer.forward_time")
-            if self._registry is not None
-            else nullcontext()
-        )
-        with timed:
-            (total,), watched = self.tape.replay()
-        return (
-            total,
-            watched.get("consistency", 0.0),
-            watched.get("adaptivity", 0.0),
-        )
+                    static = self._capture()
+            result = self._finish(static)
+            self.tape = recorder.finalize(
+                _leaves(static), order_root=result[0], dtype=self._dtype
+            )
+            # Keep only the structure, so the capture epoch's tensors
+            # (and the graph behind them) can be freed.
+            self._layout = _refill(static, itertools.repeat(True))
+            return result
+        outputs, _watched = self.tape.replay()
+        return self._finish(_refill(self._layout, iter(outputs)))
 
 
 def _resume(
@@ -187,7 +199,9 @@ def run_resilient_training(
             if fault_injector is not None:
                 fault_injector.at_step(epoch)
             optimizer.zero_grad()
-            with tracer.span("trainer.forward"):
+            with tracer.span("trainer.forward"), registry.timed(
+                "trainer.forward_time"
+            ):
                 total, consistency_value, adaptivity_value = compute_losses(
                     epoch
                 )

@@ -773,7 +773,6 @@ def load_artifact(
     path: str,
     mmap: bool = True,
     check_finite: bool = True,
-    check_hashes: bool = False,
     verify: Optional[str] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> AlignmentArtifact:
@@ -787,19 +786,18 @@ def load_artifact(
 
     * ``"eager"`` — hash every file chunk against the manifest before
       returning; corruption raises here, naming file and byte range.
-    * ``"lazy"`` (default) — start an :class:`ArtifactVerifier` thread;
-      the returned artifact's ``verifier`` poisons queries once damage
-      is found.  Steady-state query cost is one attribute read.
+    * ``"lazy"`` (the default, also when ``None``) — start an
+      :class:`ArtifactVerifier` thread; the returned artifact's
+      ``verifier`` poisons queries once damage is found.  Steady-state
+      query cost is one attribute read.
     * ``"off"`` — trust the bytes.
 
-    ``check_hashes=True`` is the back-compat spelling of
-    ``verify="eager"``.  Every failure raises
-    :class:`~repro.resilience.ArtifactValidationError` naming the path
-    and field.
+    Every failure raises :class:`~repro.resilience.ArtifactValidationError`
+    naming the path and field.
     """
     registry = registry if registry is not None else get_registry()
     if verify is None:
-        verify = "eager" if check_hashes else "lazy"
+        verify = "lazy"
     if verify not in ("eager", "lazy", "off"):
         raise ValueError(
             f"verify must be 'eager', 'lazy', or 'off', got {verify!r}"

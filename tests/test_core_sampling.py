@@ -1,12 +1,14 @@
 """Tests for the sampled consistency loss and large-graph trainer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import (
     GAlign,
     GAlignConfig,
-    SampledGAlignTrainer,
+    GAlignTrainer,
     aggregate_alignment,
     layerwise_alignment_matrices,
     sampled_consistency_loss,
@@ -76,9 +78,10 @@ class TestSampledConsistencyLoss:
 
 class TestSampledTrainer:
     def test_loss_decreases(self, pair):
-        trainer = SampledGAlignTrainer(fast_config(),
-                                       np.random.default_rng(0),
-                                       batch_size=32)
+        trainer = GAlignTrainer(
+            replace(fast_config(), trainer="sampled", sample_batch_size=32),
+            np.random.default_rng(0),
+        )
         _, log = trainer.train(pair)
         assert log.total[-1] < log.total[0]
 
@@ -87,8 +90,11 @@ class TestSampledTrainer:
         dense_scores = GAlign(config).align(pair).scores
         dense_s1 = success_at(dense_scores, pair.groundtruth, 1)
 
-        trainer = SampledGAlignTrainer(config, np.random.default_rng(0),
-                                       batch_size=64, num_negatives=10)
+        trainer = GAlignTrainer(
+            replace(config, trainer="sampled", sample_batch_size=64,
+                    sample_negatives=10),
+            np.random.default_rng(0),
+        )
         model, _ = trainer.train(pair)
         matrices = layerwise_alignment_matrices(
             model.embed(pair.source), model.embed(pair.target)
@@ -100,12 +106,10 @@ class TestSampledTrainer:
         assert sampled_s1 >= dense_s1 - 0.35  # same ballpark, cheaper step
 
     def test_validates_params(self, pair):
-        with pytest.raises(ValueError):
-            SampledGAlignTrainer(fast_config(), np.random.default_rng(0),
-                                 batch_size=0)
-        with pytest.raises(ValueError):
-            SampledGAlignTrainer(fast_config(), np.random.default_rng(0),
-                                 num_negatives=-1)
+        with pytest.raises(ValueError, match="sample_batch_size"):
+            fast_config(trainer="sampled", sample_batch_size=0)
+        with pytest.raises(ValueError, match="sample_negatives"):
+            fast_config(trainer="sampled", sample_negatives=-1)
 
     def test_rejects_mismatched_features(self, rng):
         from repro.graphs import AlignmentPair
@@ -113,6 +117,7 @@ class TestSampledTrainer:
         g1 = generators.erdos_renyi(15, 0.3, rng, feature_dim=3)
         g2 = generators.erdos_renyi(15, 0.3, rng, feature_dim=4)
         bad_pair = AlignmentPair(g1, g2, {0: 0})
-        trainer = SampledGAlignTrainer(fast_config(), rng)
+        trainer = GAlignTrainer(replace(fast_config(), trainer="sampled"),
+                                rng)
         with pytest.raises(ValueError):
             trainer.train(bad_pair)

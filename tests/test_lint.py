@@ -50,6 +50,16 @@ call outside ``repro.autograd`` would create graph nodes the tape cannot
 capture and the profiler cannot attribute, so the lint bans it
 everywhere else under ``src/repro``; inside ``repro.autograd`` the only
 function that may call it is ``apply``.
+
+Training hygiene
+----------------
+The Alg 1 loss terms — ``consistency_loss``, ``adaptivity_loss``,
+``combined_loss`` and ``sampled_consistency_loss`` — are called only from
+``core/trainer.py``, which holds the one forward that builds the loss
+for both the dense and the sampled Eq 7 estimator.  A second caller
+would be a second forward that can drift from the first, and would sit
+outside the ``core/trainer.py`` module globals that the training
+benchmark's layer timers patch.
 """
 
 import ast
@@ -258,6 +268,34 @@ def _make_outside_apply_violations(path, label=None):
     ]
 
 
+_LOSS_TERMS = {
+    "consistency_loss",
+    "adaptivity_loss",
+    "combined_loss",
+    "sampled_consistency_loss",
+}
+
+
+def _loss_term_violations(path, label=None):
+    """Calls to an Alg 1 loss term, by bare name or as an attribute."""
+    label = label if label is not None else str(path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None
+        )
+        if name in _LOSS_TERMS:
+            found.append(
+                f"{label}:{node.lineno}: {name}() outside core/trainer.py "
+                "— the Alg 1 loss is built by GAlignTrainer's one forward"
+            )
+    return found
+
+
 def test_source_tree_exists():
     assert SRC_ROOT.is_dir(), f"expected library sources at {SRC_ROOT}"
     assert list(SRC_ROOT.rglob("*.py")), "no python modules found to lint"
@@ -442,6 +480,51 @@ def test_make_lint_allows_public_ops(tmp_path):
         "make = object()  # a bare name called 'make' is fine\n"
     )
     assert not _make_violations(sample)
+
+
+def test_loss_terms_called_only_from_trainer():
+    trainer = SRC_ROOT / "core" / "trainer.py"
+    violations = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        if path == trainer:
+            continue
+        violations.extend(
+            _loss_term_violations(
+                path, label=str(path.relative_to(SRC_ROOT.parent))
+            )
+        )
+    assert not violations, (
+        "Alg 1 loss terms called outside core/trainer.py:\n"
+        + "\n".join(violations)
+    )
+    assert _loss_term_violations(trainer), (
+        "core/trainer.py no longer calls the loss terms; update the lint"
+    )
+
+
+def test_loss_term_lint_catches_calls(tmp_path):
+    sample = tmp_path / "bad.py"
+    sample.write_text(
+        "from repro.core import losses\n"
+        "from repro.core.sampling import sampled_consistency_loss\n"
+        "a = losses.consistency_loss(c, h)\n"
+        "b = sampled_consistency_loss(c, h, batch, 5, rng)\n"
+    )
+    violations = _loss_term_violations(sample)
+    assert len(violations) == 2
+    assert any("consistency_loss()" in v for v in violations)
+    assert any("sampled_consistency_loss()" in v for v in violations)
+
+
+def test_loss_term_lint_allows_definitions_and_imports(tmp_path):
+    sample = tmp_path / "ok.py"
+    sample.write_text(
+        "from repro.core.losses import combined_loss\n"
+        "def adaptivity_loss(a, b):\n"
+        "    return a\n"
+        "terms = [combined_loss]\n"
+    )
+    assert not _loss_term_violations(sample)
 
 
 def test_print_lint_catches_call(tmp_path):

@@ -2,6 +2,7 @@
 and the instrumentation threaded through trainer/refiner/streaming/runner."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from repro.core import (
     GAlign,
     GAlignConfig,
     GAlignTrainer,
-    SampledGAlignTrainer,
     StreamingAligner,
 )
 from repro.eval import ExperimentRunner, MethodSpec, format_metrics_table
@@ -413,8 +413,10 @@ class TestInstrumentedComponents:
     def test_sampled_trainer_records_metrics(self, tiny_pair):
         registry = MetricsRegistry()
         config = tiny_config()
-        trainer = SampledGAlignTrainer(config, np.random.default_rng(0),
-                                       batch_size=8, registry=registry)
+        trainer = GAlignTrainer(
+            replace(config, trainer="sampled", sample_batch_size=8),
+            np.random.default_rng(0), registry=registry,
+        )
         trainer.train(tiny_pair)
         assert registry.counter("trainer.epochs").value == config.epochs
         assert registry.gauge("trainer.batch_nodes").last == 8

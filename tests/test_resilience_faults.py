@@ -9,13 +9,14 @@ tier-1.  Covers the acceptance properties of the resilience subsystem:
   the same final weights (within 1e-12) as an uninterrupted run.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import (
     GAlignConfig,
     GAlignTrainer,
-    SampledGAlignTrainer,
     load_model,
     load_training_checkpoint,
 )
@@ -118,8 +119,9 @@ class TestNanGradientRecovery:
         registry = MetricsRegistry()
         injector = FaultInjector([Fault("nan_gradient", 3)],
                                  registry=registry)
-        trainer = SampledGAlignTrainer(
-            _config(), np.random.default_rng(7), batch_size=8,
+        trainer = GAlignTrainer(
+            replace(_config(), trainer="sampled", sample_batch_size=8),
+            np.random.default_rng(7),
             registry=registry, fault_injector=injector,
         )
         _, log = trainer.train(pair)
@@ -141,14 +143,24 @@ class TestNanGradientRecovery:
 
 
 class TestKillResumeDeterminism:
-    @pytest.mark.parametrize("mode", ["dense", "sampled"])
-    def test_resumed_run_matches_uninterrupted(self, pair, tmp_path, mode):
-        config = _config()
+    @pytest.mark.parametrize(
+        "mode, compiled",
+        [("dense", False), ("dense", True),
+         ("sampled", False), ("sampled", True)],
+        ids=["dense-eager", "dense-compiled", "sampled-eager",
+             "sampled-compiled"],
+    )
+    def test_resumed_run_matches_uninterrupted(self, pair, tmp_path, mode,
+                                               compiled):
+        # float64 only: a float32 capture epoch runs eagerly, so a resumed
+        # run legitimately differs from an uninterrupted one there.
+        config = _config(compile=compiled, compile_dtype="float64")
 
         def make_trainer(fault_injector=None):
             if mode == "sampled":
-                return SampledGAlignTrainer(
-                    config, np.random.default_rng(11), batch_size=8,
+                return GAlignTrainer(
+                    replace(config, trainer="sampled", sample_batch_size=8),
+                    np.random.default_rng(11),
                     fault_injector=fault_injector,
                 )
             return GAlignTrainer(config, np.random.default_rng(11),

@@ -1,5 +1,7 @@
 """Malformed inputs fail loudly with GraphValidationError, end to end."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.core import (
     AlignmentRefiner,
     GAlignConfig,
     GAlignTrainer,
-    SampledGAlignTrainer,
     StreamingAligner,
 )
 from repro.graphs import AlignmentPair, AttributedGraph, generators
@@ -107,8 +108,9 @@ class TestTrainerEntryPoints:
             trainer.train(nan_pair)
 
     def test_sampled_trainer_rejects_nan_features(self, nan_pair):
-        trainer = SampledGAlignTrainer(
-            self.CONFIG, np.random.default_rng(0), batch_size=4
+        trainer = GAlignTrainer(
+            replace(self.CONFIG, trainer="sampled", sample_batch_size=4),
+            np.random.default_rng(0),
         )
         with pytest.raises(GraphValidationError, match="non-finite"):
             trainer.train(nan_pair)

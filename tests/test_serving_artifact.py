@@ -205,13 +205,13 @@ class TestLoadValidation:
         path, source, *_ = exported
         np.save(os.path.join(path, "source_layer_0.npy"),
                 source[0] + 1.0)
-        load_artifact(path, check_hashes=False)
+        load_artifact(path)
         with pytest.raises(ArtifactValidationError, match="content hash"):
-            load_artifact(path, check_hashes=True)
+            load_artifact(path, verify="eager")
 
     def test_hash_check_passes_untouched(self, exported):
         path, *_ = exported
-        load_artifact(path, check_hashes=True)
+        load_artifact(path, verify="eager")
 
     def test_error_is_a_value_error(self, tmp_path):
         # status_for_error and generic callers rely on the subclassing.

@@ -8,6 +8,8 @@ trainer/profiler/tracer integrations see compiled execution exactly
 where they saw eager execution.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,7 +26,6 @@ from repro.autograd import (
     tape_watch,
 )
 from repro.core import GAlignConfig
-from repro.core.sampling import SampledGAlignTrainer
 from repro.core.trainer import GAlignTrainer
 from repro.graphs import generators, noisy_copy_pair
 from repro.observability import OpProfiler, Tracer, format_op_table, use_tracer
@@ -385,15 +386,16 @@ class TestTrainerIntegration:
     def test_sampled_compiled_matches_eager(self):
         pair = profile_pair()
         config = galign_config(trainer="sampled")
-        _, eager_log = SampledGAlignTrainer(
-            config, np.random.default_rng(0), batch_size=12, num_negatives=3
+        _, eager_log = GAlignTrainer(
+            replace(config, sample_batch_size=12, sample_negatives=3),
+            np.random.default_rng(0),
         ).train(pair)
         compiled = galign_config(
             trainer="sampled", compile=True, compile_dtype="float64"
         )
-        _, compiled_log = SampledGAlignTrainer(
-            compiled, np.random.default_rng(0), batch_size=12,
-            num_negatives=3,
+        _, compiled_log = GAlignTrainer(
+            replace(compiled, sample_batch_size=12, sample_negatives=3),
+            np.random.default_rng(0),
         ).train(pair)
         # Hybrid static/dynamic accumulation: tolerance, not bitwise.
         np.testing.assert_allclose(
