@@ -11,10 +11,14 @@ over disconnected fragments is ill-posed for structure-only methods.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .graph import AttributedGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "erdos_renyi",
@@ -30,6 +34,8 @@ __all__ = [
 
 
 def _largest_component(graph: nx.Graph) -> nx.Graph:
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return graph
     component = max(nx.connected_components(graph), key=len)
@@ -42,6 +48,8 @@ def _finalize(
     rng: np.random.Generator,
     feature_kind: str,
 ) -> AttributedGraph:
+    import networkx as nx
+
     graph = _largest_component(graph)
     graph = nx.convert_node_labels_to_integers(graph)
     attributed = AttributedGraph.from_networkx(graph)
@@ -67,6 +75,8 @@ def erdos_renyi(
     feature_kind: str = "onehot",
 ) -> AttributedGraph:
     """Erdős–Rényi G(n, p) with attributes."""
+    import networkx as nx
+
     seed = int(rng.integers(0, 2**31 - 1))
     return _finalize(nx.gnp_random_graph(n, p, seed=seed), feature_dim, rng, feature_kind)
 
@@ -83,6 +93,8 @@ def barabasi_albert(
     Social networks such as Douban/Flickr have heavy-tailed degree
     distributions; BA is the standard stand-in.
     """
+    import networkx as nx
+
     seed = int(rng.integers(0, 2**31 - 1))
     return _finalize(nx.barabasi_albert_graph(n, m, seed=seed), feature_dim, rng, feature_kind)
 
@@ -96,6 +108,8 @@ def watts_strogatz(
     feature_kind: str = "onehot",
 ) -> AttributedGraph:
     """Watts–Strogatz small world (high clustering, used for brain-like nets)."""
+    import networkx as nx
+
     seed = int(rng.integers(0, 2**31 - 1))
     return _finalize(
         nx.connected_watts_strogatz_graph(n, k, p, seed=seed),
@@ -114,6 +128,8 @@ def stochastic_block_model(
     feature_kind: str = "onehot",
 ) -> AttributedGraph:
     """SBM with uniform intra/inter-block probabilities (community structure)."""
+    import networkx as nx
+
     blocks = len(sizes)
     probabilities = np.full((blocks, blocks), p_out)
     np.fill_diagonal(probabilities, p_in)
@@ -131,6 +147,8 @@ def powerlaw_cluster(
     feature_kind: str = "onehot",
 ) -> AttributedGraph:
     """Holme–Kim power-law graph with tunable clustering (econ/email-like)."""
+    import networkx as nx
+
     seed = int(rng.integers(0, 2**31 - 1))
     return _finalize(
         nx.powerlaw_cluster_graph(n, m, p, seed=seed), feature_dim, rng, feature_kind

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["top1_matching", "greedy_bipartite_matching", "hungarian_matching"]
 
@@ -74,6 +73,8 @@ def greedy_bipartite_matching(scores: np.ndarray) -> Dict[int, int]:
 
 def hungarian_matching(scores: np.ndarray) -> Dict[int, int]:
     """Optimal injective matching maximizing the total score (scipy LAP)."""
+    from scipy.optimize import linear_sum_assignment
+
     scores = _validate_scores(scores, "hungarian_matching")
     rows, cols = linear_sum_assignment(-scores)
     return {int(r): int(c) for r, c in zip(rows, cols)}

@@ -75,14 +75,19 @@ gone.
 The server is a ``ThreadingHTTPServer`` (one handler thread per
 connection — exactly the concurrent-caller shape the engine's
 microbatcher coalesces) wrapped in :class:`AlignmentServer` for
-graceful startup/shutdown and context-manager use.  A client that
-disconnects before reading its response is counted under
+graceful startup/shutdown and context-manager use.  Every response
+leaves in one send: status line, headers and body go into the
+handler's buffered ``wfile`` and are flushed once.  Every connection
+sets ``TCP_NODELAY``, so a response larger than the buffer is not held
+back by Nagle's algorithm until the client's delayed ACK either.  A
+client that disconnects before reading its response is counted under
 ``serving.http.client_disconnects`` and never crashes the handler
 thread or pollutes ``serving.http.errors``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import threading
@@ -201,6 +206,12 @@ def _payload_degraded(payload: Any) -> bool:
 class _ServingHandler(BaseHTTPRequestHandler):
     server_version = "repro-serving/1"
     protocol_version = "HTTP/1.1"
+    # Both are stdlib knobs.  TCP_NODELAY on every accepted connection,
+    # so no response waits on Nagle's algorithm for the client's delayed
+    # ACK; and a buffered wfile, so a response's status line, headers
+    # and body leave in one send when they fit the buffer.
+    disable_nagle_algorithm = True
+    wbufsize = 64 * 1024
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -229,6 +240,14 @@ class _ServingHandler(BaseHTTPRequestHandler):
                 else None,
             )
 
+    def handle_expect_100(self) -> bool:
+        # The stdlib writes the interim 100 into the buffered wfile; it
+        # must leave now, or an ``Expect: 100-continue`` caller (curl,
+        # for a large POST body) waits its own timeout before sending.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
+
     def _send(
         self,
         status: int,
@@ -250,12 +269,21 @@ class _ServingHandler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             # The client hung up before reading its response.  That is
             # their problem, not a server error: count it, drop the
             # connection, and keep the handler thread healthy.
             self.close_connection = True
             self.registry.increment("serving.http.client_disconnects")
+            # Drop the unsent bytes.  The stdlib flushes wfile again
+            # after the handler and in finish(); a retry into the dead
+            # socket would only end in a stderr traceback.
+            wfile, self.wfile = self.wfile, io.BytesIO()
+            try:
+                wfile.close()
+            except OSError:
+                pass
 
     def _dispatch(self, handler) -> None:
         self.registry.increment("serving.http.requests")

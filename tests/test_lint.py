@@ -60,10 +60,22 @@ for both the dense and the sampled Eq 7 estimator.  A second caller
 would be a second forward that can drift from the first, and would sit
 outside the ``core/trainer.py`` module globals that the training
 benchmark's layer timers patch.
+
+Import hygiene
+--------------
+A serving process loads the package, the serving tier and the CLI, and
+nothing else.  ``networkx`` (the graph generators) and
+``scipy.optimize`` (the Hungarian matching) are imported inside the
+functions that use them, so ``import repro, repro.serving, repro.cli``
+must leave both out of ``sys.modules``: together they are about half of
+a serving process's modules and memory.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -610,3 +622,27 @@ def test_wall_clock_lint_allows_monotonic_clocks(tmp_path):
         "a = time.perf_counter()\nb = time.monotonic()\n"
     )
     assert not _wall_clock_violations(sample)
+
+
+_LAZY_MODULES = ("networkx", "scipy.optimize")
+
+
+def test_serving_imports_leave_out_lazy_modules():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_ROOT.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    script = (
+        "import sys\n"
+        "import repro, repro.serving, repro.cli\n"
+        f"print(' '.join(m for m in {_LAZY_MODULES!r} if m in sys.modules))\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.split()
+    assert not loaded, (
+        f"importing the serving surface loads {loaded}; import them "
+        "inside the functions that use them"
+    )

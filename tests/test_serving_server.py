@@ -12,8 +12,10 @@ bitwise (see the :mod:`repro.serving.index` docstring for why narrower
 blocks may drift by a few ULPs).
 """
 
+import http.client
 import json
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -311,6 +313,73 @@ class TestPostValidation:
             "/query", body={"queries": [{"source": 2, "k": 2}]}
         )["results"]
         assert results[0]["source"] == 2
+
+
+class TestKeepAliveLatency:
+    """Regression: a keep-alive caller waited out the delayed ACK.
+
+    A response used to leave in two sends: the headers when
+    ``end_headers()`` flushed them, then the body in a second unbuffered
+    write.  Nagle's algorithm held the body until the client's delayed
+    ACK, >= 40 ms on Linux, so every sequential round trip cost ~44 ms.
+    """
+
+    def test_sequential_round_trips_do_not_stall(self, server):
+        server_obj, _, artifact, _ = server
+        connection = http.client.HTTPConnection(
+            server_obj.host, server_obj.port, timeout=10.0
+        )
+
+        def round_trip(method, path, body=None):
+            started = time.perf_counter()
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            elapsed = time.perf_counter() - started
+            assert response.status == 200, payload
+            return elapsed, payload
+
+        # Every source in one batch: a body of several KB, more than one
+        # segment at an Ethernet MSS.
+        batch = json.dumps({"queries": [
+            {"source": source, "k": QUERY_K}
+            for source in range(artifact.n_source)
+        ]}).encode("utf-8")
+        try:
+            round_trip("GET", f"/query?source=1&k={QUERY_K}")  # fill cache
+            gets = [round_trip("GET", f"/query?source=1&k={QUERY_K}")
+                    for _ in range(20)]
+            posts = [round_trip("POST", "/query", batch) for _ in range(5)]
+        finally:
+            connection.close()
+        assert all(payload["cached"] for _, payload in gets)
+        assert all(len(payload["results"]) == artifact.n_source
+                   for _, payload in posts)
+        get_ms = 1e3 * statistics.median(elapsed for elapsed, _ in gets)
+        post_ms = 1e3 * statistics.median(elapsed for elapsed, _ in posts)
+        assert get_ms < 20.0, f"cache-hit GET median {get_ms:.1f} ms"
+        assert post_ms < 20.0, f"batch POST median {post_ms:.1f} ms"
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        server_obj, _, _, _ = server
+        body = json.dumps(
+            {"queries": [{"source": 2, "k": QUERY_K}]}
+        ).encode("utf-8")
+        with socket.create_connection(
+            (server_obj.host, server_obj.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+            )
+            # The interim response must arrive while the body is held.
+            assert sock.recv(64).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            assert json.loads(response.read())["results"][0]["source"] == 2
 
 
 class _BlockingEngine:

@@ -7,6 +7,10 @@ mode.  The replayed loss and every parameter gradient must be bitwise
 equal to eager, and profiling the eager run and the unfused replay must
 give the same calls and FLOPs for every (kind, direction) row.  The
 cases together must cover every kind in the op table.
+
+The same cases gradcheck every kind: the parameter gradients of eager,
+of the unfused tape and of the fused tape (where ``gcn_layer`` and any
+later fused entry exist) must match float64 central differences.
 """
 
 from types import SimpleNamespace
@@ -20,6 +24,7 @@ from repro.autograd import (
     TapeRecorder,
     concat,
     log_softmax,
+    numerical_gradient,
     softmax,
     spmm,
     stack,
@@ -179,3 +184,51 @@ def test_cases_cover_every_table_kind():
         for fuse in (False, True):
             tested.update(recorder.finalize([total], fuse=fuse).op_kinds())
     assert tested == set(OPS)
+
+
+def _float64_tapes(loss_fn):
+    """The unfused and the fused float64 tape of one case."""
+    recorder, total = _capture(loss_fn)
+    return [
+        recorder.finalize([total], fuse=fuse, dtype="float64")
+        for fuse in (False, True)
+    ]
+
+
+def _gradients(backward, params):
+    for param in params:
+        param.zero_grad()
+    backward()
+    return [
+        np.zeros_like(param.data) if param.grad is None else param.grad
+        for param in params
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kind_gradchecks_eager_and_replayed(name):
+    loss_fn, params = make_case(name)
+    numeric = [
+        numerical_gradient(lambda *_: loss_fn(), params, index)
+        for index in range(len(params))
+    ]
+    analytic = {"eager": _gradients(lambda: loss_fn().backward(), params)}
+    for fuse, tape in zip((False, True), _float64_tapes(loss_fn)):
+        analytic[f"tape fuse={fuse}"] = _gradients(
+            lambda: tape.replay()[0][0].backward(), params
+        )
+    for path, grads in analytic.items():
+        for index, (got, want) in enumerate(zip(grads, numeric)):
+            np.testing.assert_allclose(
+                got, want, rtol=1e-4, atol=1e-5,
+                err_msg=f"{path}, parameter {index}",
+            )
+
+
+def test_gradchecks_cover_every_table_kind():
+    checked = set()
+    for name in CASES:
+        loss_fn, _params = make_case(name)
+        for tape in _float64_tapes(loss_fn):
+            checked.update(tape.op_kinds())
+    assert checked == set(OPS)
