@@ -22,6 +22,7 @@ from .ops import (
     stack,
     row_norms,
     frobenius_norm,
+    gram_residual_norm,
     normalize_rows,
     threshold_mask,
     softmax,
@@ -32,7 +33,7 @@ from .optim import Optimizer, SGD, Adam, AdamW, clip_grad_norm
 from . import init
 from . import nn
 from .gradcheck import gradcheck, numerical_gradient
-from .tape import Tape, TapeRecorder, watch as tape_watch
+from .tape import Tape, TapeRecorder
 
 __all__ = [
     "Tensor",
@@ -43,6 +44,7 @@ __all__ = [
     "stack",
     "row_norms",
     "frobenius_norm",
+    "gram_residual_norm",
     "normalize_rows",
     "threshold_mask",
     "softmax",
@@ -59,5 +61,4 @@ __all__ = [
     "numerical_gradient",
     "Tape",
     "TapeRecorder",
-    "tape_watch",
 ]

@@ -2,9 +2,9 @@
 
 These complement the methods on ``Tensor`` with operations that either take
 multiple tensors (``concat``, ``stack``), mix sparse and dense operands
-(``spmm``), or implement the paper-specific activations (``threshold_mask``
-for the σ_< gate of the adaptivity loss, Eq 9).  Each graph-building
-function checks its arguments and makes one
+(``spmm``, ``gram_residual_norm``), or implement the paper-specific
+activations (``threshold_mask`` for the σ_< gate of the adaptivity loss,
+Eq 9).  Each graph-building function checks its arguments and makes one
 :func:`~repro.autograd.tensor.apply` call; the arithmetic lives in the op
 table (:mod:`repro.autograd.optable`).
 """
@@ -24,6 +24,7 @@ __all__ = [
     "stack",
     "row_norms",
     "frobenius_norm",
+    "gram_residual_norm",
     "normalize_rows",
     "threshold_mask",
     "softmax",
@@ -67,9 +68,27 @@ def row_norms(matrix: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def frobenius_norm(matrix: Tensor, eps: float = 1e-12) -> Tensor:
-    """Frobenius norm of a matrix as a scalar tensor (Eq 7 building block)."""
+    """Frobenius norm of a matrix as a scalar tensor."""
     squared = (matrix * matrix).sum()
     return (squared + eps).sqrt()
+
+
+def gram_residual_norm(sparse_matrix: sp.spmatrix, dense: Tensor,
+                       eps: float = 1e-12) -> Tensor:
+    """``||C − H Hᵀ||_F`` for a constant sparse ``C``, without ``H Hᵀ``.
+
+    The Eq 7 term, through ``||C||²_F − 2⟨H, C H⟩ + ||HᵀH||²_F``: value
+    and gradient (into ``dense`` only, as for :func:`spmm`) cost
+    O(nnz·d + n·d²) time and O(n·d) memory.  ``eps`` keeps the square
+    root differentiable at a zero residual.
+    """
+    if not sp.issparse(sparse_matrix):
+        raise TypeError(
+            "gram_residual_norm expects a scipy sparse matrix as the "
+            "left operand"
+        )
+    return apply("gram_residual_norm", (dense,), csr=sparse_matrix.tocsr(),
+                 eps=float(eps))
 
 
 def normalize_rows(matrix: Tensor, eps: float = 1e-12) -> Tensor:

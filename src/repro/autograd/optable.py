@@ -27,7 +27,9 @@ arrays, so the float64 tape is bitwise equal to eager by construction.
 ``gcn_layer``, the tape's fused Eq 1 kernel ``σ(C H W)``, is a composite:
 its forward chains the ``matmul``, ``spmm`` and activation entries, its
 ``pullback`` carries ``g`` back through the activation and ``spmm`` VJPs
-once, and its per-input VJPs are ``matmul``'s.
+once, and its per-input VJPs are ``matmul``'s.  ``gram_residual_norm``
+is Eq 7's ``‖C − H Hᵀ‖_F`` through
+``‖C‖² − 2⟨H, CH⟩ + ‖HᵀH‖²``, without the n×n Gram.
 """
 
 from __future__ import annotations
@@ -352,3 +354,49 @@ def _gcn_flops(in_shapes, out_shape, meta) -> Tuple[int, int]:
 
 _define("gcn_layer", _gcn_forward, _MATMUL.vjps, pullback=_gcn_pullback,
         flops=_gcn_flops, reads=(0, 1, "out"))
+
+
+# -- the Eq 7 consistency term without the n×n Gram ------------------------
+def _gram_residual_norm(ins, meta, out) -> np.ndarray:
+    """``‖C − H Hᵀ‖_F`` as ``sqrt(‖C‖² − 2⟨H, CH⟩ + ‖HᵀH‖² + eps)``.
+
+    The clamp at zero absorbs the rounding of a residual that cancels
+    to nothing.  ``‖C‖²`` is worked out at the first forward and kept in
+    ``meta``, so a tape replays without it.
+    """
+    hidden, csr = ins[0], meta["csr"]
+    if "target_sq" not in meta:
+        meta["target_sq"] = float(csr.multiply(csr).sum())
+    # Kept for the VJP, as ``gcn_layer`` keeps ``pre``.
+    meta["propagated"] = np.asarray(csr @ hidden)
+    meta["gram"] = hidden.T @ hidden
+    squared = (
+        meta["target_sq"]
+        - 2.0 * np.vdot(hidden, meta["propagated"])
+        + np.vdot(meta["gram"], meta["gram"])
+    )
+    return np.sqrt(np.maximum(squared, 0.0) + meta["eps"])
+
+
+def _gram_residual_norm_vjp(g, ins, out, meta) -> np.ndarray:
+    """``g/(2·out) · (4·H(HᵀH) − 2·(C + Cᵀ)H)``."""
+    hidden = ins[0]
+    grad = hidden @ meta["gram"]
+    grad *= 4.0
+    grad -= 2.0 * meta["propagated"]
+    grad -= 2.0 * np.asarray(meta["csr"].T @ hidden)
+    grad *= g / (2.0 * out)
+    return grad
+
+
+def _gram_residual_norm_flops(in_shapes, out_shape, meta) -> Tuple[int, int]:
+    """One spmm and one ``d×d`` Gram each way, plus the inner products."""
+    rows, columns = in_shapes[0]
+    spmm = 2 * int(meta["csr"].nnz) * columns
+    gram = 2 * rows * columns * columns
+    return (spmm + gram + 2 * rows * columns + 2 * columns * columns,
+            spmm + gram + 4 * rows * columns)
+
+
+_define("gram_residual_norm", _gram_residual_norm, (_gram_residual_norm_vjp,),
+        flops=_gram_residual_norm_flops, reads=(0, "out"))

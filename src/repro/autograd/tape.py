@@ -42,7 +42,9 @@ accumulation), with gradient accumulation mirroring
 copy-then-add) slot by slot.  The fused ``gcn_layer`` entry composes the
 ``matmul``, ``spmm`` and activation entries in eager order on
 single-consumer intermediates, so it keeps the contract too (asserted,
-with gradcheck, in ``tests/test_tape.py``).
+with gradcheck, in ``tests/test_tape.py``).  The Eq 7 entry
+(``gram_residual_norm``) needs no pass at all: eager builds it too, so
+both sides run one op.
 
 Optimization passes
 -------------------
@@ -50,7 +52,7 @@ Optimization passes
   ``σ(C H W)``) collapses into one ``gcn_layer`` op whose backward pulls
   the gradient through the activation and ``spmm`` once, eliminating the
   intermediate graph nodes.  It applies only when both intermediates
-  are single-consumer and neither is a tape output or watch value.
+  are single-consumer and neither is a tape output.
 * **Buffer reuse** — every ``out_capable`` op output of static shape gets
   a persistent ``out=`` buffer, so steady-state replay allocates almost
   nothing; where the tape proves an input is single-consumer, op-produced,
@@ -65,13 +67,14 @@ Optimization passes
 
 When eager falls back
 ---------------------
-Capture covers one recorder context; anything data-dependent (the sampled
-Eq 7 term's per-epoch node batches) must stay outside the context and run
-eagerly on top of the replayed outputs — the split
-:class:`~repro.core.training_loop.CompiledLoss` makes between its
-captured and its eager part.  A tensor produced by an op *outside* the
-capture window cannot join the tape (its history is unknown) and raises
-at capture time.
+Capture covers one recorder context and the tape replays it as recorded,
+so anything data-dependent must stay outside the context and run eagerly
+on top of the replayed outputs.  Alg 1's loss has no such part: it is
+static end to end (exact Eq 7 included), so
+:class:`~repro.core.training_loop.CompiledLoss` captures all of it and
+the trainer only reads floats off the result.  A tensor produced by an
+op *outside* the capture window cannot join the tape (its history is
+unknown) and raises at capture time.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from . import dispatch
 from .optable import OPS, Op
 from .tensor import Tensor, _unbroadcast
 
-__all__ = ["TapeRecorder", "Tape", "watch"]
+__all__ = ["TapeRecorder", "Tape"]
 
 
 _SLOT_PARAM = 0
@@ -123,21 +126,6 @@ class _TapeOp:
         self.shape: tuple = ()
 
 
-def watch(tensor: Tensor, label: str) -> Tensor:
-    """Register ``tensor``'s value under ``label`` for replay read-back.
-
-    A no-op outside capture.  During capture the tensor's slot is
-    recorded; :meth:`Tape.replay` returns ``{label: value}`` with values
-    summed in registration order starting from ``0.0`` — the same float
-    accumulation an eager ``value += float(t.data)`` loop performs, so
-    watched diagnostics stay bitwise comparable in float64.
-    """
-    for observer in dispatch.observers():
-        if isinstance(observer, TapeRecorder):
-            observer._watch(tensor, label)
-    return tensor
-
-
 class TapeRecorder(dispatch.Observer):
     """Capture one eager epoch's op stream into a tape.
 
@@ -148,7 +136,7 @@ class TapeRecorder(dispatch.Observer):
             total, *diagnostics = compute_losses(0)   # eager, recorded
         tape = recorder.finalize(outputs=[total])
         ...
-        (total,), watched = tape.replay()             # later epochs
+        (total,) = tape.replay()                      # later epochs
     """
 
     def __init__(self) -> None:
@@ -162,7 +150,6 @@ class TapeRecorder(dispatch.Observer):
         self.slot_shapes: List[tuple] = []
         self.slot_requires: List[bool] = []
         self.ops: List[_TapeOp] = []
-        self.watches: List[Tuple[str, int]] = []
         self._slot_by_id: Dict[int, int] = {}
         self._op_index_by_out_id: Dict[int, int] = {}
         self._keepalive: List[Tensor] = []
@@ -232,9 +219,6 @@ class TapeRecorder(dispatch.Observer):
             self.slot_consts[slot] = tensor.data
         self._slot_by_id[id(tensor)] = slot
         return slot
-
-    def _watch(self, tensor: Tensor, label: str) -> None:
-        self.watches.append((label, self._slot_for(tensor)))
 
     # -- finalize -------------------------------------------------------
     def finalize(
@@ -336,7 +320,6 @@ class Tape:
         self.fused = 0
         self.inplace = 0
         self.buffered = 0
-        self._watches = list(recorder.watches)
         self._output_slots = list(output_slots)
         self._slot_kinds = list(recorder.slot_kinds)
         self._slot_shapes = list(recorder.slot_shapes)
@@ -382,8 +365,6 @@ class Tape:
             for slot in op.inputs:
                 counts[slot] = counts.get(slot, 0) + 1
         for slot in self._output_slots:
-            counts[slot] = counts.get(slot, 0) + 1
-        for _label, slot in self._watches:
             counts[slot] = counts.get(slot, 0) + 1
         return counts
 
@@ -477,7 +458,6 @@ class Tape:
                 elif ref < len(op.inputs):
                     backward_needs.add(op.inputs[ref])
         protected = set(self._output_slots)
-        protected.update(slot for _label, slot in self._watches)
         protected.update(backward_needs)
         protected.update(aliased)
         for op in ops:
@@ -575,8 +555,8 @@ class Tape:
                 data = data.astype(self.dtype)
             self._values[slot] = data
 
-    def replay(self) -> Tuple[List[Tensor], Dict[str, float]]:
-        """Execute the tape forward; return output tensors + watch values.
+    def replay(self) -> List[Tensor]:
+        """Execute the tape forward and return its output tensors.
 
         The returned tensors read the replayed values and carry a
         backward hook that runs the tape's reverse pass, accumulating
@@ -600,16 +580,11 @@ class Tape:
                     kernel_time += dispatch.kernel(
                         op.kind, "forward", op.flops, op.shape, op.fwd
                     )
-        watched: Dict[str, float] = {}
-        for label, slot in self._watches:
-            watched[label] = watched.get(label, 0.0) + float(
-                self._values[slot]
-            )
         outputs = self._wrap_outputs()
         if observed:
             dispatch.overhead("tape.overhead", "forward",
                               time.perf_counter() - started - kernel_time)
-        return outputs, watched
+        return outputs
 
     def _run_backward(self, seeds: List[Optional[np.ndarray]]) -> None:
         observed = bool(dispatch.observers())

@@ -25,7 +25,6 @@ from .instantiation import (
     mutual_best,
     soft_assignment,
 )
-from .sampling import sampled_consistency_loss
 from .checkpoint import (
     save_model,
     load_model,
@@ -71,7 +70,6 @@ __all__ = [
     "one_to_many",
     "mutual_best",
     "soft_assignment",
-    "sampled_consistency_loss",
     "save_model",
     "load_model",
     "save_training_checkpoint",

@@ -23,6 +23,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,6 +44,9 @@ __all__ = [
 _FORMAT_VERSION = 1
 _TRAINING_FORMAT_VERSION = 2
 _WEIGHT_KEY = re.compile(r"^weight_(\d+)$")
+#: Config fields older checkpoints may still carry: the sampled Eq 7
+#: estimator's switches, retired when the exact loss became the cheaper.
+_RETIRED_CONFIG_KEYS = ("trainer", "sample_batch_size", "sample_negatives")
 
 
 def _atomic_savez(path: str, arrays: Dict[str, np.ndarray]) -> str:
@@ -105,6 +109,8 @@ def _load_weights(archive, path: str, config: GAlignConfig) -> List[np.ndarray]:
 
 def _config_from_header(header: Dict) -> GAlignConfig:
     config_fields = dict(header["config"])
+    for key in _RETIRED_CONFIG_KEYS:
+        config_fields.pop(key, None)
     if config_fields.get("layer_weights") is not None:
         config_fields["layer_weights"] = list(config_fields["layer_weights"])
     return GAlignConfig(**config_fields)
@@ -250,6 +256,8 @@ def load_training_checkpoint(path: str) -> TrainingCheckpoint:
 
     v1 model checkpoints are rejected with a message pointing at
     :func:`load_model` — they carry no optimizer/RNG state to resume from.
+    A checkpoint written by the retired sampled trainer loads with a
+    ``UserWarning``: a run resumed from it trains on a different Eq 7.
     """
     with np.load(path, allow_pickle=False) as archive:
         header = _read_header(archive, path)
@@ -263,6 +271,15 @@ def load_training_checkpoint(path: str) -> TrainingCheckpoint:
         if version != _TRAINING_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version} in {path!r}"
+            )
+        if header["config"].get("trainer", "dense") != "dense":
+            warnings.warn(
+                f"checkpoint {path!r} was trained with the retired "
+                f"trainer={header['config']['trainer']!r} (the sampled Eq 7 "
+                "estimator); training resumed from it continues under the "
+                "exact Eq 7 loss",
+                UserWarning,
+                stacklevel=2,
             )
         config = _config_from_header(header)
         weights = _load_weights(archive, path, config)

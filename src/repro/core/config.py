@@ -66,17 +66,6 @@ class GAlignConfig:
     #: Extra ablation (DESIGN.md #5): share weights between the two GCNs.
     share_weights: bool = True
 
-    # --- large-graph mode (DESIGN.md extension) ---
-    #: "dense" trains with the exact Eq 7 loss; "sampled" uses the
-    #: pair-sampled estimator of :mod:`repro.core.sampling` (O(batch) step).
-    trainer: str = "dense"
-    #: Nodes drawn per network and epoch by the sampled Eq 7 estimator
-    #: (read only when ``trainer="sampled"``).
-    sample_batch_size: int = 256
-    #: Uniform negative pairs per drawn node (read only when
-    #: ``trainer="sampled"``).
-    sample_negatives: int = 5
-
     # --- compiled execution (repro.autograd.tape) ---
     #: Capture the first epoch's op graph into a tape and replay it for
     #: the remaining epochs: fused GCN kernels, buffer reuse, and no
@@ -111,16 +100,6 @@ class GAlignConfig:
             )
         if self.activation not in ("tanh", "relu", "linear"):
             raise ValueError(f"unsupported activation {self.activation!r}")
-        if self.trainer not in ("dense", "sampled"):
-            raise ValueError(f"unsupported trainer {self.trainer!r}")
-        if self.sample_batch_size < 1:
-            raise ValueError(
-                f"sample_batch_size must be >= 1, got {self.sample_batch_size}"
-            )
-        if self.sample_negatives < 0:
-            raise ValueError(
-                f"sample_negatives must be >= 0, got {self.sample_negatives}"
-            )
         if self.compile_dtype not in ("float32", "float64"):
             raise ValueError(
                 f"unsupported compile_dtype {self.compile_dtype!r}"

@@ -93,11 +93,6 @@ class GAlign(AlignmentMethod):
             self.model = self.pretrained_model
             self.target_model = self.pretrained_model
             self.training_log = None
-        elif config.trainer == "sampled" and not config.share_weights:
-            raise ValueError(
-                "the sampled trainer supports shared weights only; "
-                "use trainer='dense' for the weight-sharing ablation"
-            )
         else:
             trainer = GAlignTrainer(
                 config, rng, fault_injector=self.fault_injector

@@ -2,7 +2,10 @@
 
 * :func:`consistency_loss` — pull the per-layer embedding Gram matrix toward
   the normalized Laplacian, enforcing structural + attribute consistency
-  while avoiding embedding-space collapse (Eq 7).
+  while avoiding embedding-space collapse (Eq 7).  It is exact and never
+  forms the n×n Gram: each layer's term is one
+  :func:`~repro.autograd.gram_residual_norm`, O(nnz·d + n·d²) time and
+  O(n·d) memory.
 * :func:`adaptivity_loss` — match multi-order embeddings of a network and
   its perturbed copy, gated by the σ_< confidence threshold (Eq 9).
 * :func:`combined_loss` — γ-weighted total (Eq 10).
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, frobenius_norm, row_norms, threshold_mask
+from ..autograd import Tensor, gram_residual_norm, row_norms, threshold_mask
 
 __all__ = ["consistency_loss", "adaptivity_loss", "combined_loss"]
 
@@ -36,11 +39,9 @@ def consistency_loss(
     """
     if len(embeddings) < 2:
         raise ValueError("need at least one trained layer (k >= 1)")
-    dense_target = np.asarray(propagation.todense())
     total = None
     for hidden in embeddings[1:]:
-        gram = hidden @ hidden.T
-        term = frobenius_norm(Tensor(dense_target) - gram)
+        term = gram_residual_norm(propagation, hidden)
         total = term if total is None else total + term
     return total
 

@@ -3,9 +3,9 @@
 One shared-weight GCN embeds the source network, the target network, and
 their augmented copies; the loss combines consistency (Eq 7, on source and
 target) with adaptivity (Eq 9, between each network and its own perturbed
-views), and Adam updates the shared weights.  ``config.trainer`` picks the
-Eq 7 term: the exact loss (``"dense"``) or the pair-sampled estimator of
-:mod:`repro.core.sampling` (``"sampled"``).
+views), and Adam updates the shared weights.  Eq 7 is exact and costs
+O(nnz·d + n·d²) per layer (:func:`~repro.autograd.gram_residual_norm`), so
+one trainer serves small and large graphs alike.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .augment import AugmentedView, GraphAugmenter
 from .config import GAlignConfig
 from .losses import adaptivity_loss, combined_loss, consistency_loss
 from .model import MultiOrderGCN
-from .sampling import sampled_consistency_loss
 from .training_loop import CompiledLoss, run_resilient_training
 
 __all__ = ["GAlignTrainer", "TrainingLog"]
@@ -72,11 +71,7 @@ class TrainingLog:
 class GAlignTrainer:
     """Train a weight-shared multi-order GCN on an alignment pair (Alg 1).
 
-    With ``config.trainer == "sampled"`` each epoch draws
-    ``config.sample_batch_size`` nodes per network and scores Eq 7 on
-    their propagation neighbours plus ``config.sample_negatives``
-    uniform pairs each: O(batch) per step instead of O(n²).  With
-    ``config.compile`` the loss runs through
+    With ``config.compile`` the loss runs through
     :class:`~repro.core.training_loop.CompiledLoss`.
 
     Training is resilient by default: NaN/Inf losses or gradients and
@@ -189,10 +184,9 @@ class GAlignTrainer:
             for graph_views in views
         ]
 
-        dense = config.trainer == "dense"
-
-        def forward() -> list:
-            """Per network: its embeddings and Eq 9 over its views."""
+        def losses() -> tuple:
+            """Eq 9 per network over its views, then Eq 7 per network and
+            Eq 10 over all; the total and each network's ``(J_c, J_a)``."""
             static = []
             for graph, propagation, graph_views, graph_view_props in zip(
                 networks, propagations, views, view_propagations
@@ -210,31 +204,12 @@ class GAlignTrainer:
                         term if j_adaptivity is None else j_adaptivity + term
                     )
                 static.append((embeddings, j_adaptivity))
-            return static
-
-        def combine(static: list) -> tuple:
-            """Eq 7 per network (exact or sampled), then Eq 10 over all.
-
-            Returns the total and each network's ``(J_c, J_a)`` pair.
-            """
             total = None
             terms = []
-            for graph, propagation, (embeddings, j_adaptivity) in zip(
-                networks, propagations, static
+            for propagation, (embeddings, j_adaptivity) in zip(
+                propagations, static
             ):
-                if dense:
-                    j_consistency = consistency_loss(propagation, embeddings)
-                else:
-                    batch = self.rng.choice(
-                        graph.num_nodes,
-                        size=min(config.sample_batch_size, graph.num_nodes),
-                        replace=False,
-                    )
-                    registry.observe("trainer.batch_nodes", len(batch))
-                    j_consistency = sampled_consistency_loss(
-                        propagation, embeddings, batch,
-                        config.sample_negatives, self.rng,
-                    )
+                j_consistency = consistency_loss(propagation, embeddings)
                 loss = combined_loss(j_consistency, j_adaptivity, config.gamma)
                 total = loss if total is None else total + loss
                 terms.append((j_consistency, j_adaptivity))
@@ -251,19 +226,13 @@ class GAlignTrainer:
                     adaptivity_value += float(j_adaptivity.data)
             return total, consistency_value, adaptivity_value
 
-        # The dense loss is static (fixed propagations and views), so the
-        # tape captures all of it; the sampled Eq 7 term depends on each
-        # epoch's batch draw, so the tape captures only the forward + Eq 9
-        # and the rest runs eagerly on the replayed tensors.
-        if dense:
-            capture, finish = (lambda: combine(forward())), report
-        else:
-            capture, finish = forward, (lambda static: report(combine(static)))
+        # The loss is static (fixed propagations and views), so the tape
+        # captures all of it.
         if config.compile:
-            loss_fn = CompiledLoss(capture, finish, dtype=config.compile_dtype)
+            build = CompiledLoss(losses, dtype=config.compile_dtype)
         else:
-            def loss_fn(_epoch: int) -> tuple:
-                return finish(capture())
+            def build(_epoch: int) -> tuple:
+                return losses()
 
         return run_resilient_training(
             model=model,
@@ -271,7 +240,7 @@ class GAlignTrainer:
             config=config,
             registry=registry,
             log=TrainingLog(registry=registry),
-            compute_losses=loss_fn,
+            compute_losses=lambda epoch: report(build(epoch)),
             rng=self.rng,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,

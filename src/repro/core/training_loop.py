@@ -52,53 +52,43 @@ def _refill(tree: Any, leaves: Iterator) -> Any:
 class CompiledLoss:
     """Capture-once / replay-thereafter wrapper for Alg 1's loss.
 
-    The loss arrives in two parts: ``capture()`` builds the static part —
-    it depends only on the fixed graphs and views and on the weights —
-    and returns it as a nested list/tuple of tensors (``None`` leaves
-    allowed); ``finish(static)`` runs eagerly on that structure and
-    returns ``(total, consistency, adaptivity)``.
+    ``loss()`` builds the whole loss — it depends only on the fixed
+    graphs and views and on the weights — and returns it as a nested
+    list/tuple of tensors (``None`` leaves allowed) whose first leaf is
+    the total the backward starts from.
 
-    The first call runs ``capture`` under a
-    :class:`~repro.autograd.TapeRecorder`, then ``finish`` on its eager
-    result, so the capture epoch is identical to uncompiled training; the
-    tape's backward order is fixed by that epoch's eager total.  Every
-    later call replays the tape (fused kernels, reused buffers, no graph
-    rebuild) against the parameters' live values and hands the replayed
-    tensors, in the same structure, to ``finish``; gradients of the
-    ops ``finish`` adds flow back through the tape's reverse pass.
-    Replay reads only parameter data, so it is transparent to rollback
-    recovery and checkpoint resume.
+    The first call runs ``loss`` under a
+    :class:`~repro.autograd.TapeRecorder` and returns its eager result,
+    so the capture epoch is identical to uncompiled training; the tape's
+    backward order is fixed by that epoch's total.  Every later call
+    replays the tape (fused kernels, reused buffers, no graph rebuild)
+    against the parameters' live values and returns the replayed
+    tensors in the same structure.  Replay reads only parameter data, so
+    it is transparent to rollback recovery and checkpoint resume.
     """
 
-    def __init__(
-        self,
-        capture: Callable[[], Any],
-        finish: Callable[[Any], Tuple[Tensor, float, float]],
-        dtype: str = "float32",
-    ) -> None:
-        self._capture = capture
-        self._finish = finish
+    def __init__(self, loss: Callable[[], Any], dtype: str = "float32") -> None:
+        self._loss = loss
         self._dtype = dtype
         #: The compiled tape, available after the first call.
         self.tape = None
         self._layout = None
 
-    def __call__(self, epoch: int) -> Tuple[Tensor, float, float]:
+    def __call__(self, epoch: int) -> Any:
         if self.tape is None:
             recorder = TapeRecorder()
             with get_tracer().span("tape.capture"):
                 with recorder:
-                    static = self._capture()
-            result = self._finish(static)
+                    static = self._loss()
+            leaves = _leaves(static)
             self.tape = recorder.finalize(
-                _leaves(static), order_root=result[0], dtype=self._dtype
+                leaves, order_root=leaves[0], dtype=self._dtype
             )
             # Keep only the structure, so the capture epoch's tensors
             # (and the graph behind them) can be freed.
             self._layout = _refill(static, itertools.repeat(True))
-            return result
-        outputs, _watched = self.tape.replay()
-        return self._finish(_refill(self._layout, iter(outputs)))
+            return static
+        return _refill(self._layout, iter(self.tape.replay()))
 
 
 def _resume(

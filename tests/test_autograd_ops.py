@@ -11,6 +11,7 @@ from repro.autograd import (
     stack,
     row_norms,
     frobenius_norm,
+    gram_residual_norm,
     normalize_rows,
     threshold_mask,
     softmax,
@@ -209,6 +210,12 @@ class TestGradcheckCoverage:
         "frobenius_norm": lambda rng: gradcheck(
             frobenius_norm,
             [Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)],
+        ),
+        "gram_residual_norm": lambda rng: gradcheck(
+            lambda h: gram_residual_norm(
+                sp.random(5, 5, density=0.5, random_state=3, format="csr"), h
+            ),
+            [Tensor(rng.normal(size=(5, 3)), requires_grad=True)],
         ),
         "normalize_rows": lambda rng: gradcheck(
             normalize_rows,

@@ -1,5 +1,9 @@
 """Tests for model checkpointing."""
 
+import json
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,3 +115,56 @@ class TestCorruptArchives:
         save_model(model, path)
         with pytest.raises(ValueError, match="load_model"):
             load_training_checkpoint(path)
+
+
+class TestRetiredConfigKeys:
+    @staticmethod
+    def _write_with_retired_keys(pair, config, path, trainer):
+        # Checkpoints written while the sampled Eq 7 estimator existed
+        # carry its three config fields.
+        GAlignTrainer(replace(config, epochs=2),
+                      np.random.default_rng(3)).train(
+            pair, checkpoint_path=path
+        )
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        header = json.loads(bytes(arrays["header"].tobytes()).decode())
+        assert header["format_version"] == 2
+        header["config"].update(
+            trainer=trainer, sample_batch_size=256, sample_negatives=5
+        )
+        arrays["header"] = np.frombuffer(
+            json.dumps(header).encode(), dtype=np.uint8
+        )
+        np.savez(path, **arrays)
+
+    def test_v2_checkpoint_with_sampled_trainer_keys_loads(
+        self, trained, tmp_path
+    ):
+        # They load, and resume, without them; a sampled run warns that
+        # the resumed run's Eq 7 is the exact one.
+        pair, _, config = trained
+        path = str(tmp_path / "train.npz")
+        self._write_with_retired_keys(pair, config, path, "sampled")
+
+        with pytest.warns(UserWarning, match="trainer='sampled'"):
+            checkpoint = load_training_checkpoint(path)
+        assert checkpoint.epoch == 1
+        assert checkpoint.config == replace(config, epochs=2)
+        model, _ = load_model(path)
+        assert model.config == checkpoint.config
+        with pytest.warns(UserWarning, match="exact Eq 7"):
+            _, log = GAlignTrainer(replace(config, epochs=3),
+                                   np.random.default_rng(3)).train(
+                pair, resume_from=path
+            )
+        assert len(log.total) == 3
+
+    def test_dense_trainer_key_loads_without_warning(self, trained, tmp_path):
+        pair, _, config = trained
+        path = str(tmp_path / "train.npz")
+        self._write_with_retired_keys(pair, config, path, "dense")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checkpoint = load_training_checkpoint(path)
+        assert checkpoint.config == replace(config, epochs=2)

@@ -131,18 +131,3 @@ class TestGAlign3UnderRefinement:
             result.scores, source_last @ target_last.T, rtol=1e-10
         )
 
-
-class TestSampledTrainerFacade:
-    def test_sampled_trainer_through_facade(self, pair):
-        method = GAlign(fast_config(trainer="sampled", epochs=30))
-        result = method.align(pair)
-        assert success_at(result.scores, pair.groundtruth, 1) > 0.4
-
-    def test_sampled_with_separate_weights_rejected(self, pair):
-        method = GAlign(fast_config(trainer="sampled", share_weights=False))
-        with pytest.raises(ValueError):
-            method.align(pair)
-
-    def test_unknown_trainer_rejected(self):
-        with pytest.raises(ValueError):
-            fast_config(trainer="quantum")

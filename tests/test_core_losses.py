@@ -1,9 +1,12 @@
 """Tests for the consistency / adaptivity / combined losses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, TapeRecorder, frobenius_norm
 from repro.core import (
     GAlignConfig,
     MultiOrderGCN,
@@ -54,6 +57,68 @@ class TestConsistencyLoss:
         loss.backward()
         assert model.weights[0].grad is not None
         assert np.any(model.weights[0].grad != 0.0)
+
+
+class TestEq7WithoutDenseGram:
+    """Eq 7 through ``‖C‖² − 2⟨H, CH⟩ + ‖HᵀH‖²``: exact, in O(n·d) memory."""
+
+    N, D = 2000, 16
+
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["symmetric", "asymmetric"])
+    def test_exact_and_allocates_no_square_array(self, symmetric):
+        n, d = self.N, self.D
+        rng = np.random.default_rng(5)
+        target = sp.random(n, n, density=5 / n, random_state=5,
+                           format="csr")
+        if symmetric:
+            target = (target + target.T).tocsr()
+        hidden = Tensor(rng.normal(size=(n, d)) * 0.1, requires_grad=True)
+        embeddings = [Tensor(np.zeros((n, 1))), hidden]
+
+        tracemalloc.start()
+        try:
+            loss = consistency_loss(target, embeddings)
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One n×n float64 array is 32 MB; the sparse form needs ~1 MB.
+        assert peak < n * n * 8 / 8, f"peak {peak / 1e6:.1f} MB"
+        value, grad = float(loss.data), hidden.grad.copy()
+
+        hidden.zero_grad()
+        dense = frobenius_norm(Tensor(target.toarray()) - hidden @ hidden.T)
+        dense.backward()
+        assert value == pytest.approx(float(dense.data), rel=1e-10, abs=0)
+        scale = np.abs(hidden.grad).max()
+        assert np.abs(grad - hidden.grad).max() <= 1e-10 * scale
+        del dense
+
+        recorder = TapeRecorder()
+        with recorder:
+            term = consistency_loss(target, embeddings)
+        tape = recorder.finalize([term], dtype="float32")
+        hidden.zero_grad()
+        (replayed,) = tape.replay()
+        replayed.backward()
+        assert replayed.data.dtype == np.float32
+        assert float(replayed.data) == pytest.approx(value, rel=1e-5, abs=0)
+        assert np.abs(hidden.grad - grad).max() <= 1e-5 * scale
+
+    def test_duplicate_entries_count_once_each(self):
+        # A non-canonical CSR (a repeated (row, col)) means the sum of its
+        # duplicates, as the dense form does.
+        target = sp.csr_matrix(
+            (np.array([0.5, 0.25, 1.0, 0.75]), np.array([1, 1, 0, 2]),
+             np.array([0, 2, 3, 4])), shape=(3, 3),
+        )
+        assert not target.has_canonical_format
+        hidden = Tensor(np.random.default_rng(2).normal(size=(3, 2)),
+                        requires_grad=True)
+        loss = consistency_loss(target, [hidden, hidden])
+        dense = frobenius_norm(Tensor(target.toarray()) - hidden @ hidden.T)
+        assert float(loss.data) == pytest.approx(float(dense.data), rel=1e-12)
 
 
 class TestAdaptivityLoss:

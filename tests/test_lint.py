@@ -53,10 +53,9 @@ function that may call it is ``apply``.
 
 Training hygiene
 ----------------
-The Alg 1 loss terms — ``consistency_loss``, ``adaptivity_loss``,
-``combined_loss`` and ``sampled_consistency_loss`` — are called only from
-``core/trainer.py``, which holds the one forward that builds the loss
-for both the dense and the sampled Eq 7 estimator.  A second caller
+The Alg 1 loss terms — ``consistency_loss``, ``adaptivity_loss`` and
+``combined_loss`` — are called only from ``core/trainer.py``, which
+holds the one forward that builds the loss.  A second caller
 would be a second forward that can drift from the first, and would sit
 outside the ``core/trainer.py`` module globals that the training
 benchmark's layer timers patch.
@@ -284,7 +283,6 @@ _LOSS_TERMS = {
     "consistency_loss",
     "adaptivity_loss",
     "combined_loss",
-    "sampled_consistency_loss",
 }
 
 
@@ -518,14 +516,14 @@ def test_loss_term_lint_catches_calls(tmp_path):
     sample = tmp_path / "bad.py"
     sample.write_text(
         "from repro.core import losses\n"
-        "from repro.core.sampling import sampled_consistency_loss\n"
+        "from repro.core.losses import combined_loss\n"
         "a = losses.consistency_loss(c, h)\n"
-        "b = sampled_consistency_loss(c, h, batch, 5, rng)\n"
+        "b = combined_loss(a, None, 0.8)\n"
     )
     violations = _loss_term_violations(sample)
     assert len(violations) == 2
     assert any("consistency_loss()" in v for v in violations)
-    assert any("sampled_consistency_loss()" in v for v in violations)
+    assert any("combined_loss()" in v for v in violations)
 
 
 def test_loss_term_lint_allows_definitions_and_imports(tmp_path):

@@ -2,7 +2,6 @@
 and the instrumentation threaded through trainer/refiner/streaming/runner."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -409,17 +408,6 @@ class TestInstrumentedComponents:
         GAlignTrainer(config, np.random.default_rng(0),
                       registry=registry).train(tiny_pair)
         assert epochs == list(range(config.epochs))
-
-    def test_sampled_trainer_records_metrics(self, tiny_pair):
-        registry = MetricsRegistry()
-        config = tiny_config()
-        trainer = GAlignTrainer(
-            replace(config, trainer="sampled", sample_batch_size=8),
-            np.random.default_rng(0), registry=registry,
-        )
-        trainer.train(tiny_pair)
-        assert registry.counter("trainer.epochs").value == config.epochs
-        assert registry.gauge("trainer.batch_nodes").last == 8
 
     def test_refiner_records_iteration_metrics(self, tiny_pair):
         registry = MetricsRegistry()

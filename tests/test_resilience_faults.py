@@ -9,8 +9,6 @@ tier-1.  Covers the acceptance properties of the resilience subsystem:
   the same final weights (within 1e-12) as an uninterrupted run.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -115,19 +113,6 @@ class TestNanGradientRecovery:
         assert recoveries[0]["reason"] == "nonfinite_gradients"
         assert recoveries[0]["learning_rate"] == pytest.approx(0.01)
 
-    def test_sampled_trainer_recovers_too(self, pair):
-        registry = MetricsRegistry()
-        injector = FaultInjector([Fault("nan_gradient", 3)],
-                                 registry=registry)
-        trainer = GAlignTrainer(
-            replace(_config(), trainer="sampled", sample_batch_size=8),
-            np.random.default_rng(7),
-            registry=registry, fault_injector=injector,
-        )
-        _, log = trainer.train(pair)
-        assert registry.counter("resilience.recoveries").value == 1
-        assert np.isfinite(log.final_loss)
-
     def test_budget_exhaustion_raises_diverged(self, pair):
         # One NaN injection per epoch, budget 2: the third strike raises.
         registry = MetricsRegistry()
@@ -144,31 +129,21 @@ class TestNanGradientRecovery:
 
 class TestKillResumeDeterminism:
     @pytest.mark.parametrize(
-        "mode, compiled",
-        [("dense", False), ("dense", True),
-         ("sampled", False), ("sampled", True)],
-        ids=["dense-eager", "dense-compiled", "sampled-eager",
-             "sampled-compiled"],
+        "compiled", [False, True], ids=["dense-eager", "dense-compiled"]
     )
-    def test_resumed_run_matches_uninterrupted(self, pair, tmp_path, mode,
+    def test_resumed_run_matches_uninterrupted(self, pair, tmp_path,
                                                compiled):
         # float64 only: a float32 capture epoch runs eagerly, so a resumed
         # run legitimately differs from an uninterrupted one there.
         config = _config(compile=compiled, compile_dtype="float64")
 
         def make_trainer(fault_injector=None):
-            if mode == "sampled":
-                return GAlignTrainer(
-                    replace(config, trainer="sampled", sample_batch_size=8),
-                    np.random.default_rng(11),
-                    fault_injector=fault_injector,
-                )
             return GAlignTrainer(config, np.random.default_rng(11),
                                  fault_injector=fault_injector)
 
         reference_model, reference_log = make_trainer().train(pair)
 
-        path = str(tmp_path / f"{mode}-train.npz")
+        path = str(tmp_path / "train.npz")
         injector = FaultInjector([Fault("kill", 6)])
         with pytest.raises(SimulatedKill):
             make_trainer(injector).train(pair, checkpoint_path=path)

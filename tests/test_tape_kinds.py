@@ -10,7 +10,9 @@ cases together must cover every kind in the op table.
 
 The same cases gradcheck every kind: the parameter gradients of eager,
 of the unfused tape and of the fused tape (where ``gcn_layer`` and any
-later fused entry exist) must match float64 central differences.
+later fused entry exist) must match float64 central differences.  The
+Eq 7 entry (``gram_residual_norm``) is built by eager itself, so its
+case runs it in all three.
 """
 
 from types import SimpleNamespace
@@ -23,6 +25,7 @@ from repro.autograd import (
     Tensor,
     TapeRecorder,
     concat,
+    gram_residual_norm,
     log_softmax,
     numerical_gradient,
     softmax,
@@ -83,6 +86,7 @@ CASES = {
     "log_softmax": lambda t, p: log_softmax(t, axis=-1),
     "gcn-tanh": lambda t, p: spmm(p.adj, t.matmul(p.w)).tanh(),
     "gcn-relu": lambda t, p: spmm(p.adj, t.matmul(p.w)).relu(),
+    "gram_residual_norm": lambda t, p: gram_residual_norm(p.adj, t),
 }
 
 
@@ -124,7 +128,7 @@ def _eager(loss_fn, params):
 def _replayed(tape, params):
     for param in params:
         param.zero_grad()
-    (out,), _watched = tape.replay()
+    (out,) = tape.replay()
     out.backward()
     return out.data.tobytes(), [
         None if param.grad is None else param.grad.tobytes()
@@ -215,7 +219,7 @@ def test_kind_gradchecks_eager_and_replayed(name):
     analytic = {"eager": _gradients(lambda: loss_fn().backward(), params)}
     for fuse, tape in zip((False, True), _float64_tapes(loss_fn)):
         analytic[f"tape fuse={fuse}"] = _gradients(
-            lambda: tape.replay()[0][0].backward(), params
+            lambda: tape.replay()[0].backward(), params
         )
     for path, grads in analytic.items():
         for index, (got, want) in enumerate(zip(grads, numeric)):
