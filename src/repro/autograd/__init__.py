@@ -20,11 +20,10 @@ from .ops import (
     spmm,
     concat,
     stack,
-    row_norms,
     frobenius_norm,
     gram_residual_norm,
     normalize_rows,
-    threshold_mask,
+    gated_row_distance,
     softmax,
     log_softmax,
     dropout_mask,
@@ -42,11 +41,10 @@ __all__ = [
     "spmm",
     "concat",
     "stack",
-    "row_norms",
     "frobenius_norm",
     "gram_residual_norm",
     "normalize_rows",
-    "threshold_mask",
+    "gated_row_distance",
     "softmax",
     "log_softmax",
     "dropout_mask",

@@ -2,9 +2,10 @@
 
 These complement the methods on ``Tensor`` with operations that either take
 multiple tensors (``concat``, ``stack``), mix sparse and dense operands
-(``spmm``, ``gram_residual_norm``), or implement the paper-specific
-activations (``threshold_mask`` for the σ_< gate of the adaptivity loss,
-Eq 9).  Each graph-building function checks its arguments and makes one
+(``spmm``, ``gram_residual_norm``), or fuse a paper-specific chain into one
+op (``normalize_rows`` for Eq 11's cosine rows, ``gated_row_distance`` for
+one layer of the adaptivity loss with its σ_< gate, Eq 9).  Each
+graph-building function checks its arguments and makes one
 :func:`~repro.autograd.tensor.apply` call; the arithmetic lives in the op
 table (:mod:`repro.autograd.optable`).
 """
@@ -22,11 +23,10 @@ __all__ = [
     "spmm",
     "concat",
     "stack",
-    "row_norms",
     "frobenius_norm",
     "gram_residual_norm",
     "normalize_rows",
-    "threshold_mask",
+    "gated_row_distance",
     "softmax",
     "log_softmax",
     "dropout_mask",
@@ -57,16 +57,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return apply("stack", tensors, axis=axis)
 
 
-def row_norms(matrix: Tensor, eps: float = 1e-12) -> Tensor:
-    """Per-row Euclidean norms of a 2-D tensor, shape ``(n,)``.
-
-    Used by the adaptivity loss: ``||H(v) - H*(v)||`` for every node v at
-    once.  ``eps`` keeps the square root differentiable at zero rows.
-    """
-    squared = (matrix * matrix).sum(axis=1)
-    return (squared + eps).sqrt()
-
-
 def frobenius_norm(matrix: Tensor, eps: float = 1e-12) -> Tensor:
     """Frobenius norm of a matrix as a scalar tensor."""
     squared = (matrix * matrix).sum()
@@ -92,25 +82,46 @@ def gram_residual_norm(sparse_matrix: sp.spmatrix, dense: Tensor,
 
 
 def normalize_rows(matrix: Tensor, eps: float = 1e-12) -> Tensor:
-    """L2-normalize each row; rows of (near-)zero norm are left tiny.
+    """L2-normalize each row: ``x / sqrt(Σx² + eps)``; rows of (near-)zero
+    norm are left tiny.
 
     Row-normalized embeddings make the inner-product alignment matrix
     (Eq 11) a cosine similarity, which is how alignment scores are made
     comparable across layers.
     """
-    norms = row_norms(matrix, eps=eps)
-    inverse = norms.reshape(len(matrix), 1) ** -1.0
-    return matrix * inverse
+    return apply("normalize_rows", (matrix,), eps=float(eps))
 
 
-def threshold_mask(values: Tensor, threshold: float) -> Tensor:
-    """The paper's σ_< activation (Eq 9): identity below ``threshold``, 0 above.
+def gated_row_distance(original: Tensor, augmented: Tensor,
+                       correspondence: np.ndarray, threshold: float,
+                       eps: float = 1e-12) -> Tensor:
+    """Eq 9 for one layer: ``Σ_v σ_<(‖A(v) − B(π(v))‖)`` as a scalar.
 
-    Gradients flow only through entries below the threshold, implementing the
-    confidence gate that ignores perturbations large enough to have destroyed
-    a node's neighbourhood.
+    ``correspondence`` is π: row ``v`` of ``original`` (A) matches row
+    ``π(v)`` of ``augmented`` (B), and it must be a permutation of B's
+    rows.  σ_< is the paper's confidence gate: a row whose distance is
+    at or above ``threshold`` adds nothing and gets no gradient, so
+    perturbations large enough to have destroyed a node's neighbourhood
+    cannot poison the model.  ``eps`` keeps the norm differentiable at
+    a zero row.
     """
-    return apply("threshold_mask", (values,), threshold=threshold)
+    correspondence = np.asarray(correspondence)
+    rows = len(original)
+    if (
+        correspondence.dtype.kind not in "iu"
+        or correspondence.shape != (rows,)
+        or len(augmented) != rows
+        or not np.array_equal(np.sort(correspondence), np.arange(rows))
+    ):
+        raise ValueError(
+            f"correspondence must map the original's {rows} rows "
+            f"one-to-one onto the augmented network's {len(augmented)} rows"
+        )
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[correspondence] = np.arange(rows)
+    return apply("gated_row_distance", (original, augmented),
+                 correspondence=correspondence, inverse=inverse,
+                 threshold=float(threshold), eps=float(eps))
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:

@@ -27,9 +27,29 @@ arrays, so the float64 tape is bitwise equal to eager by construction.
 ``gcn_layer``, the tape's fused Eq 1 kernel ``σ(C H W)``, is a composite:
 its forward chains the ``matmul``, ``spmm`` and activation entries, its
 ``pullback`` carries ``g`` back through the activation and ``spmm`` VJPs
-once, and its per-input VJPs are ``matmul``'s.  ``gram_residual_norm``
-is Eq 7's ``‖C − H Hᵀ‖_F`` through
-``‖C‖² − 2⟨H, CH⟩ + ‖HᵀH‖²``, without the n×n Gram.
+once, and its per-input VJPs are ``matmul``'s.
+
+Alg 1's loss tail is three entries that eager builds too, so the tape
+needs no pass for them.  The first two each do in one pass per
+direction what a chain of elementwise entries did one n×d pass per op.
+
+* ``normalize_rows`` — ``x / sqrt(Σx² + eps)`` per row (Eq 11's cosine
+  rows); the forward keeps the norms and the VJP is
+  ``(g − out·rowsum(g·out)) / norms``.
+* ``gated_row_distance`` — one layer's Eq 9 term
+  ``Σ_v σ_<(‖A(v) − B(π(v))‖)``: gather, subtract, row norm, gate and
+  sum.  The gradient into B is a gather through ``π⁻¹``, worked out
+  once when the op is built (``π`` must be a permutation).
+* ``gram_residual_norm`` — Eq 7's ``‖C − H Hᵀ‖_F`` through
+  ``‖C‖² − 2⟨H, CH⟩ + ‖HᵀH‖²``, without the n×n Gram.  ``‖C‖²`` and
+  whether ``C = Cᵀ`` are decided at the first forward; a symmetric C
+  (the propagation matrix of any unweighted graph) reuses the
+  forward's ``CH`` for the backward's ``CᵀH``, so forward and backward
+  run one sparse product between them.
+
+Entries whose backward needs an intermediate keep it in ``meta``
+(``pre``, ``norms``, ``difference``, ``propagated``): a forward always
+runs before its backward, in eager and on a tape alike.
 """
 
 from __future__ import annotations
@@ -270,11 +290,6 @@ _define("clip_min", lambda ins, meta, out: (
 ), (
     lambda g, ins, out, meta: g * (ins[0] > meta["minimum"]),
 ), reads=(0,), **_ELEMENTWISE)
-_define("threshold_mask", lambda ins, meta, out: (
-    np.where(ins[0] < meta["threshold"], ins[0], 0.0)
-), (
-    lambda g, ins, out, meta: g * (ins[0] < meta["threshold"]),
-), reads=(0,))
 
 
 def _softmax(ins, meta, out) -> np.ndarray:
@@ -356,17 +371,100 @@ _define("gcn_layer", _gcn_forward, _MATMUL.vjps, pullback=_gcn_pullback,
         flops=_gcn_flops, reads=(0, 1, "out"))
 
 
-# -- the Eq 7 consistency term without the n×n Gram ------------------------
+# -- the loss tail: row normalization, Eq 9 and Eq 7 ----------------------
+def _row_squares(matrix: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, in one pass and no temporary."""
+    return np.einsum("ij,ij->i", matrix, matrix)
+
+
+def _normalize_rows(ins, meta, out) -> np.ndarray:
+    """``x / sqrt(Σx² + eps)`` per row; the norms are kept for the VJP."""
+    matrix = ins[0]
+    meta["norms"] = np.sqrt(_row_squares(matrix) + meta["eps"])[:, None]
+    return np.divide(matrix, meta["norms"], out=out)
+
+
+def _normalize_rows_vjp(g, ins, out, meta) -> np.ndarray:
+    """``(g − out·rowsum(g·out)) / norms``."""
+    grad = out * np.einsum("ij,ij->i", g, out)[:, None]
+    np.subtract(g, grad, out=grad)
+    grad /= meta["norms"]
+    return grad
+
+
+def _normalize_rows_flops(in_shapes, out_shape, meta) -> Tuple[int, int]:
+    size = math.prod(out_shape)
+    return 3 * size, 5 * size
+
+
+_define("normalize_rows", _normalize_rows, (_normalize_rows_vjp,),
+        flops=_normalize_rows_flops, reads=("out",), **_ELEMENTWISE)
+
+
+def _gated_row_distance(ins, meta, out) -> np.ndarray:
+    """Eq 9's ``Σ_v σ_<(‖A(v) − B(π(v))‖)``: gather, subtract, row norm,
+    gate and sum.  The differences and each row's gated ``1/norm`` (0
+    where the gate drops the row) are kept for the pullback."""
+    original, augmented = ins
+    difference = augmented[meta["correspondence"]]
+    np.subtract(original, difference, out=difference)
+    norms = np.sqrt(_row_squares(difference) + meta["eps"])
+    kept = norms < meta["threshold"]
+    meta["difference"] = difference
+    meta["scale"] = np.where(kept, 1.0 / norms, 0.0)
+    # A 0-d array, not a numpy scalar: a later op may write into it.
+    return np.asarray(np.where(kept, norms, 0.0).sum())
+
+
+def _gated_row_distance_pullback(g, ins, out, meta) -> np.ndarray:
+    """``g`` at the sum -> ``g`` at each row difference."""
+    return meta["difference"] * (g * meta["scale"])[:, None]
+
+
+def _gated_row_distance_augmented_vjp(g, ins, out, meta) -> np.ndarray:
+    """Row ``π(v)`` of B gets ``−g(v)``: a gather through ``π⁻¹``."""
+    grad = g[meta["inverse"]]
+    return np.negative(grad, out=grad)
+
+
+def _gated_row_distance_flops(in_shapes, out_shape, meta) -> Tuple[int, int]:
+    size = math.prod(in_shapes[0])
+    return 3 * size, 2 * size
+
+
+_define("gated_row_distance", _gated_row_distance, (
+    lambda g, ins, out, meta: g,
+    _gated_row_distance_augmented_vjp,
+), pullback=_gated_row_distance_pullback, flops=_gated_row_distance_flops)
+
+
+def _target_facts(csr) -> Tuple[float, bool]:
+    """``‖C‖²`` and whether ``C = Cᵀ`` (compared as stored, so an
+    explicit zero without its mirror reads as asymmetric)."""
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    transposed = csr.T.tocsr()
+    symmetric = all(
+        np.array_equal(mine, theirs) for mine, theirs in (
+            (csr.indptr, transposed.indptr),
+            (csr.indices, transposed.indices),
+            (csr.data, transposed.data),
+        )
+    )
+    return float(np.vdot(csr.data, csr.data)), symmetric
+
+
 def _gram_residual_norm(ins, meta, out) -> np.ndarray:
     """``‖C − H Hᵀ‖_F`` as ``sqrt(‖C‖² − 2⟨H, CH⟩ + ‖HᵀH‖² + eps)``.
 
     The clamp at zero absorbs the rounding of a residual that cancels
-    to nothing.  ``‖C‖²`` is worked out at the first forward and kept in
-    ``meta``, so a tape replays without it.
+    to nothing.  ``‖C‖²`` and C's symmetry are worked out at the first
+    forward and kept in ``meta``, so a tape replays without them.
     """
     hidden, csr = ins[0], meta["csr"]
     if "target_sq" not in meta:
-        meta["target_sq"] = float(csr.multiply(csr).sum())
+        meta["target_sq"], meta["symmetric"] = _target_facts(csr)
     # Kept for the VJP, as ``gcn_layer`` keeps ``pre``.
     meta["propagated"] = np.asarray(csr @ hidden)
     meta["gram"] = hidden.T @ hidden
@@ -379,23 +477,30 @@ def _gram_residual_norm(ins, meta, out) -> np.ndarray:
 
 
 def _gram_residual_norm_vjp(g, ins, out, meta) -> np.ndarray:
-    """``g/(2·out) · (4·H(HᵀH) − 2·(C + Cᵀ)H)``."""
+    """``g/(2·out) · (4·H(HᵀH) − 2·(C + Cᵀ)H)``; a symmetric C reuses
+    the forward's ``CH`` for ``CᵀH``."""
     hidden = ins[0]
     grad = hidden @ meta["gram"]
     grad *= 4.0
     grad -= 2.0 * meta["propagated"]
-    grad -= 2.0 * np.asarray(meta["csr"].T @ hidden)
+    transposed = (
+        meta["propagated"] if meta["symmetric"]
+        else np.asarray(meta["csr"].T @ hidden)
+    )
+    grad -= 2.0 * transposed
     grad *= g / (2.0 * out)
     return grad
 
 
 def _gram_residual_norm_flops(in_shapes, out_shape, meta) -> Tuple[int, int]:
-    """One spmm and one ``d×d`` Gram each way, plus the inner products."""
+    """One spmm and one ``d×d`` Gram forward; the Gram product and, for
+    an asymmetric C, a second spmm backward; plus the inner products."""
     rows, columns = in_shapes[0]
     spmm = 2 * int(meta["csr"].nnz) * columns
     gram = 2 * rows * columns * columns
+    backward_spmm = 0 if meta["symmetric"] else spmm
     return (spmm + gram + 2 * rows * columns + 2 * columns * columns,
-            spmm + gram + 4 * rows * columns)
+            backward_spmm + gram + 4 * rows * columns)
 
 
 _define("gram_residual_norm", _gram_residual_norm, (_gram_residual_norm_vjp,),

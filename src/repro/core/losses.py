@@ -7,7 +7,8 @@
   :func:`~repro.autograd.gram_residual_norm`, O(nnz·d + n·d²) time and
   O(n·d) memory.
 * :func:`adaptivity_loss` — match multi-order embeddings of a network and
-  its perturbed copy, gated by the σ_< confidence threshold (Eq 9).
+  its perturbed copy, gated by the σ_< confidence threshold (Eq 9).  Each
+  layer's term is one :func:`~repro.autograd.gated_row_distance`.
 * :func:`combined_loss` — γ-weighted total (Eq 10).
 """
 
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, gram_residual_norm, row_norms, threshold_mask
+from ..autograd import Tensor, gated_row_distance, gram_residual_norm
 
 __all__ = ["consistency_loss", "adaptivity_loss", "combined_loss"]
 
@@ -60,19 +61,20 @@ def adaptivity_loss(
         Multi-order features of the original network and one augmented copy.
     correspondence:
         ``correspondence[v]`` is the index of node v inside the augmented
-        network (the permutation applied during augmentation, Eq 8).
+        network (the permutation applied during augmentation, Eq 8); it
+        must be a permutation, or ``ValueError`` is raised.
     threshold:
-        The σ_< gate: per-node embedding differences above it are masked to
-        zero so uncontrollable perturbations cannot poison the model.
+        The σ_< gate: per-node embedding distances at or above it are
+        masked to zero so uncontrollable perturbations cannot poison the
+        model.
     """
     if len(embeddings) != len(augmented_embeddings):
         raise ValueError("layer counts differ between original and augmented")
     correspondence = np.asarray(correspondence, dtype=int)
     total = None
     for original, augmented in zip(embeddings[1:], augmented_embeddings[1:]):
-        difference = original - augmented[correspondence]
-        gated = threshold_mask(row_norms(difference), threshold)
-        term = gated.sum()
+        term = gated_row_distance(original, augmented, correspondence,
+                                  threshold)
         total = term if total is None else total + term
     return total
 

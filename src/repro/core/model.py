@@ -11,7 +11,9 @@ The forward pass follows Eq 1:
 
 with ``C`` the normalized Laplacian (or its influence-weighted variant from
 Eq 15 during refinement) and σ = tanh (ReLU discards sign information and is
-not bijective; paper §IV-A).
+not bijective; paper §IV-A).  The sparse product runs on whichever of
+``H(l-1)`` and ``H(l-1) W(l)`` is narrower: layer 1 (m attributes → d
+dimensions, m < d) computes ``σ((C F) W(1))``, later layers ``σ(C (H W))``.
 """
 
 from __future__ import annotations
@@ -112,7 +114,11 @@ class MultiOrderGCN:
         hidden = Tensor(graph.features)
         embeddings = [normalize_rows(hidden) if normalize else hidden]
         for weight in self.weights:
-            hidden = self._activation(spmm(propagation, hidden @ weight))
+            if hidden.shape[1] < weight.shape[1]:
+                pre = spmm(propagation, hidden) @ weight
+            else:
+                pre = spmm(propagation, hidden @ weight)
+            hidden = self._activation(pre)
             embeddings.append(normalize_rows(hidden) if normalize else hidden)
         return embeddings
 

@@ -9,11 +9,10 @@ from repro.autograd import (
     spmm,
     concat,
     stack,
-    row_norms,
     frobenius_norm,
+    gated_row_distance,
     gram_residual_norm,
     normalize_rows,
-    threshold_mask,
     softmax,
     log_softmax,
     dropout_mask,
@@ -72,16 +71,28 @@ class TestConcatStack:
         gradcheck(lambda x, y: stack([x, y], axis=0), [a, b])
 
 
+def _distance_sum(matrix, threshold=np.inf, eps=1e-12):
+    """Eq 9's entry against zeros under the identity: the sum of the
+    gated row norms of ``matrix``."""
+    zeros = Tensor(np.zeros(np.shape(matrix.data)))
+    return gated_row_distance(matrix, zeros, np.arange(len(matrix)),
+                              threshold, eps=eps)
+
+
 class TestNorms:
     def test_row_norms_values(self, rng):
-        m = Tensor([[3.0, 4.0], [0.0, 0.0]])
-        out = row_norms(m)
-        assert out.data[0] == pytest.approx(5.0)
-        assert out.data[1] == pytest.approx(0.0, abs=1e-5)
+        m = Tensor([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]])
+        # Each threshold admits one more row: norms 0 (+ sqrt(eps)), 5, 10.
+        assert _distance_sum(m, threshold=1e-3).item() == pytest.approx(
+            1e-6, rel=1e-9)
+        assert _distance_sum(m, threshold=6.0).item() == pytest.approx(5.0)
+        assert _distance_sum(m).item() == pytest.approx(15.0)
 
     def test_row_norms_gradient(self, rng):
-        m = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
-        gradcheck(lambda a: row_norms(a), [m])
+        a = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
+        perm = np.array([2, 0, 3, 1])
+        gradcheck(lambda x, y: gated_row_distance(x, y, perm, np.inf), [a, b])
 
     def test_frobenius_norm_value(self, rng):
         m = Tensor(np.full((2, 2), 2.0))
@@ -96,21 +107,69 @@ class TestNorms:
         out = normalize_rows(m)
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, rtol=1e-6)
 
+    def test_normalize_rows_keeps_direction(self, rng):
+        m = Tensor(rng.normal(size=(5, 4)))
+        out = normalize_rows(m)
+        norms = np.linalg.norm(m.data, axis=1, keepdims=True)
+        np.testing.assert_allclose(out.data * norms, m.data, rtol=1e-12)
+
     def test_normalize_rows_gradient(self, rng):
         m = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
         gradcheck(lambda a: normalize_rows(a), [m], atol=1e-4)
 
 
 class TestThresholdMask:
+    """The σ_< gate inside Eq 9's entry: a row counts (and gets gradient)
+    only while its distance is below the threshold."""
+
     def test_identity_below_threshold(self):
-        v = Tensor([0.1, 0.5, 2.0])
-        out = threshold_mask(v, threshold=1.0)
-        np.testing.assert_allclose(out.data, [0.1, 0.5, 0.0])
+        v = Tensor([[0.1, 0.0], [0.0, 0.5], [2.0, 0.0], [0.0, 1.0]])
+        # 0.1 and 0.5 pass; 2.0 is above and 1.0 exactly at the gate.
+        out = _distance_sum(v, threshold=1.0, eps=0.0)
+        assert out.item() == pytest.approx(0.6, rel=1e-15)
 
     def test_gradient_masked(self):
-        v = Tensor(np.array([0.1, 0.5, 2.0]), requires_grad=True)
-        threshold_mask(v, 1.0).sum().backward()
-        np.testing.assert_allclose(v.grad, [1.0, 1.0, 0.0])
+        a = Tensor(np.array([[0.1, 0.0], [0.0, 0.5], [2.0, 0.0]]),
+                   requires_grad=True)
+        b = Tensor(np.zeros((3, 2)), requires_grad=True)
+        perm = np.array([2, 0, 1])
+        gated_row_distance(a, b, perm, threshold=1.0).backward()
+        # Kept rows get their unit direction; the gated row gets nothing.
+        np.testing.assert_allclose(a.grad, [[1.0, 0.0], [0.0, 1.0],
+                                            [0.0, 0.0]])
+        # B's row perm[v] gets −(A's row v gradient).
+        np.testing.assert_allclose(b.grad, [[0.0, -1.0], [0.0, 0.0],
+                                            [-1.0, 0.0]])
+
+
+class TestGatedRowDistance:
+    @pytest.mark.parametrize("correspondence", [
+        [0, 0, 1],          # a repeated row
+        [0, 1, 3],          # out of range
+        [0, 1],             # too short
+        [0.0, 1.0, 2.0],    # not integers
+    ], ids=["repeated", "out-of-range", "short", "float"])
+    def test_rejects_non_permutation(self, correspondence, rng):
+        a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 2)))
+        with pytest.raises(ValueError, match="one-to-one"):
+            gated_row_distance(a, b, np.array(correspondence), 1.0)
+
+    def test_rejects_row_count_mismatch(self, rng):
+        a = Tensor(rng.normal(size=(3, 2)))
+        b = Tensor(rng.normal(size=(4, 2)))
+        with pytest.raises(ValueError, match="one-to-one"):
+            gated_row_distance(a, b, np.arange(3), 1.0)
+
+    def test_matches_gather_subtract_norm_gate_sum(self, rng):
+        a = Tensor(rng.normal(size=(6, 3)))
+        b = Tensor(rng.normal(size=(6, 3)))
+        perm = rng.permutation(6)
+        norms = np.linalg.norm(a.data - b.data[perm], axis=1)
+        threshold = float(np.median(norms))
+        expected = norms[norms < threshold].sum()
+        got = gated_row_distance(a, b, perm, threshold, eps=0.0).item()
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestSoftmax:
@@ -145,7 +204,7 @@ class TestBackwardGuards:
 
     Toggling a leaf's ``requires_grad`` off after the graph is built is
     the observable difference: concat/stack always guarded, but spmm,
-    threshold_mask, softmax, and log_softmax used to accumulate into the
+    the σ_< gate, softmax, and log_softmax used to accumulate into the
     (now frozen) leaf anyway.
     """
 
@@ -153,7 +212,10 @@ class TestBackwardGuards:
         "spmm": lambda t: spmm(
             sp.random(4, 4, density=0.5, random_state=1, format="csr"), t
         ),
-        "threshold_mask": lambda t: threshold_mask(t, threshold=0.5),
+        "gated_row_distance": lambda t: gated_row_distance(
+            t, Tensor(np.zeros_like(t.data)), np.arange(len(t)), 10.0
+        ),
+        "normalize_rows": lambda t: normalize_rows(t),
         "softmax": lambda t: softmax(t),
         "log_softmax": lambda t: log_softmax(t),
         "concat": lambda t: concat([t, Tensor(np.ones_like(t.data))], axis=0),
@@ -203,10 +265,6 @@ class TestGradcheckCoverage:
                 Tensor(rng.normal(size=(2, 2)), requires_grad=True),
             ],
         ),
-        "row_norms": lambda rng: gradcheck(
-            row_norms,
-            [Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)],
-        ),
         "frobenius_norm": lambda rng: gradcheck(
             frobenius_norm,
             [Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)],
@@ -222,19 +280,17 @@ class TestGradcheckCoverage:
             [Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)],
             atol=1e-4,
         ),
-        # Entries away from the threshold: the kink at exactly `threshold`
+        # Rows away from the threshold: the kink at exactly `threshold`
         # is non-differentiable, which finite differences would straddle.
-        "threshold_mask": lambda rng: gradcheck(
-            lambda v: threshold_mask(v, threshold=0.5),
+        "gated_row_distance": lambda rng: gradcheck(
+            lambda a, b: gated_row_distance(a, b, np.array([1, 3, 0, 2]), 1.0),
             [
                 Tensor(
-                    np.where(
-                        rng.random((3, 4)) < 0.5,
-                        rng.uniform(0.0, 0.4, size=(3, 4)),
-                        rng.uniform(0.6, 1.0, size=(3, 4)),
-                    ),
+                    rng.normal(size=(4, 3))
+                    * np.array([[0.1], [2.0], [0.2], [3.0]]),
                     requires_grad=True,
-                )
+                ),
+                Tensor(np.zeros((4, 3)), requires_grad=True),
             ],
         ),
         "softmax": lambda rng: gradcheck(

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.autograd import Tensor, TapeRecorder, frobenius_norm
+from repro.autograd import (
+    Tensor,
+    TapeRecorder,
+    frobenius_norm,
+    gram_residual_norm,
+)
 from repro.core import (
     GAlignConfig,
     MultiOrderGCN,
@@ -21,6 +26,26 @@ def embeddings_for(graph, seed=0, **kwargs):
     config = GAlignConfig(num_layers=2, embedding_dim=8, **kwargs)
     model = MultiOrderGCN(graph.num_features, config, np.random.default_rng(seed))
     return model.forward(graph)
+
+
+def counting_csr(matrix, products):
+    """``matrix`` as a CSR that appends to ``products`` on each sparse ×
+    dense product, its transpose's included."""
+
+    class CountingCSC(sp.csc_matrix):
+        def _matmul_multivector(self, other):
+            products.append("CᵀH")
+            return super()._matmul_multivector(other)
+
+    class CountingCSR(sp.csr_matrix):
+        def _matmul_multivector(self, other):
+            products.append("CH")
+            return super()._matmul_multivector(other)
+
+        def transpose(self, axes=None, copy=False):
+            return CountingCSC(super().transpose(axes, copy))
+
+    return CountingCSR(matrix)
 
 
 class TestConsistencyLoss:
@@ -106,6 +131,28 @@ class TestEq7WithoutDenseGram:
         assert float(replayed.data) == pytest.approx(value, rel=1e-5, abs=0)
         assert np.abs(hidden.grad - grad).max() <= 1e-5 * scale
 
+    @pytest.mark.parametrize("symmetric,expected", [
+        (True, ["CH"]), (False, ["CH", "CᵀH"]),
+    ], ids=["symmetric", "asymmetric"])
+    def test_sparse_products_per_forward_and_backward(self, symmetric,
+                                                      expected):
+        # A symmetric C reuses the forward's CH for the backward's CᵀH.
+        target = sp.random(30, 30, density=0.2, random_state=3,
+                           format="csr")
+        if symmetric:
+            target = (target + target.T).tocsr()
+        products = []
+        counted = counting_csr(target, products)
+        hidden = Tensor(np.random.default_rng(3).normal(size=(30, 4)),
+                        requires_grad=True)
+        gram_residual_norm(counted, hidden).backward()
+        assert products == expected
+        counted_grad = hidden.grad.copy()
+        hidden.zero_grad()
+        dense = frobenius_norm(Tensor(target.toarray()) - hidden @ hidden.T)
+        dense.backward()
+        np.testing.assert_allclose(counted_grad, hidden.grad, rtol=1e-9)
+
     def test_duplicate_entries_count_once_each(self):
         # A non-canonical CSR (a repeated (row, col)) means the sum of its
         # duplicates, as the dense form does.
@@ -157,6 +204,13 @@ class TestAdaptivityLoss:
         augmented = model.forward(view.graph)
         loss = adaptivity_loss(original, augmented, view.correspondence, threshold=1.0)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-3)
+
+    def test_rejects_non_permutation_correspondence(self, small_graph):
+        a = embeddings_for(small_graph, seed=0)
+        b = embeddings_for(small_graph, seed=1)
+        squashed = np.zeros(small_graph.num_nodes, dtype=int)
+        with pytest.raises(ValueError, match="one-to-one"):
+            adaptivity_loss(a, b, squashed)
 
     def test_rejects_layer_mismatch(self, small_graph):
         a = embeddings_for(small_graph)

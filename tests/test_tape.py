@@ -23,7 +23,9 @@ from repro.autograd import (
     spmm,
 )
 from repro.core import GAlignConfig
+from repro.core import trainer as trainer_module
 from repro.core.trainer import GAlignTrainer
+from repro.core.training_loop import CompiledLoss
 from repro.graphs import generators, noisy_copy_pair
 from repro.observability import OpProfiler, Tracer, format_op_table, use_tracer
 
@@ -393,6 +395,56 @@ class TestTrainerIntegration:
         ).train(pair)
         assert compiled_log.total == eager_log.total
         assert compiled_log.adaptivity == eager_log.adaptivity == [0.0] * 4
+
+    def test_compiled_tape_runs_the_fused_loss_tail(self, monkeypatch):
+        # 8 attributes -> 16 dimensions: layer 1 propagates the features.
+        pair = profile_pair()
+        losses = []
+
+        class Recording(CompiledLoss):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                losses.append(self)
+
+        class Shapes(dispatch.Observer):
+            def __init__(self):
+                self.seen = []
+
+            def kernel(self, kind, direction, started, elapsed, flops,
+                       shape):
+                self.seen.append((kind, direction, shape))
+
+        monkeypatch.setattr(trainer_module, "CompiledLoss", Recording)
+        config = galign_config(epochs=2, embedding_dim=16, compile=True)
+        shapes = Shapes()
+        dispatch.attach(shapes)
+        try:
+            GAlignTrainer(config, np.random.default_rng(0)).train(pair)
+        finally:
+            dispatch.detach(shapes)
+        (loss,) = losses
+        kinds = loss.tape.op_kinds()
+        for gone in ("getitem", "sub", "pow", "threshold_mask"):
+            assert gone not in kinds
+        # Source, target and their views, each at orders 0..k.
+        graphs = 2 * (1 + config.num_augmentations)
+        assert kinds.count("normalize_rows") == graphs * (
+            config.num_layers + 1
+        )
+        assert kinds.count("gated_row_distance") == (
+            2 * config.num_augmentations * config.num_layers
+        )
+        # Layer 1's sparse product runs at the attribute width; the
+        # later layers fuse at the embedding width.
+        replayed = [(kind, shape) for kind, direction, shape in shapes.seen
+                    if direction == "forward"]
+        assert replayed
+        attributes = pair.source.num_features
+        assert {shape[1] for kind, shape in replayed if kind == "spmm"} == {
+            attributes
+        }
+        assert kinds.count("spmm") == graphs
+        assert kinds.count("gcn_layer") == graphs * (config.num_layers - 1)
 
 
 class TestObservabilityIntegration:

@@ -11,8 +11,10 @@ cases together must cover every kind in the op table.
 The same cases gradcheck every kind: the parameter gradients of eager,
 of the unfused tape and of the fused tape (where ``gcn_layer`` and any
 later fused entry exist) must match float64 central differences.  The
-Eq 7 entry (``gram_residual_norm``) is built by eager itself, so its
-case runs it in all three.
+loss-tail entries (``normalize_rows``, ``gated_row_distance``,
+``gram_residual_norm``) are built by eager itself, so their cases run
+them in all three; Eq 7's has a case for each of its backward paths
+(symmetric and asymmetric C).
 """
 
 from types import SimpleNamespace
@@ -25,13 +27,14 @@ from repro.autograd import (
     Tensor,
     TapeRecorder,
     concat,
+    gated_row_distance,
     gram_residual_norm,
     log_softmax,
+    normalize_rows,
     numerical_gradient,
     softmax,
     spmm,
     stack,
-    threshold_mask,
 )
 from repro.autograd.optable import OPS
 from repro.observability import OpProfiler
@@ -43,6 +46,10 @@ MODES = [(fuse, reuse) for fuse in (False, True) for reuse in (False, True)]
 
 def _positive(t):
     return t * t + 1.0
+
+
+#: π for the Eq 9 case: row v of the original matches row PERM[v].
+PERM = np.array([3, 0, 4, 1, 2])
 
 
 #: name -> op applied to the pre-activation ``t`` (shape (N, D)).
@@ -81,12 +88,21 @@ CASES = {
     "spmm": lambda t, p: spmm(p.adj, t),
     "concat": lambda t, p: concat([p.row, t, p.const], axis=0),
     "stack": lambda t, p: stack([t, p.const], axis=1),
-    "threshold_mask": lambda t, p: threshold_mask(t, 0.3),
     "softmax": lambda t, p: softmax(t, axis=0),
     "log_softmax": lambda t, p: log_softmax(t, axis=-1),
     "gcn-tanh": lambda t, p: spmm(p.adj, t.matmul(p.w)).tanh(),
     "gcn-relu": lambda t, p: spmm(p.adj, t.matmul(p.w)).relu(),
+    # Eq 1's narrow side first: stays three ops, never a gcn_layer.
+    "gcn-narrow-first": lambda t, p: spmm(p.adj, p.const).matmul(p.w).tanh(),
+    "normalize_rows": lambda t, p: normalize_rows(t),
+    # Threshold 2 keeps two rows and gates the other three out.
+    "gated_row_distance": lambda t, p: gated_row_distance(
+        t, p.const * p.row, PERM, 2.0
+    ),
     "gram_residual_norm": lambda t, p: gram_residual_norm(p.adj, t),
+    "gram_residual_norm-symmetric": lambda t, p: gram_residual_norm(
+        p.adj + p.adj.T, t
+    ),
 }
 
 
