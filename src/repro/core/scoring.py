@@ -11,6 +11,8 @@ them build and select through this module, the only place that knows:
   T_rowsᵀ)`` partials summed layer by layer, non-finite entries set to
   ``-inf`` so NaN/Inf embeddings can never win a top-k or outrank a true
   anchor;
+* **the reported score** — :func:`pair_scores`: one canonical value per
+  (source, target) pair;
 * **running-kth selection** — :class:`RunningTopK`: a ``(batch, k)``
   buffer of the k largest values per row (``-inf`` until k were seen),
   raised by one ``partition`` per block;
@@ -20,20 +22,16 @@ them build and select through this module, the only place that knows:
 
 Batch invariance
 ----------------
-BLAS picks its GEMM kernel by operand shape, so the same score can
-round differently in products of different heights or widths.  The
-contract kept here, for any one block partition:
-
-* target ids and their tie order are the same for a source queried
-  alone or inside any batch;
-* scores are bitwise equal across batches of equal height;
-* a lone query (padded to two rows by the index, so the GEMV kernel is
-  never used) may differ from the same row inside a batch by ≤2 ULP.
-
-Fixed-height tiles would make scores bitwise across heights too, but a
-prototype made lone queries 6× slower and batches 4-14 % slower, so
-they are not used.  Integer-valued products are exact in any kernel,
-which is why the tie tests use them.
+BLAS picks its GEMM kernel by operand shape, so a block entry's bits
+depend on the block's height and width.  Blocks therefore only *select*
+candidates; every reported score is the :func:`pair_scores` value of its
+pair, which reads the two gathered rows alone.  A selector keeps each
+block entry within a per-source :func:`score_slack` of its running kth.
+The slack is at least twice the largest distance between any GEMM's
+rounding of an entry and the canonical value, so every canonical top-k
+member survives, ties included.  Scores, ids and tie order are then
+bitwise the same for a source alone or in any batch, at any block
+width, shard layout or path (index, ANN, streaming).
 """
 
 from __future__ import annotations
@@ -45,6 +43,8 @@ import numpy as np
 __all__ = [
     "check_layers",
     "score_block",
+    "pair_scores",
+    "score_slack",
     "RunningTopK",
     "canonical_top_k",
 ]
@@ -119,6 +119,65 @@ def score_block(
     return block, int(np.count_nonzero(finite))
 
 
+#: Pairs per :func:`pair_scores` chunk: bounds its transient to
+#: O(chunk · d) whatever the number of pairs.
+PAIR_CHUNK = 1024
+
+
+def pair_scores(
+    source: Sequence[np.ndarray],
+    target: Sequence[np.ndarray],
+    weights: Sequence[float],
+    source_ids: np.ndarray,
+    target_ids: np.ndarray,
+) -> np.ndarray:
+    """Canonical ``S[source_ids[i], target_ids[i]]`` for each pair.
+
+    Per layer ``θ(l) · (s * t).sum()`` over the two gathered rows, the
+    layers summed in layer order, non-finite values set to ``-inf``.  A
+    row sum depends on that row alone, so a pair scores the same bits
+    alone, in any batch, in any chunk and from an mmap'd artifact.
+    """
+    source_ids = np.asarray(source_ids, dtype=np.int64)
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    scores = np.zeros(source_ids.size, np.result_type(*source, *target))
+    for start in range(0, source_ids.size, PAIR_CHUNK):
+        rows = source_ids[start:start + PAIR_CHUNK]
+        columns = target_ids[start:start + PAIR_CHUNK]
+        chunk = scores[start:start + PAIR_CHUNK]
+        for s, t, weight in zip(source, target, weights):
+            chunk += weight * (s[rows] * t[columns]).sum(axis=1)
+    scores[~np.isfinite(scores)] = -np.inf
+    return scores
+
+
+def score_slack(
+    source: Sequence[np.ndarray],
+    target: Sequence[np.ndarray],
+    weights: Sequence[float],
+) -> np.ndarray:
+    """Per-source slack ``4·γ_n·Σ_l |θ_l|·‖q_l‖·max_u ‖t_l(u)‖``.
+
+    A GEMM entry and its :func:`pair_scores` value each lie within
+    ``γ_n·Σ_l |θ_l|·‖q_l‖·‖t_l(u)‖`` of the exact score (``γ_n = n·u /
+    (1 - n·u)``, ``n`` = layer width + layer count), so a top-k member's
+    entry lies within this slack of any running kth.  ``n`` is taken as
+    twice the concatenated width plus layer count, which also covers
+    rounding the slack, ``kth - slack`` and the Cauchy-Schwarz bound.
+    Non-finite target rows (``-inf`` everywhere) are left out of the
+    maxima; a NaN slack (a poisoned source row) becomes 0.
+    """
+    unit = np.finfo(np.result_type(*source, *target)).eps / 2
+    n = 2 * (sum(layer.shape[1] for layer in source) + len(source))
+    total = np.zeros(source[0].shape[0])
+    for s, t, weight in zip(source, target, weights):
+        reach = np.sqrt(np.einsum("ij,ij->i", t, t))
+        reach = reach[np.isfinite(reach)].max(initial=0.0)
+        total += abs(weight) * reach * np.sqrt(np.einsum("ij,ij->i", s, s))
+    gamma = n * unit / (1 - n * unit)
+    return np.nan_to_num(4 * gamma * total, nan=0.0, posinf=np.inf)
+
+
 def canonical_top_k(
     rows: np.ndarray, ids: np.ndarray, scores: np.ndarray, batch: int,
     k: int,
@@ -149,10 +208,10 @@ class RunningTopK:
 
     Each :meth:`push` folds one column block into the ``(batch, k)``
     buffer of the k largest values seen per row, with one ``partition``,
-    and keeps only the block entries ``>=`` the row's running kth as
-    ``(row, id, value)`` candidates.  kth only rises, so an entry below
-    it is strictly below the final kth: every canonical top-k member,
-    boundary ties included, survives.  Transient memory is
+    and keeps only the block entries ``>=`` the row's running kth (less
+    its ``slack``) as ``(row, id, value)`` candidates.  kth only rises,
+    so an entry below it is strictly below the final kth: every top-k
+    member, boundary ties included, survives.  Transient memory is
     O(block + survivors); no full row is ever held or sorted.
     """
 
@@ -175,6 +234,7 @@ class RunningTopK:
         start: int = 0,
         rows: Optional[np.ndarray] = None,
         bound: Optional[np.ndarray] = None,
+        slack: Optional[np.ndarray] = None,
     ) -> None:
         """Fold in ``block``: the values of ids ``[start, start + width)``
         for batch ``rows`` (every row when ``None``).
@@ -182,7 +242,8 @@ class RunningTopK:
         ``bound`` (default: ``block``) holds the values that raise kth.
         A caller with bracketed estimates passes lower bounds here and
         upper bounds as ``block``, so a kept entry is one whose upper
-        bound reaches the k-th best lower bound.
+        bound reaches the k-th best lower bound.  ``slack`` (per block
+        row; :func:`score_slack`) lowers the bar to ``kth - slack``.
         """
         bound = block if bound is None else bound
         index = slice(None) if rows is None else rows
@@ -191,19 +252,20 @@ class RunningTopK:
         self._best[index] = merged[:, -self.k:]
         del merged  # a block-sized copy: freed before the hit mask
         kth = self.kth[index]
+        if slack is not None:
+            kth = kth - slack
         hit = np.flatnonzero(block >= kth[:, None])
         hit_rows, columns = np.divmod(hit, block.shape[1])
         self._rows.append(hit_rows if rows is None else rows[hit_rows])
         self._ids.append(columns + start)
         self._values.append(np.take(block, hit))
 
-    def candidates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Kept ``(rows, ids, values)`` that reach the final kth."""
+    def candidates(
+        self, slack: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kept ``(rows, ids, values)`` reaching the final kth - slack."""
         rows = np.concatenate(self._rows)
         values = np.concatenate(self._values)
-        final = values >= self.kth[rows]
+        kth = self.kth if slack is None else self.kth - slack
+        final = values >= kth[rows]
         return rows[final], np.concatenate(self._ids)[final], values[final]
-
-    def result(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(targets, scores)`` of shape ``(batch, k)``, canonical order."""
-        return canonical_top_k(*self.candidates(), self.batch, self.k)

@@ -17,9 +17,9 @@ This module provides that row-streaming layer:
   in O(block · n₂) peak memory.
 
 Blocks are built, sanitized and selected from by :mod:`repro.core.scoring`,
-the scorer the serving indexes share, so streamed answers carry the same
-scores and the same canonical tie order; that module also states the
-batch-invariance contract.
+the scorer the serving indexes share, and top-k scores are its canonical
+per-pair values, so streamed answers carry the same scores and tie order
+at any block size; that module also states the batch-invariance contract.
 """
 
 from __future__ import annotations
@@ -46,7 +46,10 @@ from ..parallel import (
 from ..resilience import validate_pair
 from .config import GAlignConfig
 from .model import MultiOrderGCN
-from .scoring import RunningTopK, check_layers, score_block
+from .scoring import (
+    RunningTopK, canonical_top_k, check_layers, pair_scores, score_block,
+    score_slack,
+)
 
 __all__ = [
     "iter_score_blocks",
@@ -194,10 +197,14 @@ def _map_blocks(
         )
 
 
-def _select_top_k(block: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _select_candidates(
+    block: np.ndarray, k: int, slack: np.ndarray, start: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Top-k candidate ``(source id, target id)`` pairs of one block."""
     selector = RunningTopK(block.shape[0], k)
-    selector.push(block)
-    return selector.result()
+    selector.push(block, slack=slack)
+    rows, ids, _ = selector.candidates(slack)
+    return rows + start, ids
 
 
 def streaming_top_k(
@@ -243,15 +250,19 @@ def streaming_top_k(
     ranges = _block_ranges(n_source, block_size)
     if registry is None:
         registry = get_registry()
+    slack = score_slack(source, target, weights)
     with get_tracer().span("streaming.top_k", k=k, n_source=n_source):
         blocks = _map_blocks(
-            _select_top_k, [(k,)] * len(ranges), ranges,
-            source, target, weights, registry, workers, "top_k",
+            _select_candidates,
+            [(k, slack[start:stop], start) for start, stop in ranges],
+            ranges, source, target, weights, registry, workers, "top_k",
         )
-    if not blocks:
-        return np.empty((0, k), dtype=np.int64), np.empty((0, k))
-    targets, scores = zip(*blocks)
-    return np.concatenate(targets), np.concatenate(scores)
+        none = np.empty(0, dtype=np.int64)
+        rows, ids = map(np.concatenate, zip((none, none), *blocks))
+        return canonical_top_k(
+            rows, ids, pair_scores(source, target, weights, rows, ids),
+            n_source, k,
+        )
 
 
 def _rank_anchors(block: np.ndarray, anchors: Dict[int, int]) -> np.ndarray:

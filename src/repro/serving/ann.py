@@ -25,19 +25,17 @@ while keeping an exactness escape hatch:
   select candidates with a per-row error margin
   ``0.5 · scale_block · ‖θ-weighted query‖₁`` (inflated by an
   ULP-scale fudge for GEMM rounding).  Rows whose *upper* bound clears
-  the kth-best *lower* bound are rescored **through the exact index's
-  own per-block kernel over original-order blocks** — identical GEMM
-  shapes, identical bits.  The margin is a proof, not a heuristic: the
-  candidate set always contains every true top-k member (ties
-  included), so with ``nprobe == n_clusters`` the ANN answer is
-  **bitwise identical** to :meth:`AlignmentIndex.top_k`.  With smaller
-  ``nprobe`` the only approximation is *which clusters are probed*.
+  the kth-best *lower* bound are rescored **pair by pair** with
+  :func:`~repro.core.scoring.pair_scores`, the canonical score every
+  exact path reports.  The margin is a proof, not a heuristic: the
+  candidates always hold every true top-k member (ties included), so
+  with ``nprobe == n_clusters`` the ANN answer is **bitwise identical**
+  to :meth:`AlignmentIndex.top_k`.  With smaller ``nprobe`` the only
+  approximation is *which clusters are probed*.
 
-Neither phase holds a (batch × n_target) matrix: the int8 scan runs
-list by list against only the rows that probed each list and yields
-flat ``(row, target id)`` candidate pairs, and the rescoring
-(:meth:`AlignmentIndex.gather_scores`) keeps only those pairs' scores
-from each block it scores.
+Neither phase holds a (batch × n_target) matrix or scores an exact
+block: the int8 scan runs list by list against only the rows that
+probed each list, and the rescoring reads only the candidates' rows.
 
 Everything is deterministic: seeded RNG, fixed chunk sizes, canonical
 tie orders; building the same state twice (in any process) yields
@@ -283,8 +281,7 @@ class AnnProber:
     batch, *which (row, original target id) pairs must be float-rescored*
     so the true top-k (over the probed clusters) provably survives.  The
     rescoring itself lives with whoever owns the target matrix — the
-    single-process :class:`AnnIndex` or the sharded scatter-gather —
-    which is what keeps shard answers bit-identical to the local ones.
+    single-process :class:`AnnIndex` or the sharded scatter-gather.
     """
 
     def __init__(
@@ -523,9 +520,9 @@ class AnnIndex:
     index, so an engine holding an :class:`AnnIndex` answers legacy
     queries bitwise unchanged.  ``mode='ann'`` probes ``nprobe``
     inverted lists, margin-filters candidates on the int8 scan, and
-    float-rescores them through the exact index's *original-order*
-    block kernel — identical GEMM shapes, identical bits — so
-    ``nprobe == n_clusters`` reproduces the exact answer exactly.
+    rescores them with the canonical per-pair scores the exact paths
+    report, so ``nprobe == n_clusters`` reproduces the exact answer
+    exactly.
 
     Build fresh (``n_clusters``/``seed``/``iters``/``quantize`` knobs)
     or from precomputed ``state`` (what :func:`from_artifact` does with
@@ -651,13 +648,9 @@ class AnnIndex:
             weighted_queries(self.exact._source, self.exact._weights, sources),
             k, nprobe,
         )
-        scores = self.exact.gather_scores(sources, rows, ids)
-        registry.increment(
-            "serving.ann.rescore_blocks",
-            np.unique(ids // self.exact.block_size).size,
-        )
         out_targets, out_scores = canonical_top_k(
-            rows, ids, scores, sources.size, k
+            rows, ids, self.exact.pair_scores(sources[rows], ids),
+            sources.size, k,
         )
         registry.record_histogram(
             "serving.ann.query_time", time.perf_counter() - started

@@ -880,7 +880,6 @@ class QueryEngine:
                 "candidates_rescored": counter(
                     "serving.ann.candidates_rescored"
                 ),
-                "rescore_blocks": counter("serving.ann.rescore_blocks"),
             },
             "latency_ms": {
                 "mean": latency.get("mean", 0.0) * 1e3,

@@ -9,38 +9,28 @@ work with a Cauchy-Schwarz score bound:
     score(v, u) = ⟨concat_l θ(l)·h_v(l), concat_l h_u(l)⟩
                ≤ ‖concat_l θ(l)·h_v(l)‖ · ‖concat_l h_u(l)‖
 
-Per-target norms ``‖concat_l h_u(l)‖`` are precomputed once at build time
-and aggregated into per-block maxima over contiguous target blocks.
-Blocks are *scored* in descending max-norm order (so the running kth-best
-score rises as fast as possible) but *stored* in the original target
-order; once every query row's bound ``‖q‖·max_norm(block)`` falls
-strictly below its current kth-best score, no remaining block can contain
-a top-k member — not even a tie, because the skip test is strict — and
-scoring stops.
+Per-target norms are aggregated at build time into per-block maxima.
+Blocks are scored in descending max-norm order, so the running kth
+rises fast; once every query row's bound ``‖q‖·max_norm(block)`` falls
+strictly below its kth less its slack, no remaining block can hold a
+top-k member — not even a tie — and scoring stops.
 
-Scoring and selection go through :mod:`repro.core.scoring`, the scorer
-streaming shares: each block is scored by ``score_block`` and folded
-into a ``RunningTopK``, which keeps only entries at or above the running
-kth and finishes with the canonical order (descending score, ascending
-target id).  The full (batch × n_target) score matrix is never built and
-no row is ever fully sorted; transient memory is
-O(batch × (block + survivors)).
+Scoring and selection go through :mod:`repro.core.scoring`, shared with
+streaming: ``score_block`` blocks feed a ``RunningTopK`` that keeps the
+entries within the source's precomputed ``score_slack`` of the running
+kth, and the survivors are reported with their ``pair_scores`` in the
+canonical order (descending score, ascending target id).  Transient
+memory is O(batch × (block + survivors)): no full row is held.
 
 Exactness guarantees:
 
-* **Pruned ≡ dense.**  Skipped blocks provably contain only scores
-  strictly below the final kth value, and scored blocks are computed by
-  the same per-block kernel in both modes, so ``prune=True`` and
-  ``prune=False`` return bit-identical targets *and* scores.
-* **Deterministic ties.**  Tied scores at the kth boundary resolve
-  identically in every mode and for every ``k`` (a top-k answer is
-  always a prefix of the top-(k+1) answer).
-* **Batch invariance.**  For a fixed index (fixed target block
-  partition), the contract stated in :mod:`repro.core.scoring`: same
-  ids and tie order alone or in any batch, bitwise scores across
-  batches of equal height.  Single-row queries are padded to two rows,
-  so the GEMV kernel is never used.  ``tests/test_serving_index.py``
-  pins both halves at a realistic width.
+* **Canonical scores.**  Every reported score is its pair's
+  ``pair_scores`` value and the slack keeps every canonical top-k
+  member, ties included, so pruned ≡ dense, a lone query ≡ its row in
+  any batch, and one block width ≡ another, bit for bit.
+* **Deterministic ties.**  Ties at the kth boundary resolve identically
+  in every mode and for every ``k`` (a top-k answer is always a prefix
+  of the top-(k+1) answer).
 
 Non-finite scores are sanitized to ``-inf`` (counted in
 ``serving.index.sanitized_blocks``), so a fully-poisoned row comes back
@@ -52,11 +42,14 @@ as all ``-inf`` rather than NaN (the
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.scoring import RunningTopK, check_layers, score_block
+from ..core.scoring import (
+    RunningTopK, canonical_top_k, check_layers, pair_scores, score_block,
+    score_slack,
+)
 from ..observability import MetricsRegistry, get_registry
 
 __all__ = ["AlignmentIndex"]
@@ -136,6 +129,7 @@ class AlignmentIndex:
         for weight, layer in zip(self._weights, self._source):
             query_sq += (weight * weight) * np.einsum("ij,ij->i", layer, layer)
         self._query_norms = np.sqrt(query_sq)
+        self._slack = score_slack(self._source, self._target, self._weights)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -163,33 +157,7 @@ class AlignmentIndex:
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
 
-    def _queries(
-        self, sources: np.ndarray
-    ) -> Tuple[bool, np.ndarray, List[np.ndarray]]:
-        """``(padded, batch_ids, per-layer query rows)`` for a batch.
-
-        Single queries are padded to two rows: a (1, d) @ (d, n) product
-        goes through a GEMV kernel whose reduction order differs bitwise
-        from the batched GEMM every other path uses.
-        """
-        padded = sources.size == 1
-        batch_ids = np.repeat(sources, 2) if padded else sources
-        return padded, batch_ids, [layer[batch_ids] for layer in self._source]
-
     # ------------------------------------------------------------------
-    def _block_scores(
-        self, queries: List[np.ndarray], start: int, stop: int,
-        registry: MetricsRegistry,
-    ) -> np.ndarray:
-        """Scores of the query rows against targets ``[start, stop)``."""
-        block, bad = score_block(
-            queries, [target[start:stop] for target in self._target],
-            self._weights,
-        )
-        if bad:
-            registry.increment("serving.index.sanitized_blocks")
-        return block
-
     def top_k(
         self,
         sources,
@@ -211,29 +179,35 @@ class AlignmentIndex:
         k = min(k, self.n_target)
         prune = self.prune if prune is None else bool(prune)
 
-        padded, batch_ids, queries = self._queries(sources)
-        query_norms = self._query_norms[batch_ids]
-        selector = RunningTopK(batch_ids.size, k)
+        queries = [layer[sources] for layer in self._source]
+        query_norms = self._query_norms[sources]
+        slack = self._slack[sources]
+        selector = RunningTopK(sources.size, k)
         blocks_scored = 0
         blocks_pruned = 0
         for position, block_index in enumerate(self._block_order):
             start, stop = self._block_bounds[block_index]
             if prune and np.all(
                 query_norms * self._block_max_norm[block_index]
-                < selector.kth
+                < selector.kth - slack
             ):
                 # Blocks are visited in descending max-norm order and
                 # kth only grows, so every remaining block prunes too.
                 blocks_pruned = self.num_blocks - position
                 break
-            selector.push(
-                self._block_scores(queries, start, stop, registry), start
+            block, bad = score_block(
+                queries, [target[start:stop] for target in self._target],
+                self._weights,
             )
+            if bad:
+                registry.increment("serving.index.sanitized_blocks")
+            selector.push(block, start, slack=slack)
+            del block  # freed before the next block's GEMM
             blocks_scored += 1
-        out_targets, out_scores = selector.result()
-        if padded:
-            out_targets = out_targets[:1]
-            out_scores = out_scores[:1]
+        rows, ids, _ = selector.candidates(slack)
+        out_targets, out_scores = canonical_top_k(
+            rows, ids, self.pair_scores(sources[rows], ids), sources.size, k
+        )
 
         registry.increment("serving.index.queries", int(sources.size))
         registry.increment("serving.index.blocks_scored", blocks_scored)
@@ -248,45 +222,15 @@ class AlignmentIndex:
         return out_targets, out_scores
 
     # ------------------------------------------------------------------
-    def gather_scores(
-        self, sources, rows: np.ndarray, ids: np.ndarray
-    ) -> np.ndarray:
-        """Exact scores of ``(row, target id)`` pairs of a query batch.
-
-        ``rows`` index ``sources``; ``ids`` are target ids.  Every block
-        holding a requested id is scored once through :meth:`_block_scores`
-        at the full batch height — the GEMM shapes :meth:`top_k` runs on
-        this batch, hence the same bits, which is what lets the ANN
-        tier's float rescoring reproduce exact answers (see
-        :mod:`repro.serving.ann`) — and only the requested entries are
-        kept before the block is dropped.  Rescoring a row subset would
-        be cheaper but is not bitwise: small GEMMs take a kernel that
-        rounds differently.
-        """
-        registry = self._registry()
-        _, _, queries = self._queries(_check_sources(sources, self.n_source))
-        blocks = ids // self.block_size
-        order = np.argsort(blocks, kind="stable")
-        edges = np.searchsorted(blocks[order], np.arange(self.num_blocks + 1))
-        touched = np.flatnonzero(np.diff(edges))
-        scores = np.empty(ids.size)
-        for block in touched:
-            start, stop = self._block_bounds[block]
-            picks = order[edges[block]:edges[block + 1]]
-            scores[picks] = self._block_scores(
-                queries, start, stop, registry
-            )[rows[picks], ids[picks] - start]
-        registry.increment("serving.index.blocks_scored", touched.size)
-        return scores
+    def pair_scores(self, sources, targets) -> np.ndarray:
+        """Canonical scores of ``(sources[i], targets[i])`` pairs (see
+        :func:`~repro.core.scoring.pair_scores`)."""
+        return pair_scores(
+            self._source, self._target, self._weights, sources, targets
+        )
 
     def score_rows(self, sources) -> np.ndarray:
-        """Full score rows ``S[sources]`` (no pruning), for verification."""
-        registry = self._registry()
+        """Full canonical score rows ``S[sources]``, for verification."""
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        padded, _, queries = self._queries(sources)
-        blocks = [
-            self._block_scores(queries, a, e, registry)
-            for a, e in self._block_bounds
-        ]
-        rows = np.concatenate(blocks, axis=1)
-        return rows[:1] if padded else rows
+        rows, ids = np.meshgrid(sources, range(self.n_target), indexing="ij")
+        return self.pair_scores(rows.ravel(), ids.ravel()).reshape(rows.shape)

@@ -12,16 +12,12 @@ Bitwise invariance
 Sharded answers are **bit-identical** to the single-process index for
 every shard count, including exact ties:
 
-* :func:`plan_shards` aligns every shard boundary to a
-  ``target_block_size`` multiple, so each shard's internal blocks *are*
-  a subset of the global index's blocks — same GEMM shapes over the
-  same rows produce the same bits, and the index's pruned ≡ dense
-  guarantee makes each shard's top-k candidates exact.
-* Every element of the global top-k lies inside its own shard's top-k
-  (k candidates per shard are always enough), so the gather merge —
-  the same canonical ``lexsort`` key the index uses (descending score,
-  ascending target id) over the pooled candidates — reproduces the
-  global answer, ties and all.
+* Every score is its pair's canonical
+  :func:`~repro.core.scoring.pair_scores` value, which no block or
+  shard shape changes.
+* Every element of the global top-k lies inside its own shard's top-k,
+  so the gather merge — the index's canonical ``lexsort`` key over the
+  pooled candidates — reproduces the global answer, ties and all.
 
 Embeddings travel to shard workers exactly once, through the
 :mod:`repro.parallel.shm` zero-copy channel; workers cache their
@@ -97,12 +93,9 @@ def plan_shards(
 ) -> List[Tuple[int, int]]:
     """Contiguous ``[start, stop)`` target row ranges, one per shard.
 
-    Boundaries are aligned to ``block_size`` multiples — the invariance
-    keystone: a shard's internal score blocks then coincide exactly with
-    the global index's blocks, so per-block GEMMs are bit-identical on
-    both topologies.  ``shards`` is clamped to the block count (a shard
-    must own at least one block); block counts are spread as evenly as
-    the alignment allows.
+    Boundaries are aligned to ``block_size`` multiples.  ``shards`` is
+    clamped to the block count (a shard must own at least one block);
+    block counts are spread as evenly as the alignment allows.
     """
     if n_target < 1:
         raise ValueError(f"n_target must be >= 1, got {n_target}")
@@ -245,20 +238,18 @@ def _score_shard(
 def _rescore_shard(
     shard: _Shard, sources: List[int], rows: np.ndarray, ids: np.ndarray
 ) -> _Candidates:
-    """Exact scores for one shard's ANN candidate pairs (a pool task).
+    """Canonical scores of one shard's ANN candidate pairs (a pool task).
 
-    ``ids`` are local to the shard.  Shard boundaries are block-aligned,
-    so each local block covers exactly the rows of its global
-    counterpart and the GEMM shapes (hence bits) match the
-    single-process index.  Returns flat candidates with **global** ids.
-    Pure: safe to hedge.
+    ``ids`` are local to the shard.  :func:`~repro.core.scoring.pair_scores`
+    reads each pair's two rows alone, so any shard layout gives the
+    single-process bits.  Returns **global** ids.  Pure: safe to hedge.
     """
     index = _open_shard(shard)
     with _shard_work(
         "shard_rescore", shard, batch=len(sources), candidates=int(rows.size)
     ):
-        scores = index.gather_scores(
-            np.asarray(sources, dtype=np.int64), rows, ids
+        scores = index.pair_scores(
+            np.asarray(sources, dtype=np.int64)[rows], ids
         )
     return rows, ids + shard.start, scores
 
@@ -332,7 +323,7 @@ class ShardedIndex:
         self.plan = plan_shards(self._n_target, shards, self.block_size)
         # ANN tier: the probe + candidate filter runs in the parent (it
         # touches centroids and int8 codes, not the float target matrix);
-        # only the float rescoring of candidate blocks scatters.  The
+        # only the float rescoring of candidate pairs scatters.  The
         # source layers are kept by reference (mmap-friendly) to build
         # the θ-weighted probe vectors.
         self._ann: Optional[AnnProber] = None

@@ -622,6 +622,36 @@ class TestMemory:
         assert peak < 16 * 2**20, f"ann top_k peaked at {peak / 2**20:.1f} MiB"
 
 
+class TestRescoring:
+    def test_full_probe_scores_no_exact_block(self, monkeypatch):
+        # Candidates are rescored pair by pair: a full-probe call over
+        # 256 queries x 20000 targets runs none of the exact index's 40
+        # block GEMMs, and still equals the exact answer bitwise.
+        import repro.serving.index as index_module
+
+        rng = np.random.default_rng(16)
+        source = [rng.standard_normal((256, 16)) for _ in range(3)]
+        target = [rng.standard_normal((20_000, 16)) for _ in range(3)]
+        index = AnnIndex(source, target, [0.5, 0.3, 0.2])
+        calls = []
+        score_block = index_module.score_block
+
+        def counted(*args):
+            calls.append(args)
+            return score_block(*args)
+
+        monkeypatch.setattr(index_module, "score_block", counted)
+        batch = np.arange(256)
+        got_t, got_s = index.top_k(
+            batch, k=10, mode="ann", nprobe=index.n_clusters
+        )
+        assert len(calls) == 0
+        expected_t, expected_s = index.top_k(batch, k=10)
+        assert len(calls) > 0
+        np.testing.assert_array_equal(got_t, expected_t)
+        np.testing.assert_array_equal(got_s, expected_s)
+
+
 class TestAnnPadding:
     def test_pads_rows_with_no_candidates(self):
         # Cluster 1 is empty and its centroid wins for source 1, so with

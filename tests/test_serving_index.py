@@ -232,11 +232,10 @@ class TestBatchInvariance:
 
     def test_realistic_width_guarantee(self):
         # 3 x 64 dims, 512-column blocks and a 32-column tail block: BLAS
-        # picks the GEMM kernel by shape here, so a lone query (padded to
-        # two rows) and the same source inside a 256-row batch may round
-        # differently.  Targets and tie order must not move; scores stay
-        # within the GEMM's rounding bound (dims x eps for unit rows and
-        # weights summing to 1), and are bitwise equal at equal height.
+        # picks the GEMM kernel by shape here, so a lone query and the
+        # same source inside a 256-row batch may round differently.  The
+        # GEMMs only select; reported scores are canonical per pair, so
+        # targets, tie order and score bits must not move.
         rng = np.random.default_rng(17)
 
         def unit_rows(n):
@@ -256,10 +255,7 @@ class TestBatchInvariance:
         for node in range(0, 256, 4):
             lone_t, lone_s = index.top_k(node, k=10)
             np.testing.assert_array_equal(lone_t[0], batch_t[node])
-            np.testing.assert_allclose(
-                lone_s[0], batch_s[node], rtol=0,
-                atol=64 * np.finfo(float).eps,
-            )
+            np.testing.assert_array_equal(lone_s[0], batch_s[node])
         assert {7, 100, 530} <= set(batch_t[0].tolist())
         other = np.random.default_rng(3).permutation(300)[:256]
         other_t, other_s = index.top_k(other, k=10)
@@ -298,17 +294,22 @@ class TestPruning:
         assert registry.get("serving.index.queries").value == 3
 
 
+def wide_embeddings(seed):
+    return make_embeddings(seed, dims=(64, 32))
+
+
 class TestStreamingParity:
     @pytest.mark.parametrize("make,width", [
         (make_embeddings, None),
         (integer_embeddings, None),
         (integer_embeddings, 7),
-    ], ids=["float-full", "integer-full", "integer-7"])
+        (wide_embeddings, 7),
+        (wide_embeddings, 64),
+    ], ids=["float-full", "integer-full", "integer-7", "float-7", "float-64"])
     def test_full_width_index_is_bitwise_streaming(self, make, width):
-        # With a single full-width block the index runs the exact same
-        # GEMM as the streaming path → scores match bit for bit.  Integer
-        # GEMMs are exact in any kernel, so their scores (and hence the
-        # canonical tie order of their dense ties) match at any width.
+        # Both paths report canonical per-pair scores, so they match bit
+        # for bit at any block width, with float embeddings wide enough
+        # for BLAS to round differently by block shape.
         source, target = make(10)
         index = AlignmentIndex(source, target, WEIGHTS,
                                target_block_size=width or target[0].shape[0])
@@ -316,6 +317,93 @@ class TestStreamingParity:
         got_t, got_s = index.top_k(np.arange(index.n_source), k=5)
         np.testing.assert_array_equal(expected_s, got_s)
         np.testing.assert_array_equal(expected_t, got_t)
+
+
+def near_tie_embeddings():
+    """Unit rows with target groups 0 or 1 ULP apart: ids 63 | 64 and
+    65 straddle the block-64 edge, and 270-272 sit in the 20-row tail
+    block.  Sources 0-5 copy the group's base row, so the near ties fill
+    their top-k, where GEMM rounding may reorder them."""
+    rng = np.random.default_rng(23)
+
+    def unit_rows(n):
+        rows = rng.standard_normal((n, 64))
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    source = [unit_rows(40) for _ in range(3)]
+    target = [unit_rows(276) for _ in range(3)]
+    for s_layer, t_layer in zip(source, target):
+        base = t_layer[7].copy()
+        nudged = base.copy()
+        nudged[0] = np.nextafter(nudged[0], np.inf)
+        t_layer[[63, 270]] = base
+        t_layer[[64, 271]] = nudged
+        t_layer[65] = np.nextafter(base, np.inf)
+        t_layer[272] = np.nextafter(base, -np.inf)
+        s_layer[:6] = base
+    return source, target
+
+
+def brute_force_canonical(source, target, weights, k):
+    """Each pair's ``Σ_l θ(l)·(s*t).sum()``, one source at a time, then
+    a full sort by (descending score, ascending id)."""
+    n_source, n_target = source[0].shape[0], target[0].shape[0]
+    targets = np.empty((n_source, k), dtype=np.int64)
+    scores = np.empty((n_source, k))
+    for node in range(n_source):
+        row = np.zeros(n_target)
+        for weight, s_layer, t_layer in zip(weights, source, target):
+            row += weight * (s_layer[node] * t_layer).sum(axis=1)
+        order = sorted(range(n_target), key=lambda u: (-row[u], u))[:k]
+        targets[node], scores[node] = order, row[order]
+    return targets, scores
+
+
+class TestNearTies:
+    """Exact, lone, streaming, 2-shard and full-probe ANN answers all
+    equal the brute-force canonical reference on near-tie targets."""
+
+    WEIGHTS = [0.5, 0.3, 0.2]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        source, target = near_tie_embeddings()
+        targets, scores = brute_force_canonical(
+            source, target, self.WEIGHTS, 9
+        )
+        # The near-tie group fills the top-9 of the copied sources.
+        assert {63, 64, 65, 270, 271, 272} <= set(targets[0])
+        return source, target, targets, scores
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_every_path_equals_the_reference(self, reference, k):
+        from repro.serving import AnnIndex, ShardedIndex
+
+        source, target, expected_t, expected_s = reference
+        expected_t, expected_s = expected_t[:, :k], expected_s[:, :k]
+        batch = np.arange(40)
+        index = AlignmentIndex(source, target, self.WEIGHTS,
+                               target_block_size=64)
+        ann = AnnIndex(source, target, self.WEIGHTS, n_clusters=8, seed=1,
+                       target_block_size=64)
+        with ShardedIndex(source, target, self.WEIGHTS, shards=2,
+                          target_block_size=64, workers=0) as sharded:
+            answers = {
+                "exact": index.top_k(batch, k),
+                "dense": index.top_k(batch, k, prune=False),
+                "streaming": streaming_top_k(
+                    source, target, self.WEIGHTS, k=k, block_size=7
+                ),
+                "sharded": sharded.top_k(batch, k),
+                "ann": ann.top_k(batch, k, mode="ann", nprobe=8),
+            }
+        for name, (got_t, got_s) in answers.items():
+            np.testing.assert_array_equal(got_t, expected_t, name)
+            np.testing.assert_array_equal(got_s, expected_s, name)
+        for node in range(6):
+            lone_t, lone_s = index.top_k(node, k)
+            np.testing.assert_array_equal(lone_t[0], expected_t[node])
+            np.testing.assert_array_equal(lone_s[0], expected_s[node])
 
 
 class TestSanitization:

@@ -6,10 +6,9 @@ several threads with zero errors, and require the answers — pruned,
 cached, microbatched, over HTTP — to be bit-identical to the offline
 :func:`repro.core.streaming.streaming_top_k` reference.
 
-The served index uses a single full-width target block, which shares the
-exact GEMM shape with the streaming path, so score equality is checked
-bitwise (see the :mod:`repro.serving.index` docstring for why narrower
-blocks may drift by a few ULPs).
+Every path reports canonical per-pair scores (see
+:mod:`repro.core.scoring`), so score equality is checked bitwise at any
+block width and shard count.
 """
 
 import http.client

@@ -3,8 +3,9 @@
 The load-bearing property is *bitwise shard invariance*: for any shard
 count, :class:`ShardedIndex` answers must equal the single-process
 :class:`AlignmentIndex` bit for bit — same targets, same scores, same
-tie resolution — because shard boundaries are block-aligned (identical
-GEMMs) and the gather merge uses the index's canonical order.
+tie resolution — because every score is its pair's canonical
+``pair_scores`` value and the gather merge uses the index's canonical
+order.
 
 The :class:`FrontDoor` tests pin the admission-control taxonomy (429
 ``OverloadedError`` while full, 503 ``RuntimeError`` once closed) and
