@@ -83,17 +83,35 @@ class AttributedGraph:
         features: Optional[np.ndarray] = None,
         node_labels: Optional[Sequence] = None,
     ) -> "AttributedGraph":
-        """Build from an edge list of (u, v) int pairs."""
-        rows, cols = [], []
-        for u, v in edges:
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={num_nodes}")
-            if u == v:
-                continue
-            rows.append(u)
-            cols.append(v)
-        data = np.ones(len(rows))
-        adj = sp.coo_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
+        """Build from an edge list of (u, v) int pairs.
+
+        ``edges`` may be any iterable of pairs or an ``(e, 2)`` int
+        array.  Validation and self-loop removal are array operations,
+        and the surviving pairs reach the COO constructor in input
+        order, so the CSR built (duplicates, both directions and all)
+        is bit for bit what a pair-by-pair loop would build.  An
+        out-of-range edge raises ``ValueError`` naming the first one in
+        input order.
+        """
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(
+                f"edges must be (u, v) pairs, got shape {pairs.shape}"
+            )
+        out_of_range = (pairs < 0) | (pairs >= num_nodes)
+        bad = np.flatnonzero(out_of_range.any(axis=1))
+        if bad.size:
+            u, v = pairs[bad[0]].tolist()
+            raise ValueError(f"edge ({u}, {v}) out of range for n={num_nodes}")
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        data = np.ones(pairs.shape[0])
+        adj = sp.coo_matrix(
+            (data, (pairs[:, 0], pairs[:, 1])), shape=(num_nodes, num_nodes)
+        )
         return cls(adj, features=features, node_labels=node_labels)
 
     @classmethod

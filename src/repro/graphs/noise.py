@@ -42,9 +42,8 @@ def remove_edges(
     if len(edges) == 0 or ratio == 0.0:
         return graph.copy()
     keep = rng.random(len(edges)) >= ratio
-    kept = edges[keep]
     return AttributedGraph.from_edges(
-        graph.num_nodes, map(tuple, kept), graph.features.copy(), graph.node_labels
+        graph.num_nodes, edges[keep], graph.features.copy(), graph.node_labels
     )
 
 
@@ -58,7 +57,9 @@ def add_edges(
     target = int(round(ratio * graph.num_edges))
     if target == 0 or n < 2:
         return graph.copy()
-    existing = {tuple(edge) for edge in graph.edge_list()}
+    # Python-int pairs hash and compare like the numpy-int pairs the
+    # draw loop makes, so set order (and the built graph) is unchanged.
+    existing = set(map(tuple, graph.edge_list().tolist()))
     new_edges = set()
     attempts = 0
     max_attempts = 50 * target + 100

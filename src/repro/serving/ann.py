@@ -48,9 +48,10 @@ import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..core.scoring import RunningTopK, canonical_top_k
-from ..observability import MetricsRegistry, get_registry
+from ..observability import MetricsRegistry, get_registry, get_tracer
 from ..resilience import AnnParameterError
 from .index import AlignmentIndex, _check_sources
 
@@ -72,6 +73,10 @@ DEFAULT_QUANT_ROWS = 512
 #: shapes on every run — the determinism keystone for k-means.
 _ASSIGN_CHUNK = 16384
 
+#: Rows per kmeans++ distance chunk: bounds the ``p - c`` scratch buffer
+#: at ``_SEED_CHUNK × D`` floats instead of a whole-matrix temporary.
+_SEED_CHUNK = 512
+
 
 def _assign_clusters(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment; ties resolve to the lowest cluster id.
@@ -79,16 +84,42 @@ def _assign_clusters(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Distances are compared via ``‖c‖² - 2·p·c`` (the ``‖p‖²`` term is
     constant per row) in fixed-size row chunks, so the result is
     bit-reproducible across runs and independent of worker counts —
-    assignment always happens in the building process.
+    assignment always happens in the building process.  The score is
+    formed in place as ``(p·c)·(-2) + ‖c‖²``, which rounds exactly like
+    ``‖c‖² - 2·(p·c)``: scaling by a power of two is exact and
+    ``a - b`` is ``(-b) + a``.
     """
     cent_sq = np.einsum("ij,ij->i", centroids, centroids)
     out = np.empty(points.shape[0], dtype=np.int64)
     for start in range(0, points.shape[0], _ASSIGN_CHUNK):
-        chunk = points[start:start + _ASSIGN_CHUNK]
+        scores = points[start:start + _ASSIGN_CHUNK] @ centroids.T
+        scores *= -2.0
+        scores += cent_sq
         # np.argmin returns the first (lowest-id) minimizer on ties.
-        scores = cent_sq[None, :] - 2.0 * (chunk @ centroids.T)
         out[start:start + _ASSIGN_CHUNK] = np.argmin(scores, axis=1)
     return out
+
+
+def _fold_min_dist_sq(
+    points: np.ndarray,
+    centroid: np.ndarray,
+    dist_sq: np.ndarray,
+    delta: np.ndarray,
+    row_sq: np.ndarray,
+) -> None:
+    """``dist_sq = min(dist_sq, ‖p - centroid‖²)`` row by row, in place.
+
+    ``delta`` (``_SEED_CHUNK × D``) and ``row_sq`` (``_SEED_CHUNK``) are
+    reused scratch.  Each row's difference and its einsum reduction are
+    the same operations on the same contiguous row layout as over the
+    whole matrix, so the bits do not depend on the chunking.
+    """
+    for start in range(0, points.shape[0], _SEED_CHUNK):
+        stop = min(start + _SEED_CHUNK, points.shape[0])
+        rows = stop - start
+        np.subtract(points[start:stop], centroid, out=delta[:rows])
+        np.einsum("ij,ij->i", delta[:rows], delta[:rows], out=row_sq[:rows])
+        np.minimum(dist_sq[start:stop], row_sq[:rows], out=dist_sq[start:stop])
 
 
 def kmeans_fit(
@@ -106,6 +137,15 @@ def kmeans_fit(
     condition.  Empty clusters keep their previous centroid.  The same
     ``(points, n_clusters, seed, iters)`` always produces bit-identical
     output, in any process.
+
+    The working set stays a few chunk-sized buffers, never a temporary
+    the size of ``points``, and the bits are those of the whole-matrix
+    formulation: kmeans++ distances run in fixed row chunks through the
+    same per-row subtract-and-reduce (``min(∞, d) = d``, so the first
+    centroid folds like the rest); each Lloyd sum is a one-hot CSR
+    product whose row for cluster ``c`` lists that cluster's points in
+    ascending order with weight 1.0, so it adds them from zero in the
+    order ``np.add.at`` would, and ``1.0·x`` is exact.
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[0] == 0:
@@ -122,9 +162,10 @@ def kmeans_fit(
 
     centroids = np.empty((n_clusters, points.shape[1]))
     centroids[0] = points[int(rng.integers(n))]
-    dist_sq = np.einsum(
-        "ij,ij->i", points - centroids[0], points - centroids[0]
-    )
+    dist_sq = np.full(n, np.inf)
+    delta = np.empty((min(_SEED_CHUNK, n), points.shape[1]))
+    row_sq = np.empty(delta.shape[0])
+    _fold_min_dist_sq(points, centroids[0], dist_sq, delta, row_sq)
     for cluster in range(1, n_clusters):
         total = float(dist_sq.sum())
         if total <= 0.0 or not np.isfinite(total):
@@ -138,13 +179,16 @@ def kmeans_fit(
                 n - 1,
             )
         centroids[cluster] = points[pick]
-        delta = points - centroids[cluster]
-        dist_sq = np.minimum(dist_sq, np.einsum("ij,ij->i", delta, delta))
+        _fold_min_dist_sq(points, centroids[cluster], dist_sq, delta, row_sq)
 
     assignment = _assign_clusters(points, centroids)
+    ones = np.ones(n)
+    columns = np.arange(n)
     for _ in range(iters):
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignment, points)
+        one_hot = sp.csr_matrix(
+            (ones, (assignment, columns)), shape=(n_clusters, n)
+        )
+        sums = one_hot @ points
         counts = np.bincount(assignment, minlength=n_clusters)
         populated = counts > 0
         centroids[populated] = (
@@ -227,18 +271,32 @@ def build_ann_state(
     ``codes`` ``(n_target, D)`` int8 and ``scales`` float64 over the
     *remapped* matrix when ``quantize`` (both ``None`` otherwise), and
     a ``params`` provenance dict.
+
+    Raises ``ValueError`` when the targets hold a non-finite entry: a
+    NaN centroid would capture every point and a NaN scale would void
+    every code, so such an index answers no query at all.
     """
     concat = np.concatenate(
         [np.asarray(layer, dtype=np.float64) for layer in target_embeddings],
         axis=1,
     )
+    if not np.isfinite(concat).all():
+        bad = int(np.count_nonzero(~np.isfinite(concat)))
+        raise ValueError(
+            f"target embeddings contain {bad} non-finite values; "
+            "refusing to build an ANN tier over them"
+        )
     n_target = concat.shape[0]
     n_clusters = min(int(n_clusters), n_target)
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    centroids, assignment = kmeans_fit(
-        concat, n_clusters, seed=seed, iters=iters
-    )
+    tracer = get_tracer()
+    with tracer.span(
+        "serving.ann.kmeans", n_target=n_target, n_clusters=n_clusters
+    ):
+        centroids, assignment = kmeans_fit(
+            concat, n_clusters, seed=seed, iters=iters
+        )
     # Stable sort: clusters ascending, original row order within each.
     order = np.argsort(assignment, kind="stable").astype(np.int64)
     counts = np.bincount(assignment, minlength=n_clusters)
@@ -247,7 +305,10 @@ def build_ann_state(
     ).astype(np.int64)
     codes = scales = None
     if quantize:
-        codes, scales = quantize_int8(concat[order], quant_rows=quant_rows)
+        with tracer.span("serving.ann.quantize", quant_rows=quant_rows):
+            codes, scales = quantize_int8(
+                concat[order], quant_rows=quant_rows
+            )
     return {
         "centroids": centroids,
         "offsets": offsets,

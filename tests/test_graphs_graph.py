@@ -1,5 +1,7 @@
 """Unit tests for AttributedGraph."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -56,6 +58,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AttributedGraph.from_edges(2, [(0, 5)])
 
+    def test_from_edges_rejects_malformed_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            AttributedGraph.from_edges(9, [(0, 1, 2), (3, 4, 5)])
+
     def test_from_networkx_roundtrip(self):
         import networkx as nx
 
@@ -65,6 +71,73 @@ class TestConstruction:
         assert g.num_edges == 4
         back = g.to_networkx()
         assert back.number_of_edges() == 4
+
+
+def _loop_from_edges(num_nodes, edges):
+    """The pair-by-pair reference :meth:`AttributedGraph.from_edges`
+    must match bit for bit."""
+    rows, cols = [], []
+    for u, v in edges:
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={num_nodes}")
+        if u == v:
+            continue
+        rows.append(u)
+        cols.append(v)
+    adj = sp.coo_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes)
+    )
+    return AttributedGraph(adj)
+
+
+def _assert_same_csr(actual, expected):
+    for name in ("indptr", "indices", "data"):
+        got = getattr(actual.adjacency, name)
+        want = getattr(expected.adjacency, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestFromEdgesOracle:
+    @pytest.fixture
+    def edges(self):
+        # Self-loops, duplicates and both directions of the same edge.
+        pairs = np.random.default_rng(4).integers(0, 40, size=(500, 2))
+        pairs = np.vstack([pairs, [[3, 3], [5, 7], [7, 5], [5, 7]]])
+        return [(int(u), int(v)) for u, v in pairs]
+
+    @pytest.mark.parametrize("kind", ["list", "generator", "int64", "int32"])
+    def test_matches_loop_reference(self, edges, kind):
+        make = {
+            "list": lambda: list(edges),
+            "generator": lambda: (pair for pair in edges),
+            "int64": lambda: np.array(edges, dtype=np.int64),
+            "int32": lambda: np.array(edges, dtype=np.int32),
+        }[kind]
+        _assert_same_csr(
+            AttributedGraph.from_edges(40, make()),
+            _loop_from_edges(40, make()),
+        )
+
+    @pytest.mark.parametrize("edges", [[], [(2, 2)], [(0, 1)]])
+    def test_degenerate_inputs_match(self, edges):
+        _assert_same_csr(
+            AttributedGraph.from_edges(3, edges), _loop_from_edges(3, edges)
+        )
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (2, 9), (-1, 3)],
+        [(4, 4), (0, -2), (9, 9)],
+        [(12, 12)],
+    ])
+    def test_same_error_for_first_out_of_range_edge(self, edges):
+        with pytest.raises(ValueError) as expected:
+            _loop_from_edges(9, edges)
+        with pytest.raises(ValueError) as actual:
+            AttributedGraph.from_edges(9, np.array(edges))
+        assert str(actual.value) == str(expected.value)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            AttributedGraph.from_edges(9, iter(edges))
 
 
 class TestAccessors:

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.observability import MetricsRegistry
+from repro.observability import MetricsRegistry, Tracer, get_tracer, set_tracer
 from repro.parallel import WorkerPool
 from repro.resilience import AnnParameterError
 from repro.serving import (
@@ -30,7 +30,7 @@ from repro.serving import (
     quantize_int8,
     status_for_error,
 )
-from repro.serving.ann import weighted_queries
+from repro.serving.ann import _ASSIGN_CHUNK, weighted_queries
 
 
 def _embeddings(rng, n_source=30, n_target=400, dims=(5, 4), ties=True):
@@ -113,6 +113,125 @@ class TestKMeansDeterminism:
         state = build_ann_state([points], n_clusters=64)
         assert state["centroids"].shape[0] == 5
         assert int(state["offsets"][-1]) == 5
+
+
+def _reference_kmeans(points, n_clusters, seed, iters=8):
+    """The whole-matrix formulation :func:`kmeans_fit` must match bit for
+    bit: full ``points - c`` kmeans++ distances, ``np.add.at`` Lloyd
+    sums and ``cent_sq - 2·GEMM`` assignment in ``_ASSIGN_CHUNK`` rows."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n = points.shape[0]
+    n_clusters = min(n_clusters, n)
+    rng = np.random.default_rng(seed)
+
+    def assign(centroids):
+        cent_sq = np.einsum("ij,ij->i", centroids, centroids)
+        out = np.empty(n, dtype=np.int64)
+        for start in range(0, n, _ASSIGN_CHUNK):
+            chunk = points[start:start + _ASSIGN_CHUNK]
+            scores = cent_sq[None, :] - 2.0 * (chunk @ centroids.T)
+            out[start:start + _ASSIGN_CHUNK] = np.argmin(scores, axis=1)
+        return out
+
+    centroids = np.empty((n_clusters, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    delta = points - centroids[0]
+    dist_sq = np.einsum("ij,ij->i", delta, delta)
+    for cluster in range(1, n_clusters):
+        total = float(dist_sq.sum())
+        if total <= 0.0 or not np.isfinite(total):
+            pick = int(rng.integers(n))
+        else:
+            draw = rng.random() * total
+            pick = min(
+                int(np.searchsorted(np.cumsum(dist_sq), draw, side="right")),
+                n - 1,
+            )
+        centroids[cluster] = points[pick]
+        delta = points - centroids[cluster]
+        dist_sq = np.minimum(dist_sq, np.einsum("ij,ij->i", delta, delta))
+    assignment = assign(centroids)
+    for _ in range(iters):
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignment, points)
+        counts = np.bincount(assignment, minlength=n_clusters)
+        populated = counts > 0
+        centroids[populated] = sums[populated] / counts[populated, None]
+        assignment = assign(centroids)
+    return centroids, assignment
+
+
+class TestKMeansOracle:
+    """``kmeans_fit`` equals the whole-matrix reference bit for bit."""
+
+    #: name → (n, d, distinct rows or None, n_clusters, iters).
+    CASES = {
+        "ragged-chunk": (1_000, 17, None, 10, 8),
+        "above-assign-chunk": (_ASSIGN_CHUNK + 615, 7, None, 16, 3),
+        # 5 distinct points for 12 clusters: coinciding centroids lose
+        # every tie to a lower id, so some clusters stay empty.
+        "duplicates": (100, 4, 5, 12, 5),
+        "more-clusters-than-points": (3, 3, None, 10, 8),
+        "no-lloyd": (700, 9, None, 8, 0),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_reference(self, name):
+        n, d, distinct, n_clusters, iters = self.CASES[name]
+        rng = np.random.default_rng(len(name))
+        if distinct is None:
+            points = rng.normal(size=(n, d))
+        else:
+            points = np.repeat(
+                rng.normal(size=(distinct, d)), n // distinct, axis=0
+            )
+        centroids, assignment = kmeans_fit(
+            points, n_clusters, seed=11, iters=iters
+        )
+        ref_centroids, ref_assignment = _reference_kmeans(
+            points, n_clusters, seed=11, iters=iters
+        )
+        np.testing.assert_array_equal(assignment, ref_assignment)
+        assert centroids.tobytes() == ref_centroids.tobytes()
+        if distinct is not None:
+            counts = np.bincount(assignment, minlength=n_clusters)
+            assert (counts == 0).any()
+
+    def test_peak_memory_is_chunk_sized(self):
+        # The whole-matrix formulation peaks near 59 MiB here (two
+        # ``points - c`` copies plus the assignment temporaries).
+        points = np.random.default_rng(8).normal(size=(20_000, 192))
+        tracemalloc.start()
+        try:
+            kmeans_fit(points, 64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"kmeans_fit peaked at {peak / 2**20:.1f} MiB"
+
+
+class TestNonFiniteTargets:
+    def test_nan_target_row_is_refused(self, rng):
+        # A NaN centroid would capture every point and the quantizer's
+        # scale would turn NaN: every query then answers (-1, -inf).
+        source, target = _embeddings(rng)
+        target[1][123, 2] = np.nan
+        with pytest.raises(ValueError, match="1 non-finite"):
+            AnnIndex(source, target, [0.6, 0.4], n_clusters=8)
+        with pytest.raises(ValueError, match="1 non-finite"):
+            build_ann_state(target, n_clusters=8, quantize=False)
+
+
+class TestBuildSpans:
+    def test_build_opens_kmeans_and_quantize_spans(self, rng):
+        _, target = _embeddings(rng)
+        previous = set_tracer(Tracer())
+        try:
+            build_ann_state(target, n_clusters=8)
+            names = [span.name for span in get_tracer().spans()]
+        finally:
+            set_tracer(previous)
+        assert names == ["serving.ann.kmeans", "serving.ann.quantize"]
 
 
 class TestParameterTaxonomy:
