@@ -2,16 +2,13 @@
 
 Measures the QueryEngine over a synthetic artifact-sized workload:
 
-* cold pass — every query is a cache miss (one pruned index matmul each),
+* cold pass — every query is a cache miss (one index scan each),
 * warm pass — the same queries again, all answered from the LRU cache,
-* batch pass — ``query_many`` amortizing the matmul across whole batches,
-* pruning on vs off — wall-clock effect of the Cauchy-Schwarz bound, with
-  the answers asserted **bit-identical** both ways.
+* batch pass — ``query_many`` amortizing the matmul across whole batches.
 
 Asserted invariants (the rest is reporting):
 
 * warm-cache p50 latency at least 5x below the cold p50,
-* pruned top-k == dense top-k, targets and scores, bitwise,
 * zero unaligned/error answers on a healthy artifact.
 """
 
@@ -32,15 +29,12 @@ QUERY_K = 5
 NUM_QUERIES = 400
 
 
-def make_index(registry, prune=True, block_size=512):
+def make_index(registry, block_size=512):
     rng = np.random.default_rng(BASE_SEED)
     source = [rng.standard_normal((N_SOURCE, d)) for d in DIMS]
     target = [rng.standard_normal((N_TARGET, d)) for d in DIMS]
-    # a heavy-norm target cluster gives the pruning bound traction
-    for layer in target:
-        layer[:256] *= 6.0
     return AlignmentIndex(source, target, WEIGHTS, target_block_size=block_size,
-                          prune=prune, registry=registry)
+                          registry=registry)
 
 
 def percentile_ms(latencies, q):
@@ -100,45 +94,6 @@ def test_serving_throughput():
         assert len(results) == NUM_QUERIES
         print(f"batch qps        : {NUM_QUERIES / elapsed:8.0f} "
               f"(batch_size=64, cache off)")
-
-
-def test_pruning_effect_and_exactness():
-    print_section("pruning on/off: wall clock + bitwise equality")
-    # Pruning breaks out of block scoring only when EVERY row of a batch
-    # is provably done, so it engages at microbatch scale (the engine's
-    # serving shape), not on one enormous batch — score in chunks of 16.
-    batch = np.arange(0, N_SOURCE, 3)
-    chunk_size = 16
-    chunks = [batch[i:i + chunk_size]
-              for i in range(0, batch.size, chunk_size)]
-
-    def run(prune):
-        registry = MetricsRegistry()
-        index = make_index(registry, prune=prune)
-        targets, scores = [], []
-        started = time.perf_counter()
-        for chunk in chunks:
-            chunk_targets, chunk_scores = index.top_k(chunk, k=QUERY_K)
-            targets.append(chunk_targets)
-            scores.append(chunk_scores)
-        elapsed = time.perf_counter() - started
-        skipped = registry.get("serving.index.blocks_pruned")
-        return (np.vstack(targets), np.vstack(scores), elapsed,
-                skipped.value if skipped is not None else 0)
-
-    pruned_targets, pruned_scores, pruned_s, pruned_blocks = run(True)
-    dense_targets, dense_scores, dense_s, _ = run(False)
-
-    print(f"queries          : {batch.size} (k={QUERY_K}, "
-          f"chunks of {chunk_size})")
-    print(f"pruned           : {pruned_s * 1e3:8.2f} ms "
-          f"({pruned_blocks} blocks skipped)")
-    print(f"dense            : {dense_s * 1e3:8.2f} ms")
-    print(f"speedup          : {dense_s / pruned_s:.2f}x")
-
-    np.testing.assert_array_equal(pruned_targets, dense_targets)
-    np.testing.assert_array_equal(pruned_scores, dense_scores)
-    assert pruned_blocks > 0, "workload never engaged the pruning bound"
 
 
 def test_lazy_verification_overhead():

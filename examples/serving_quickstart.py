@@ -7,7 +7,7 @@ Demonstrates the full serving lifecycle in one process:
    memory-mapped ``repro.artifact/v1`` directory,
 3. stand up the stdlib JSON HTTP server over the artifact,
 4. query it — over HTTP and in-process — and read the ``serving.*``
-   operational stats (cache hit rate, latency, pruning).
+   operational stats (query count, cache hit rate, latency).
 
 The same artifact works from the command line:
 
@@ -60,7 +60,7 @@ def main() -> None:
     artifact = load_artifact(out)  # memory-mapped by default
     print(f"exported {artifact}")
 
-    # 3. Online: engine (pruned index + microbatching + LRU cache) + server.
+    # 3. Online: engine (exact index + microbatching + LRU cache) + server.
     registry = MetricsRegistry()
     engine = QueryEngine.from_artifact(
         artifact, target_block_size=64, batch_size=16, cache_size=1024,

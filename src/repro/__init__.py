@@ -15,7 +15,7 @@ Networks* (Huynh Thanh Trung et al.), built from scratch in Python:
 * :mod:`repro.resilience` — input validation, NaN/divergence recovery,
   fault injection, resumable-training support.
 * :mod:`repro.serving` — online query serving: memory-mapped alignment
-  artifacts, a pruned exact top-k index, a microbatched/cached query
+  artifacts, an exact top-k index, a microbatched/cached query
   engine, and a stdlib JSON HTTP API.
 * :mod:`repro.parallel` — process-pool scheduler with shared-memory
   array passing; hyper-parameter search, experiment sweeps, and

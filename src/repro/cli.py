@@ -450,7 +450,6 @@ def _build_engine(
             "reset_timeout_s": getattr(args, "breaker_reset", 0.5),
         },
         target_block_size=args.block_size,
-        prune=not args.no_prune,
         batch_size=args.batch_size,
         max_delay_ms=args.max_delay_ms,
         cache_size=args.cache_size,
@@ -897,11 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_options(command: argparse.ArgumentParser) -> None:
         command.add_argument("--block-size", type=int, default=512,
-                            help="targets scored per index block "
-                                 "(pruning granularity)")
-        command.add_argument("--no-prune", action="store_true",
-                            help="disable norm-based candidate pruning "
-                                 "(always score every target block)")
+                            help="targets scored per index block")
         command.add_argument("--batch-size", type=int, default=32,
                             help="max queries coalesced into one matmul")
         command.add_argument("--max-delay-ms", type=float, default=2.0,

@@ -18,7 +18,10 @@ them build and select through this module, the only place that knows:
   raised by one ``partition`` per block;
 * **canonical order** — :func:`canonical_top_k`: descending score, then
   ascending target id, so ties resolve identically on every path and a
-  top-k answer is a prefix of the top-(k+1) answer.
+  top-k answer is a prefix of the top-(k+1) answer;
+* **the exact top-k** — :func:`scan_top_k`: the one scan of target
+  blocks that the serving index runs per query batch and streaming per
+  source-row block.
 
 Batch invariance
 ----------------
@@ -47,6 +50,7 @@ __all__ = [
     "score_slack",
     "RunningTopK",
     "canonical_top_k",
+    "scan_top_k",
 ]
 
 
@@ -163,7 +167,7 @@ def score_slack(
     (1 - n·u)``, ``n`` = layer width + layer count), so a top-k member's
     entry lies within this slack of any running kth.  ``n`` is taken as
     twice the concatenated width plus layer count, which also covers
-    rounding the slack, ``kth - slack`` and the Cauchy-Schwarz bound.
+    rounding the slack and ``kth - slack``.
     Non-finite target rows (``-inf`` everywhere) are left out of the
     maxima; a NaN slack (a poisoned source row) becomes 0.
     """
@@ -269,3 +273,46 @@ class RunningTopK:
         kth = self.kth if slack is None else self.kth - slack
         final = values >= kth[rows]
         return rows[final], np.concatenate(self._ids)[final], values[final]
+
+
+def scan_top_k(
+    source: Sequence[np.ndarray],
+    target: Sequence[np.ndarray],
+    weights: Sequence[float],
+    sources: np.ndarray,
+    k: int,
+    block_size: int,
+    slack: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Exact top-k of ``S[sources]``: one scan of target blocks in order.
+
+    ``source``/``target``/``weights`` are :func:`check_layers` output,
+    ``sources`` an int64 batch of source ids, ``1 <= k <= n_target``,
+    and ``slack`` the batch's :func:`score_slack` rows.  Each block of
+    ``block_size`` targets is scored by :func:`score_block` and fed to a
+    :class:`RunningTopK`; the survivors are reported with their
+    :func:`pair_scores` in :func:`canonical_top_k` order, so the answer
+    is the same bits at any batch, block size or target offset.
+    Transient memory is O(batch × (block + survivors)).
+
+    Returns ``(targets, scores, bad_blocks)``: two ``(len(sources), k)``
+    arrays and the number of blocks with sanitized entries (0 when
+    healthy), for the caller to record under its own metric name.
+    """
+    queries = [layer[sources] for layer in source]
+    selector = RunningTopK(sources.size, k)
+    bad_blocks = 0
+    for start in range(0, target[0].shape[0], block_size):
+        block, bad = score_block(
+            queries, [layer[start:start + block_size] for layer in target],
+            weights,
+        )
+        bad_blocks += bool(bad)
+        selector.push(block, start, slack=slack)
+        del block  # freed before the next block's GEMM
+    rows, ids, _ = selector.candidates(slack)
+    targets, scores = canonical_top_k(
+        rows, ids, pair_scores(source, target, weights, sources[rows], ids),
+        sources.size, k,
+    )
+    return targets, scores, bad_blocks

@@ -46,10 +46,7 @@ from ..parallel import (
 from ..resilience import validate_pair
 from .config import GAlignConfig
 from .model import MultiOrderGCN
-from .scoring import (
-    RunningTopK, canonical_top_k, check_layers, pair_scores, score_block,
-    score_slack,
-)
+from .scoring import check_layers, scan_top_k, score_block, score_slack
 
 __all__ = [
     "iter_score_blocks",
@@ -61,21 +58,27 @@ __all__ = [
 
 
 def _record_sanitized(
-    registry: MetricsRegistry,
-    start: int,
-    stop: int,
-    bad_entries: int,
-    layer: Optional[int] = None,
+    registry: MetricsRegistry, start: int, stop: int, **detail: int
 ) -> None:
-    """Count and emit a block whose NaN/Inf scores :func:`score_block`
-    set to ``-inf``, so the degradation stays visible."""
-    if not bad_entries:
-        return
+    """Count and emit a row block whose NaN/Inf scores were set to
+    ``-inf``, so the degradation stays visible."""
     registry.increment("resilience.streaming_sanitized_blocks")
-    payload = {"rows": [start, stop], "bad_entries": bad_entries}
-    if layer is not None:
-        payload["layer"] = layer
-    registry.emit("resilience.streaming_sanitized", payload)
+    registry.emit(
+        "resilience.streaming_sanitized", {"rows": [start, stop], **detail}
+    )
+
+
+def _record_block(
+    registry: MetricsRegistry, start: int, stop: int, started: float,
+    event: str = "streaming.block",
+) -> None:
+    """Charge rows ``[start, stop)``, worked on since ``started``, to the
+    ``streaming.*`` metrics and the trace."""
+    elapsed = time.perf_counter() - started
+    registry.record_histogram("streaming.block_time", elapsed)
+    registry.increment("streaming.blocks")
+    registry.increment("streaming.rows", stop - start)
+    get_tracer().add_event(event, started, elapsed, rows=[start, stop])
 
 
 def _build_block(
@@ -94,16 +97,11 @@ def _build_block(
         target_embeddings,
         layer_weights,
     )
-    _record_sanitized(registry, start, stop, bad)
-    elapsed = time.perf_counter() - started
-    registry.record_histogram("streaming.block_time", elapsed)
-    registry.increment("streaming.blocks")
-    registry.increment("streaming.rows", stop - start)
+    if bad:
+        _record_sanitized(registry, start, stop, bad_entries=bad)
     # Only block-build time is charged to the trace (as to the histogram):
     # a generator span would bill the consumer's work to this frame.
-    get_tracer().add_event(
-        "streaming.block", started, elapsed, rows=[start, stop]
-    )
+    _record_block(registry, start, stop, started)
     return block
 
 
@@ -148,39 +146,34 @@ def iter_score_blocks(
 
 def _block_task(
     manifest: Dict, num_layers: int, weights: Sequence[float], start: int,
-    stop: int, consumer: Callable[..., Any], args: Tuple,
+    stop: int, work: Callable[..., Any], args: Tuple,
 ) -> Any:
-    """Pool task: build one row block from shm embeddings, consume it."""
+    """Pool task: run ``work`` on one row block of shm embeddings."""
     with AttachedArrays(manifest) as arrays:
-        block = _build_block(
+        return work(
             load_embeddings(arrays, "src", num_layers),
             load_embeddings(arrays, "tgt", num_layers),
-            weights,
-            start, stop,
-            get_registry(),
+            weights, start, stop, get_registry(), *args,
         )
-        return consumer(block, *args)
 
 
 def _map_blocks(
-    consumer: Callable[..., Any], block_args: Sequence[Tuple],
+    work: Callable[..., Any], block_args: Sequence[Tuple],
     ranges: Sequence[Tuple[int, int]], source: Sequence[np.ndarray],
     target: Sequence[np.ndarray], weights: Sequence[float],
     registry: MetricsRegistry, workers: Optional[int], label: str,
 ) -> List[Any]:
-    """``consumer(block, *args)`` for every row block, in block order.
+    """``work(source, target, weights, start, stop, registry, *args)``
+    for every row block, in block order.
 
-    ``workers=0`` builds the blocks inline; ``workers >= 1`` builds them
-    in a process pool from shared-memory embeddings.  ``consumer`` is a
-    module-level function so it pickles by reference; both paths run the
-    same :func:`_build_block`, so results are bit-identical.
+    ``workers=0`` runs the blocks inline; ``workers >= 1`` runs them in
+    a process pool on shared-memory embeddings.  ``work`` is a
+    module-level function so it pickles by reference; both paths run
+    the same function on the same rows, so results are bit-identical.
     """
     if not resolve_workers(workers):
         return [
-            consumer(
-                _build_block(source, target, weights, start, stop, registry),
-                *args,
-            )
+            work(source, target, weights, start, stop, registry, *args)
             for (start, stop), args in zip(ranges, block_args)
         ]
     with SharedArrayStore(registry=registry) as store:
@@ -190,21 +183,29 @@ def _map_blocks(
         return WorkerPool(workers, registry=registry).map(
             _block_task,
             [
-                (manifest, len(weights), weights, start, stop, consumer, args)
+                (manifest, len(weights), weights, start, stop, work, args)
                 for (start, stop), args in zip(ranges, block_args)
             ],
             labels=[f"{label}[{start}:{stop}]" for start, stop in ranges],
         )
 
 
-def _select_candidates(
-    block: np.ndarray, k: int, slack: np.ndarray, start: int
+def _top_k_rows(
+    source: Sequence[np.ndarray], target: Sequence[np.ndarray],
+    weights: Sequence[float], start: int, stop: int,
+    registry: MetricsRegistry, k: int, slack: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-k candidate ``(source id, target id)`` pairs of one block."""
-    selector = RunningTopK(block.shape[0], k)
-    selector.push(block, slack=slack)
-    rows, ids, _ = selector.candidates(slack)
-    return rows + start, ids
+    """Top-k of source rows ``[start, stop)`` by :func:`scan_top_k`,
+    every target in one block, timed and counted under ``streaming.*``."""
+    started = time.perf_counter()
+    targets, scores, bad_blocks = scan_top_k(
+        source, target, weights, np.arange(start, stop), k,
+        target[0].shape[0], slack,
+    )
+    if bad_blocks:
+        _record_sanitized(registry, start, stop, bad_blocks=bad_blocks)
+    _record_block(registry, start, stop, started)
+    return targets, scores
 
 
 def streaming_top_k(
@@ -228,8 +229,10 @@ def streaming_top_k(
 
     Notes
     -----
-    Returned scores may be ``-inf``: :func:`iter_score_blocks` sanitizes
-    non-finite entries (NaN/Inf from broken embeddings) to ``-inf``, and
+    Each row block is answered by :func:`~repro.core.scoring.scan_top_k`,
+    the exact top-k the serving index runs, so answers are bitwise the
+    index's.  Returned scores may be ``-inf``: non-finite entries
+    (NaN/Inf from broken embeddings) are sanitized to ``-inf``, and
     when *every* entry of a row was sanitized there is no finite winner
     to fall back on — the row's "top" targets all carry ``-inf`` and the
     target ids are meaningless.  Consumers must treat such rows as
@@ -252,20 +255,23 @@ def streaming_top_k(
         registry = get_registry()
     slack = score_slack(source, target, weights)
     with get_tracer().span("streaming.top_k", k=k, n_source=n_source):
-        blocks = _map_blocks(
-            _select_candidates,
-            [(k, slack[start:stop], start) for start, stop in ranges],
+        answers = _map_blocks(
+            _top_k_rows,
+            [(k, slack[start:stop]) for start, stop in ranges],
             ranges, source, target, weights, registry, workers, "top_k",
         )
-        none = np.empty(0, dtype=np.int64)
-        rows, ids = map(np.concatenate, zip((none, none), *blocks))
-        return canonical_top_k(
-            rows, ids, pair_scores(source, target, weights, rows, ids),
-            n_source, k,
-        )
+    none = (np.empty((0, k), dtype=np.int64), np.empty((0, k)))
+    targets, scores = map(np.concatenate, zip(none, *answers))
+    return targets, scores
 
 
-def _rank_anchors(block: np.ndarray, anchors: Dict[int, int]) -> np.ndarray:
+def _rank_rows(
+    source: Sequence[np.ndarray], target: Sequence[np.ndarray],
+    weights: Sequence[float], start: int, stop: int,
+    registry: MetricsRegistry, anchors: Dict[int, int],
+) -> np.ndarray:
+    """Ranks of row block ``[start, stop)``'s anchors in their S rows."""
+    block = _build_block(source, target, weights, start, stop, registry)
     if not anchors:
         return np.empty(0, dtype=np.int64)
     return anchor_ranks(block, anchors)
@@ -322,7 +328,7 @@ def streaming_evaluate(
     if registry is None:
         registry = get_registry()
     ranks = _map_blocks(
-        _rank_anchors, anchors, ranges,
+        _rank_rows, anchors, ranges,
         source, target, weights, registry, workers, "eval",
     )
     return EvaluationReport.from_ranks(
@@ -369,7 +375,10 @@ def streaming_find_stable_nodes(
         layer_blocks = []
         for layer, (h_source, h_target) in enumerate(zip(source, target)):
             block, bad = score_block([h_source[start:stop]], [h_target], [1.0])
-            _record_sanitized(registry, start, stop, bad, layer=layer)
+            if bad:
+                _record_sanitized(
+                    registry, start, stop, bad_entries=bad, layer=layer
+                )
             layer_blocks.append(block)
         aggregate = None
         for block, weight in zip(layer_blocks, weights):
@@ -385,12 +394,8 @@ def streaming_find_stable_nodes(
         for local in np.flatnonzero(confident & consistent):
             stable_sources.append(start + int(local))
             stable_targets.append(int(candidates[local]))
-        elapsed = time.perf_counter() - started
-        registry.record_histogram("streaming.block_time", elapsed)
-        registry.increment("streaming.blocks")
-        registry.increment("streaming.rows", stop - start)
-        get_tracer().add_event(
-            "streaming.stable_block", started, elapsed, rows=[start, stop]
+        _record_block(
+            registry, start, stop, started, event="streaming.stable_block"
         )
     return np.asarray(stable_sources, dtype=np.int64), np.asarray(
         stable_targets, dtype=np.int64

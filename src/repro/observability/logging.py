@@ -43,7 +43,9 @@ import time
 import uuid
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, TextIO, Union,
+)
 
 __all__ = [
     "LOG_FILE_ENV_VAR",
@@ -304,15 +306,21 @@ class SlowQueryLog:
         self,
         *,
         latency_s: float,
-        descriptor: Dict[str, Any],
+        descriptor: Union[Dict[str, Any], Callable[[], Dict[str, Any]]],
         request_id: Optional[str] = None,
         degraded: bool = False,
         coverage: float = 1.0,
         stages: Optional[Dict[str, float]] = None,
     ) -> bool:
-        """Record one finished query; returns True when it was audited."""
+        """Record one finished query; returns True when it was audited.
+
+        ``descriptor`` may be a zero-argument callable returning the
+        dict: it is called only for a query that gets audited.
+        """
         if latency_s < self.threshold_s and not degraded:
             return False
+        if callable(descriptor):
+            descriptor = descriptor()
         entry = {
             "request_id": request_id or current_request_id(),
             "latency_ms": round(latency_s * 1e3, 3),

@@ -12,11 +12,9 @@ This package turns a trained model + pair into a long-lived service:
   eager/lazy/off integrity verification naming file and byte offset on
   corruption; v2 adds the ANN aux arrays (centroids, inverted lists,
   int8 codes, scales) under the same guarantees.
-* :mod:`~repro.serving.index` — **AlignmentIndex**: exact top-k with
-  Cauchy-Schwarz norm-based candidate pruning; bit-identical with
-  pruning on or off, scoring and selecting through
-  :mod:`repro.core.scoring` like
-  :func:`repro.core.streaming.streaming_top_k`.
+* :mod:`~repro.serving.index` — **AlignmentIndex**: exact top-k by
+  :func:`repro.core.scoring.scan_top_k`, the scan
+  :func:`repro.core.streaming.streaming_top_k` runs too.
 * :mod:`~repro.serving.ann` — **AnnIndex**: IVF coarse quantizer
   (deterministic seeded k-means) over the target embeddings plus int8
   symmetric per-block quantization with float rescoring; ``mode='ann'``
@@ -28,7 +26,7 @@ This package turns a trained model + pair into a long-lived service:
   ``QueryEngine.from_artifact(artifact, shards=N)`` picks the index
   for an artifact: exact, ANN, or sharded when ``N > 1``.
 * :mod:`~repro.serving.sharded` — **ShardedIndex**: the target matrix
-  split into block-aligned row shards, scored scatter-gather on a
+  split into even contiguous row shards, scored scatter-gather on a
   :class:`~repro.parallel.WorkerPool` behind per-shard circuit
   breakers, merged bit-identically to the single-process index.
 * :mod:`~repro.serving.frontdoor` — **FrontDoor**: bounded admission

@@ -2,10 +2,10 @@
 (``repro.serving.ann``).
 
 The exact :class:`~repro.serving.index.AlignmentIndex` scores
-``O(n_target)`` rows per query even with Cauchy-Schwarz pruning.  At the
-million-node scale the ROADMAP targets, that is the throughput ceiling.
-This module trades a *bounded, observable* amount of recall for QPS
-while keeping an exactness escape hatch:
+``O(n_target)`` rows per query.  At the million-node scale the ROADMAP
+targets, that is the throughput ceiling.  This module trades a
+*bounded, observable* amount of recall for QPS while keeping an
+exactness escape hatch:
 
 * **IVF coarse tier** — a deterministic seeded k-means (kmeans++ init,
   fixed iteration budget) over the concatenated target embeddings
@@ -605,7 +605,6 @@ class AnnIndex:
         quant_rows: int = DEFAULT_QUANT_ROWS,
         state: Optional[Dict[str, Any]] = None,
         target_block_size: int = 512,
-        prune: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.exact = AlignmentIndex(
@@ -613,7 +612,6 @@ class AnnIndex:
             target_embeddings,
             layer_weights,
             target_block_size=target_block_size,
-            prune=prune,
             registry=registry,
         )
         self.registry = registry
@@ -674,7 +672,6 @@ class AnnIndex:
         self,
         sources,
         k: int = 1,
-        prune: Optional[bool] = None,
         mode: str = "exact",
         nprobe: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -692,7 +689,7 @@ class AnnIndex:
                     "nprobe only applies to mode='ann' "
                     f"(got nprobe={nprobe!r} with mode='exact')"
                 )
-            return self.exact.top_k(sources, k, prune=prune)
+            return self.exact.top_k(sources, k)
         if mode != "ann":
             raise AnnParameterError(
                 f"mode must be 'exact' or 'ann', got {mode!r}"

@@ -315,17 +315,14 @@ class QueryEngine:
         artifact a bare :class:`AlignmentIndex`, which rejects
         ``mode='ann'``.  :meth:`close` closes a sharded index.
         """
-        index_kwargs = {
-            key: kwargs.pop(key)
-            for key in ("target_block_size", "prune")
-            if key in kwargs
-        }
+        index_kwargs = {"registry": kwargs.get("registry")}
+        if "target_block_size" in kwargs:
+            index_kwargs["target_block_size"] = kwargs.pop("target_block_size")
         shard_kwargs = {
             key: kwargs.pop(key)
             for key in ("breaker_kwargs", "shard_timeout_s")
             if key in kwargs
         }
-        index_kwargs["registry"] = kwargs.get("registry")
         if shards > 1:
             index = ShardedIndex.from_artifact(
                 artifact, shards=shards, workers=workers,
@@ -472,7 +469,7 @@ class QueryEngine:
             registry.increment("serving.degraded")
         audited = self.slow_queries.observe(
             latency_s=latency,
-            descriptor={
+            descriptor=lambda: {
                 "source": source, "k": k, "mode": mode, "nprobe": nprobe,
                 "cached": cached, "fingerprint": self.fingerprint,
             },
@@ -707,17 +704,14 @@ class QueryEngine:
                         sources, k_max, **ann_kwargs
                     )
                     meta = _HEALTHY_META
-            columns = targets.shape[1]
+            finite = np.isfinite(scores)
             for row, position in enumerate(positions):
-                k = batch[position][1]
-                take = min(k, columns)
-                row_targets = targets[row, :take]
-                row_scores = scores[row, :take]
-                finite = np.isfinite(row_scores)
+                take = batch[position][1]
+                keep = finite[row, :take]
                 values[position] = (
-                    tuple(int(t) for t in row_targets[finite]),
-                    tuple(float(s) for s in row_scores[finite]),
-                    bool(finite.any()),
+                    tuple(targets[row, :take][keep].tolist()),
+                    tuple(scores[row, :take][keep].tolist()),
+                    bool(keep.any()),
                     meta,
                 )
         registry.increment("serving.batches")

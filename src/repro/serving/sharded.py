@@ -88,30 +88,20 @@ _NO_CANDIDATES: _Candidates = (
 )
 
 
-def plan_shards(
-    n_target: int, shards: int, block_size: int
-) -> List[Tuple[int, int]]:
+def plan_shards(n_target: int, shards: int) -> List[Tuple[int, int]]:
     """Contiguous ``[start, stop)`` target row ranges, one per shard.
 
-    Boundaries are aligned to ``block_size`` multiples.  ``shards`` is
-    clamped to the block count (a shard must own at least one block);
-    block counts are spread as evenly as the alignment allows.
+    ``[0, n_target)`` is split into ``min(shards, n_target)`` ranges
+    whose sizes differ by at most one row.  A shard's answers are
+    canonical at any row range, so no boundary needs aligning.
     """
     if n_target < 1:
         raise ValueError(f"n_target must be >= 1, got {n_target}")
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    num_blocks = -(-n_target // block_size)
-    shards = min(shards, num_blocks)
-    plan: List[Tuple[int, int]] = []
-    for shard in range(shards):
-        start = (shard * num_blocks) // shards * block_size
-        stop = min(((shard + 1) * num_blocks) // shards * block_size, n_target)
-        if stop > start:
-            plan.append((start, stop))
-    return plan
+    shards = min(shards, n_target)
+    bounds = [shard * n_target // shards for shard in range(shards + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +204,7 @@ def _shard_work(name: str, shard: _Shard, **fields: Any) -> Iterator[None]:
     )
 
 
-def _score_shard(
-    shard: _Shard, sources: List[int], k: int, prune: bool
-) -> _Candidates:
+def _score_shard(shard: _Shard, sources: List[int], k: int) -> _Candidates:
     """One shard's exact top-k for a query batch (a pool task).
 
     Returns flat ``(rows, ids, scores)`` candidates with **global**
@@ -225,7 +213,7 @@ def _score_shard(
     index = _open_shard(shard)
     with _shard_work("shard_score", shard, batch=len(sources), k=k):
         targets, scores = index.top_k(
-            np.asarray(sources, dtype=np.int64), k=k, prune=prune
+            np.asarray(sources, dtype=np.int64), k=k
         )
     batch, width = targets.shape
     return (
@@ -257,8 +245,8 @@ def _rescore_shard(
 class ShardedIndex:
     """Scatter-gather drop-in for :class:`AlignmentIndex`.
 
-    Publishes both embedding sets into shared memory once, plans
-    block-aligned target shards, and answers a query by fanning the
+    Publishes both embedding sets into shared memory once, splits the
+    targets into even contiguous shards, and answers a query by fanning the
     batch out to per-shard tasks on a persistent
     :class:`~repro.parallel.WorkerPool` and merging the pooled
     candidates in the canonical order.  ``workers=0`` (or ``None`` with
@@ -297,7 +285,6 @@ class ShardedIndex:
         layer_weights: Sequence[float],
         shards: int = 2,
         target_block_size: int = 512,
-        prune: bool = True,
         workers: Optional[int] = None,
         hedge_after_s: Optional[float] = None,
         shard_timeout_s: Optional[float] = None,
@@ -316,11 +303,10 @@ class ShardedIndex:
         self.num_layers = len(source_embeddings)
         self._weights = tuple(float(w) for w in layer_weights)
         self.block_size = int(target_block_size)
-        self.prune = bool(prune)
         self.hedge_after_s = hedge_after_s
         self.shard_timeout_s = shard_timeout_s
         self.registry = registry
-        self.plan = plan_shards(self._n_target, shards, self.block_size)
+        self.plan = plan_shards(self._n_target, shards)
         # ANN tier: the probe + candidate filter runs in the parent (it
         # touches centroids and int8 codes, not the float target matrix);
         # only the float rescoring of candidate pairs scatters.  The
@@ -426,7 +412,6 @@ class ShardedIndex:
         self,
         sources,
         k: int = 1,
-        prune: Optional[bool] = None,
         mode: str = "exact",
         nprobe: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -438,7 +423,7 @@ class ShardedIndex:
         (HTTP 503) naming the shards that did not answer.
         """
         targets, scores, meta = self.top_k_ex(
-            sources, k, prune=prune, mode=mode, nprobe=nprobe
+            sources, k, mode=mode, nprobe=nprobe
         )
         if meta["degraded"]:
             raise RuntimeError(
@@ -452,7 +437,6 @@ class ShardedIndex:
         self,
         sources,
         k: int = 1,
-        prune: Optional[bool] = None,
         deadline_s: Optional[float] = None,
         mode: str = "exact",
         nprobe: Optional[int] = None,
@@ -510,7 +494,6 @@ class ShardedIndex:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, self.n_target)
-        prune = self.prune if prune is None else bool(prune)
         source_list = [int(s) for s in sources]
         if deadline_s is not None and time.monotonic() >= deadline_s:
             registry.increment("serving.deadline_shed")
@@ -523,7 +506,7 @@ class ShardedIndex:
         if mode == "exact":
             task: Callable[..., _Candidates] = _score_shard
             shard_args = {
-                shard: (source_list, k, prune)
+                shard: (source_list, k)
                 for shard in range(self.num_shards)
             }
         else:

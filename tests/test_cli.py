@@ -181,7 +181,6 @@ class TestServing:
         args = build_parser().parse_args(["serve", "--artifact", "/x"])
         assert args.port == 8571
         assert args.block_size == 512
-        assert not args.no_prune
         assert args.metrics_out is None and args.trace_out is None
 
     def test_query_metrics_out(self, artifact_dir, tmp_path, capsys):

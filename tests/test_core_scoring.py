@@ -5,15 +5,20 @@ must score the same bits whatever else is scored with it: alone, in a
 batch, in reverse order, across a chunk boundary, or read from an
 mmap'd artifact.  ``score_slack`` must stay finite around poisoned rows,
 or a selector comparing against ``kth - slack`` would drop them.
+``scan_top_k``, the one exact top-k, must equal a brute-force sort of
+every pair's ``pair_scores`` at any block size.
 """
 
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scoring import PAIR_CHUNK, pair_scores, score_slack
+from repro.core.scoring import (
+    PAIR_CHUNK, pair_scores, scan_top_k, score_slack,
+)
 from repro.serving import AlignmentIndex, export_artifact, load_artifact
 
 
@@ -59,6 +64,61 @@ def test_pair_score_is_the_same_bits_in_any_context(seed, dims, n_pairs):
             artifact.layer_weights, rows, ids,
         )
         assert bits(mapped) == bits(batch)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 70), min_size=1, max_size=3),
+    n_source=st.integers(1, 40),
+    n_target=st.integers(1, 300),
+    duplicates=st.integers(0, 8),
+    nan_row=st.sampled_from([None, "source", "target"]),
+)
+def test_scan_top_k_equals_brute_force(
+    seed, dims, n_source, n_target, duplicates, nan_row
+):
+    rng = np.random.default_rng(seed)
+    source = [rng.standard_normal((n_source, d)) for d in dims]
+    target = [rng.standard_normal((n_target, d)) for d in dims]
+    weights = [float(w) for w in rng.uniform(-1.0, 1.0, len(dims))]
+    # Copied target rows score exactly alike: ties, often across blocks.
+    copies = rng.integers(0, n_target, (duplicates, 2))
+    for layer in target:
+        layer[copies[:, 0]] = layer[copies[:, 1]]
+    if nan_row == "source":
+        source[0][rng.integers(n_source), 0] = np.nan
+    elif nan_row == "target":
+        target[-1][rng.integers(n_target), -1] = np.nan
+    slack = score_slack(source, target, weights)
+    sources = rng.permutation(n_source)
+    rows, ids = np.meshgrid(sources, np.arange(n_target), indexing="ij")
+    full = pair_scores(
+        source, target, weights, rows.ravel(), ids.ravel()
+    ).reshape(rows.shape)
+    order = np.lexsort((ids, -full))
+    for k in sorted({1, min(5, n_target), n_target}):
+        expected_t = order[:, :k]
+        expected_s = np.take_along_axis(full, expected_t, axis=1)
+        for block in (1, 7, 64, n_target + 5):
+            got_t, got_s, _ = scan_top_k(
+                source, target, weights, sources, k, block, slack[sources]
+            )
+            assert bits(got_t) == bits(expected_t), (k, block)
+            assert bits(got_s) == bits(expected_s), (k, block)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scan_top_k_counts_sanitized_blocks():
+    rng = np.random.default_rng(7)
+    source = [rng.standard_normal((4, 3))]
+    target = [rng.standard_normal((20, 3))]
+    slack = score_slack(source, target, [1.0])
+    sources = np.arange(4)
+    assert scan_top_k(source, target, [1.0], sources, 2, 8, slack)[2] == 0
+    target[0][[1, 17]] = np.inf
+    # Rows 1 and 17 sit in blocks [0, 8) and [16, 20) of three.
+    assert scan_top_k(source, target, [1.0], sources, 2, 8, slack)[2] == 2
 
 
 def test_pair_scores_sanitizes_non_finite_pairs():

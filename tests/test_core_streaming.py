@@ -164,6 +164,11 @@ class TestMemoryBound:
         ))
         assert blocks < 5, f"streaming_evaluate peaked at {blocks:.2f} blocks"
 
+    def test_top_k_equals_the_index(self, embeddings):
+        source, target, weights = embeddings
+        TestIndexParity.assert_same(source, target, weights, 10, self.BLOCK,
+                                    512)
+
 
 class TestStreamingAligner:
     def test_top_anchors_structure(self, trained):
@@ -255,6 +260,41 @@ class TestSanitizedRows:
         # the poisoned target is -inf for everyone, so it can never win
         assert 7 not in targets
         assert np.isfinite(scores).all()
+
+
+class TestIndexParity:
+    """``streaming_top_k`` and ``AlignmentIndex.top_k`` run the same
+    ``scan_top_k``, so their answers agree bit for bit at any streaming
+    row block and index target block."""
+
+    @staticmethod
+    def assert_same(source, target, weights, k, block_size, target_block):
+        from repro.serving import AlignmentIndex
+
+        index = AlignmentIndex(source, target, weights,
+                               target_block_size=target_block)
+        expected_t, expected_s = index.top_k(np.arange(index.n_source), k)
+        got_t, got_s = streaming_top_k(source, target, weights, k=k,
+                                       block_size=block_size)
+        np.testing.assert_array_equal(got_t, expected_t)
+        np.testing.assert_array_equal(got_s, expected_s)
+
+    @pytest.mark.parametrize("k", [1, 5, 60])
+    @pytest.mark.parametrize("block_size,target_block",
+                             [(11, 7), (16, 64), (60, 512)])
+    def test_trained_embeddings(self, trained, k, block_size, target_block):
+        _, _, _, source, target, weights = trained
+        self.assert_same(source, target, weights, k, block_size, target_block)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_poisoned_rows(self, trained):
+        _, _, _, source, target, weights = trained
+        source = [layer.copy() for layer in source]
+        target = [layer.copy() for layer in target]
+        source[0][4] = np.nan
+        target[0][7] = np.inf
+        for k in (1, 3):
+            self.assert_same(source, target, weights, k, 16, 9)
 
 
 class TestEvaluateGroundtruthMismatch:

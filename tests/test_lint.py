@@ -68,6 +68,13 @@ nothing else.  ``networkx`` (the graph generators) and
 functions that use them, so ``import repro, repro.serving, repro.cli``
 must leave both out of ``sys.modules``: together they are about half of
 a serving process's modules and memory.
+
+Layering
+--------
+``repro.core`` computes the paper's method and ``repro.serving`` serves
+it, so the dependency runs one way: no module under ``src/repro/core``
+imports ``repro.serving``, whether by ``import``, ``from ... import``
+or a relative ``..serving`` import.
 """
 
 import ast
@@ -644,3 +651,71 @@ def test_serving_imports_leave_out_lazy_modules():
         f"importing the serving surface loads {loaded}; import them "
         "inside the functions that use them"
     )
+
+
+def _serving_import_violations(path, package, label=None):
+    """Imports of ``repro.serving`` in a module of ``package``."""
+    label = label if label is not None else str(path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    parts = package.split(".")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            prefix = ".".join(base + ([node.module] if node.module else []))
+            modules = [prefix] + [
+                f"{prefix}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        if any(
+            module == "repro.serving" or module.startswith("repro.serving.")
+            for module in modules
+        ):
+            found.append(
+                f"{label}:{node.lineno}: imports repro.serving — core must "
+                "not depend on the serving tier"
+            )
+    return found
+
+
+def test_core_does_not_import_serving():
+    core = SRC_ROOT / "core"
+    violations = []
+    for path in sorted(core.rglob("*.py")):
+        package = ".".join(path.relative_to(SRC_ROOT.parent).parent.parts)
+        violations.extend(
+            _serving_import_violations(
+                path, package, label=str(path.relative_to(SRC_ROOT.parent))
+            )
+        )
+    assert not violations, (
+        "repro.core imports the serving tier:\n" + "\n".join(violations)
+    )
+
+
+def test_layering_lint_catches_serving_imports(tmp_path):
+    sample = tmp_path / "bad.py"
+    sample.write_text(
+        "import repro.serving\n"
+        "import repro.serving.index as index\n"
+        "from repro.serving.engine import QueryEngine\n"
+        "from repro import serving\n"
+        "from ..serving import AlignmentIndex\n"
+        "from .. import serving as tier\n"
+    )
+    assert len(_serving_import_violations(sample, "repro.core")) == 6
+
+
+def test_layering_lint_allows_core_imports(tmp_path):
+    sample = tmp_path / "ok.py"
+    sample.write_text(
+        "import repro.observability\n"
+        "from .scoring import scan_top_k\n"
+        "from ..parallel import WorkerPool\n"
+        "from repro.serving_notes import x  # another package\n"
+        "from . import serving\n"
+    )
+    assert not _serving_import_violations(sample, "repro.core")

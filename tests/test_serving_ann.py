@@ -746,20 +746,20 @@ class TestRescoring:
         # Candidates are rescored pair by pair: a full-probe call over
         # 256 queries x 20000 targets runs none of the exact index's 40
         # block GEMMs, and still equals the exact answer bitwise.
-        import repro.serving.index as index_module
+        import repro.core.scoring as scoring_module
 
         rng = np.random.default_rng(16)
         source = [rng.standard_normal((256, 16)) for _ in range(3)]
         target = [rng.standard_normal((20_000, 16)) for _ in range(3)]
         index = AnnIndex(source, target, [0.5, 0.3, 0.2])
         calls = []
-        score_block = index_module.score_block
+        score_block = scoring_module.score_block
 
         def counted(*args):
             calls.append(args)
             return score_block(*args)
 
-        monkeypatch.setattr(index_module, "score_block", counted)
+        monkeypatch.setattr(scoring_module, "score_block", counted)
         batch = np.arange(256)
         got_t, got_s = index.top_k(
             batch, k=10, mode="ann", nprobe=index.n_clusters

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.observability import MetricsRegistry
+from repro.observability import MetricsRegistry, SlowQueryLog
 from repro.serving import AlignmentIndex, QueryEngine, StripedLRUCache
 
 
@@ -254,6 +254,65 @@ class TestUnaligned:
             assert result.scores == ()
             assert engine.query(0, k=3).aligned
         assert registry.get("serving.unaligned").value == 1
+
+
+class CountingSlowLog(SlowQueryLog):
+    """A slow-query log that counts the descriptors built for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built = 0
+
+    def observe(self, *, descriptor, **kwargs):
+        if callable(descriptor):
+            def descriptor(build=descriptor):
+                self.built += 1
+                return build()
+        else:
+            self.built += 1  # a dict was built before the call
+        return super().observe(descriptor=descriptor, **kwargs)
+
+
+class DegradedIndex:
+    """An index whose every answer comes back degraded."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_source, self.n_target = inner.n_source, inner.n_target
+
+    def top_k_ex(self, sources, k, **_):
+        targets, scores = self.inner.top_k(sources, k)
+        meta = {"degraded": True, "coverage": 0.5, "shards_down": (1,)}
+        return targets, scores, meta
+
+
+class TestSlowLogDescriptor:
+    def run(self, index, threshold_s, registry):
+        with QueryEngine(index, fingerprint="fp0", max_delay_ms=0.0,
+                         registry=registry) as engine:
+            engine.slow_queries = CountingSlowLog(threshold_s=threshold_s)
+            engine.query(0, k=2)
+            engine.query(0, k=2)  # a cache hit when healthy
+            engine.query_many([(1, 2), (2, 3)])
+            return engine.slow_queries
+
+    def test_fast_healthy_queries_build_no_descriptor(self, registry):
+        log = self.run(make_index(registry=registry), 60.0, registry)
+        assert log.built == 0 and log.total == 0
+
+    def test_slow_queries_still_log_their_descriptor(self, registry):
+        log = self.run(make_index(registry=registry), 0.0, registry)
+        assert log.built == log.total == 4
+        descriptors = [entry["descriptor"] for entry in log.recent(10)]
+        assert {d["source"] for d in descriptors} == {0, 1, 2}
+        assert all(d["fingerprint"] == "fp0" for d in descriptors)
+        assert sum(d["cached"] for d in descriptors) == 1
+
+    def test_degraded_queries_still_log_their_descriptor(self, registry):
+        index = DegradedIndex(make_index(registry=registry))
+        log = self.run(index, 60.0, registry)
+        assert log.built == log.total == 4
+        assert all(entry["degraded"] for entry in log.recent(10))
 
 
 class TestLifecycle:

@@ -1,9 +1,10 @@
-"""Tests for the pruned exact top-k AlignmentIndex.
+"""Tests for the exact top-k AlignmentIndex.
 
 The load-bearing property (the serving layer's correctness contract):
-for a fixed index, **pruned top-k is bit-identical to dense top-k** —
-targets AND scores — for every seed, block size, and k, including exact
-score ties and k == n_target.  Batch composition must not matter either.
+for a fixed index, **top-k is bit-identical to a brute-force canonical
+reference** — targets AND scores — for every seed, block size, and k,
+including exact score ties and k == n_target.  Batch composition must
+not matter either.
 """
 
 import tracemalloc
@@ -59,13 +60,10 @@ class TestPrunedEqualsDense:
                                target_block_size=block_size)
         batch = np.arange(index.n_source)
         for k in (1, 3, 10, index.n_target):
-            pruned_t, pruned_s = index.top_k(batch, k=k, prune=True)
-            dense_t, dense_s = index.top_k(batch, k=k, prune=False)
-            np.testing.assert_array_equal(pruned_t, dense_t)
-            np.testing.assert_array_equal(pruned_s, dense_s)
+            got_t, got_s = index.top_k(batch, k=k)
             ref_t, ref_s = canonical_reference(index, k)
-            np.testing.assert_array_equal(pruned_t, ref_t)
-            np.testing.assert_array_equal(pruned_s, ref_s)
+            np.testing.assert_array_equal(got_t, ref_t)
+            np.testing.assert_array_equal(got_s, ref_s)
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("block_size", [5, 23, 69])
@@ -75,10 +73,10 @@ class TestPrunedEqualsDense:
                                target_block_size=block_size)
         batch = np.arange(index.n_source)
         for k in (1, 2, 7, index.n_target):
-            pruned_t, pruned_s = index.top_k(batch, k=k, prune=True)
+            got_t, got_s = index.top_k(batch, k=k)
             ref_t, ref_s = canonical_reference(index, k)
-            np.testing.assert_array_equal(pruned_t, ref_t)
-            np.testing.assert_array_equal(pruned_s, ref_s)
+            np.testing.assert_array_equal(got_t, ref_t)
+            np.testing.assert_array_equal(got_s, ref_s)
 
     def test_canonical_tie_order_is_ascending_id(self):
         source, target = tied_embeddings(11, copies=3)
@@ -129,10 +127,9 @@ class TestAgainstBruteForce:
         if sources is None:
             sources = np.arange(index.n_source)
         ref_t, ref_s = canonical_reference(index, k, sources)
-        for prune in (True, False):
-            got_t, got_s = index.top_k(sources, k=k, prune=prune)
-            np.testing.assert_array_equal(got_t, ref_t)
-            np.testing.assert_array_equal(got_s, ref_s)
+        got_t, got_s = index.top_k(sources, k=k)
+        np.testing.assert_array_equal(got_t, ref_t)
+        np.testing.assert_array_equal(got_s, ref_s)
 
     def test_tie_at_kth_boundary_straddles_two_blocks(self):
         # One layer, query (1, 0): a target's score is its first entry.
@@ -250,7 +247,7 @@ class TestBatchInvariance:
         # Sources whose top-10 holds the tie.
         source[0][:4] = target[0][7]
         index = AlignmentIndex(source, target, [0.5, 0.3, 0.2])
-        assert index._block_bounds[-1] == (512, 544)
+        assert (index.block_size, index.num_blocks) == (512, 2)
         batch_t, batch_s = index.top_k(np.arange(256), k=10)
         for node in range(0, 256, 4):
             lone_t, lone_s = index.top_k(node, k=10)
@@ -266,8 +263,7 @@ class TestBatchInvariance:
 
 class TestPruning:
     def test_pruning_actually_skips_blocks(self):
-        # One block of huge-norm targets dominates every top-1: after it
-        # is scored, every other block's bound falls below the kth best.
+        # One block of huge-norm targets dominates every top-1.
         rng = np.random.default_rng(8)
         source = [rng.standard_normal((30, 10))]
         target = [rng.standard_normal((400, 10))]
@@ -275,11 +271,11 @@ class TestPruning:
         registry = MetricsRegistry()
         index = AlignmentIndex(source, target, [1.0], target_block_size=40,
                                registry=registry)
-        pruned_t, pruned_s = index.top_k(np.arange(30), k=1, prune=True)
-        assert registry.get("serving.index.blocks_pruned").value > 0
-        dense_t, dense_s = index.top_k(np.arange(30), k=1, prune=False)
-        np.testing.assert_array_equal(pruned_t, dense_t)
-        np.testing.assert_array_equal(pruned_s, dense_s)
+        got_t, got_s = index.top_k(np.arange(30), k=1)
+        ref_t, ref_s = canonical_reference(index, 1)
+        np.testing.assert_array_equal(got_t, ref_t)
+        np.testing.assert_array_equal(got_s, ref_s)
+        assert registry.get("serving.index.blocks_scored").value == 10
 
     def test_metrics_recorded(self):
         source, target = make_embeddings(2)
@@ -390,7 +386,6 @@ class TestNearTies:
                           target_block_size=64, workers=0) as sharded:
             answers = {
                 "exact": index.top_k(batch, k),
-                "dense": index.top_k(batch, k, prune=False),
                 "streaming": streaming_top_k(
                     source, target, self.WEIGHTS, k=k, block_size=7
                 ),

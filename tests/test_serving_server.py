@@ -2,8 +2,8 @@
 
 The acceptance path: export an artifact from a trained small pair, start
 the server in-process, answer hundreds of queries concurrently from
-several threads with zero errors, and require the answers — pruned,
-cached, microbatched, over HTTP — to be bit-identical to the offline
+several threads with zero errors, and require the answers — cached,
+microbatched, over HTTP — to be bit-identical to the offline
 :func:`repro.core.streaming.streaming_top_k` reference.
 
 Every path reports canonical per-pair scores (see

@@ -60,51 +60,47 @@ def make_embeddings(seed=0, n_source=40, n_target=97, dims=(8, 4),
 
 class TestPlanShards:
     def test_partition_covers_all_rows_contiguously(self):
-        for n, shards, block in [(97, 4, 16), (64, 2, 16), (100, 3, 7),
-                                 (512, 8, 512), (5, 2, 2)]:
-            plan = plan_shards(n, shards, block)
+        for n, shards in [(97, 4), (64, 2), (100, 3), (512, 8), (5, 2),
+                          (3, 8)]:
+            plan = plan_shards(n, shards)
             assert plan[0][0] == 0
             assert plan[-1][1] == n
             for (_, stop), (start, _) in zip(plan, plan[1:]):
                 assert stop == start
 
-    def test_boundaries_are_block_aligned(self):
-        plan = plan_shards(97, 4, 16)
-        for start, stop in plan:
-            assert start % 16 == 0
-            assert stop % 16 == 0 or stop == 97
+    def test_split_is_even(self):
+        for n, shards in [(97, 4), (97, 8), (100, 3), (1000, 7)]:
+            sizes = [stop - start for start, stop in plan_shards(n, shards)]
+            assert len(sizes) == shards
+            assert max(sizes) - min(sizes) <= 1
 
-    def test_shards_clamped_to_block_count(self):
-        # 97 rows at block 64 → 2 blocks → at most 2 shards.
-        assert len(plan_shards(97, 8, 64)) == 2
-        # Full-width block → single shard no matter what was asked.
-        assert plan_shards(97, 4, 97) == [(0, 97)]
+    def test_shards_clamped_to_target_count(self):
+        # One row per shard at most: never an empty shard.
+        assert plan_shards(3, 8) == [(0, 1), (1, 2), (2, 3)]
+        assert plan_shards(1, 4) == [(0, 1)]
 
     def test_block_spread_is_even(self):
-        plan = plan_shards(16 * 8, 4, 16)
+        plan = plan_shards(16 * 8, 4)
         sizes = [stop - start for start, stop in plan]
         assert sizes == [32, 32, 32, 32]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_target"):
-            plan_shards(0, 2, 16)
+            plan_shards(0, 2)
         with pytest.raises(ValueError, match="shards"):
-            plan_shards(10, 0, 16)
-        with pytest.raises(ValueError, match="block_size"):
-            plan_shards(10, 2, 0)
+            plan_shards(10, 0)
 
 
 class TestBitwiseInvariance:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 8])
     def test_sharded_equals_single_process(self, seed, shards):
         source, target, weights = make_embeddings(seed=seed)
         base = AlignmentIndex(source, target, weights,
                               target_block_size=BLOCK)
         with ShardedIndex(source, target, weights, shards=shards,
                           target_block_size=BLOCK, workers=0) as sharded:
-            assert sharded.num_shards == min(
-                shards, -(-base.n_target // BLOCK))
+            assert sharded.num_shards == min(shards, base.n_target)
             for k in (1, 3, 10, 200):
                 expected_t, expected_s = base.top_k(
                     np.arange(base.n_source), k=k)
@@ -151,17 +147,6 @@ class TestBitwiseInvariance:
             assert np.array_equal(expected_t, actual_t)
             assert np.array_equal(expected_s, actual_s)
             assert np.all(np.isneginf(actual_s[0]))  # poisoned row
-
-    def test_prune_override_passes_through(self):
-        source, target, weights = make_embeddings(seed=6)
-        base = AlignmentIndex(source, target, weights,
-                              target_block_size=BLOCK)
-        with ShardedIndex(source, target, weights, shards=2,
-                          target_block_size=BLOCK, workers=0) as sharded:
-            expected = base.top_k(np.arange(10), k=3, prune=False)
-            actual = sharded.top_k(np.arange(10), k=3, prune=False)
-            assert np.array_equal(expected[0], actual[0])
-            assert np.array_equal(expected[1], actual[1])
 
 
 class TestShardedIndexLifecycle:
