@@ -12,7 +12,6 @@ from .alignment import (
     alignment_quality,
 )
 from .refine import (
-    find_stable_nodes,
     apply_influence_gain,
     AlignmentRefiner,
     RefinementLog,
@@ -37,7 +36,7 @@ from .streaming import (
     iter_score_blocks,
     streaming_top_k,
     streaming_evaluate,
-    streaming_find_stable_nodes,
+    find_stable_nodes,
     StreamingAligner,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "iter_score_blocks",
     "streaming_top_k",
     "streaming_evaluate",
-    "streaming_find_stable_nodes",
     "StreamingAligner",
     "AnchorLink",
     "one_to_one",

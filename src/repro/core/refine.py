@@ -4,80 +4,39 @@ Iteratively: (1) detect *stable* nodes — source nodes whose top-1 target is
 identical across every layer-wise alignment matrix with score above the
 confidence factor λ (Eq 13); (2) raise their influence factors α by the gain
 β (Eq 14); (3) re-embed both networks through the influence-weighted
-propagation matrix (Eq 15) and rebuild the alignment matrices; (4) keep the
-aggregate S with the best greedy quality g(S).
+propagation matrix (Eq 15); (4) keep the iteration with the best greedy
+quality g(S).  Steps (1) and (4) are one scan over row blocks of S
+(:func:`repro.core.streaming.find_stable_nodes`, §VI-C), so an iteration
+holds no n₁×n₂ array; the one dense S returned is built once, from the
+best iteration's embeddings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..graphs import AlignmentPair, weighted_propagation_matrix
 from ..observability import MetricsRegistry, get_registry, get_tracer
 from ..resilience import validate_pair
-from .alignment import (
+# Unused: bench/workloads.py TRAIN_SITES looks these up on this module.
+from .alignment import (  # noqa: F401
     aggregate_alignment,
     alignment_quality,
     layerwise_alignment_matrices,
 )
 from .config import GAlignConfig
 from .model import MultiOrderGCN
+from .scoring import score_block
+from .streaming import find_stable_nodes
 
 __all__ = [
-    "find_stable_nodes",
     "apply_influence_gain",
     "AlignmentRefiner",
     "RefinementLog",
 ]
-
-
-def find_stable_nodes(
-    matrices: Sequence[np.ndarray],
-    threshold: float,
-    reference_scores: np.ndarray | None = None,
-    tie_tolerance: float = 1e-9,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eq 13: stable sources and their (consistent) anchor targets.
-
-    A source node is stable when its argmax target agrees across all
-    layer-wise matrices and each of those scores exceeds λ.
-
-    ``reference_scores`` (normally the aggregated matrix of Eq 12) makes
-    the argmax-agreement test tie-tolerant: the reference's top target
-    counts as a layer's argmax whenever its score ties the layer maximum
-    within ``tie_tolerance``.  This matters for the layer-0 (attribute)
-    matrix, where many nodes share identical attribute vectors and a strict
-    argmax would be arbitrary among tied candidates — with unique maxima
-    the test is exactly Eq 13.
-
-    Returns
-    -------
-    (stable_sources, stable_targets):
-        Parallel integer arrays; ``stable_targets[i]`` is the anchor of
-        ``stable_sources[i]``.
-    """
-    if not matrices:
-        raise ValueError("need at least one layer-wise matrix")
-    maxima = np.stack([m.max(axis=1) for m in matrices])
-    confident = np.all(maxima > threshold, axis=0)
-
-    if reference_scores is None:
-        argmaxes = np.stack([m.argmax(axis=1) for m in matrices])
-        consistent = np.all(argmaxes == argmaxes[0], axis=0)
-        candidates = argmaxes[0]
-    else:
-        candidates = reference_scores.argmax(axis=1)
-        rows = np.arange(matrices[0].shape[0])
-        candidate_scores = np.stack([m[rows, candidates] for m in matrices])
-        consistent = np.all(candidate_scores >= maxima - tie_tolerance, axis=0)
-
-    stable = consistent & confident
-    sources = np.flatnonzero(stable)
-    targets = candidates[sources]
-    return sources, targets
 
 
 def apply_influence_gain(
@@ -188,7 +147,6 @@ class AlignmentRefiner:
         influence_target = np.ones(pair.target.num_nodes)
 
         log = RefinementLog(registry=registry)
-        best_scores = None
         best_quality = float("-inf")
         tracer = get_tracer()
 
@@ -209,11 +167,11 @@ class AlignmentRefiner:
                         pair.target, prop_target
                     )
                 with tracer.span("refine.align"):
-                    matrices = layerwise_alignment_matrices(
-                        source_embeddings, target_embeddings
+                    sources, targets, quality, sanitized = find_stable_nodes(
+                        source_embeddings, target_embeddings, layer_weights,
+                        config.stability_threshold, registry=registry,
                     )
-                    scores = aggregate_alignment(matrices, layer_weights)
-                if not np.all(np.isfinite(scores)):
+                if sanitized:
                     # Influence-weighted propagation went numerically bad;
                     # keep the best finite iteration (iteration 0 == the
                     # pre-refinement embeddings) rather than propagate.
@@ -226,17 +184,11 @@ class AlignmentRefiner:
                         },
                     )
                     break
-                quality = alignment_quality(scores)
-
-                sources, targets = find_stable_nodes(
-                    matrices, config.stability_threshold, reference_scores=scores
-                )
             registry.increment("refine.iterations")
             log.record_iteration(quality, len(sources), len(np.unique(targets)))
 
             if quality > best_quality:
                 best_quality = quality
-                best_scores = scores
                 log.best_source_embeddings = source_embeddings
                 log.best_target_embeddings = target_embeddings
 
@@ -250,7 +202,7 @@ class AlignmentRefiner:
             apply_influence_gain(influence_source, sources, config.influence_gain)
             apply_influence_gain(influence_target, targets, config.influence_gain)
 
-        if best_scores is None:
+        if log.best_source_embeddings is None:
             # Even iteration 0 (influence factors all 1, i.e. the plain
             # pre-refinement embeddings) was non-finite: the model itself
             # is broken and there is nothing sane to fall back to.
@@ -266,4 +218,10 @@ class AlignmentRefiner:
         registry.observe("refine.influence.target_mean", influence_target.mean())
         log.final_influence_source = influence_source
         log.final_influence_target = influence_target
-        return best_scores, log
+        # One full-height block: the GEMMs and addition order of
+        # aggregate_alignment(layerwise_alignment_matrices(...)).
+        scores, _ = score_block(
+            log.best_source_embeddings, log.best_target_embeddings,
+            layer_weights,
+        )
+        return scores, log

@@ -4,7 +4,9 @@ Every "who does v align to" answer comes from rows of
 ``S = Σ_l θ(l) · H_s(l) · H_t(l)ᵀ`` (Eq 11-12), computed one block at a
 time so S is never held whole (§VI-C).  :mod:`repro.core.streaming`
 blocks by source rows, the serving indexes by target columns; all of
-them build and select through this module, the only place that knows:
+them build and select through this module, the only place that knows
+(Eq 13's stable-node scan, which needs every layer's block as well as
+their sum, forms them itself in :func:`score_block`'s order):
 
 * **validation** — :func:`check_layers`;
 * **the block** — :func:`score_block`: per-layer ``θ(l) · (S_rows @
@@ -61,8 +63,9 @@ def check_layers(
 ) -> Tuple[List[np.ndarray], List[np.ndarray], List[float]]:
     """Per-layer embeddings as float arrays and θ(l) as Python floats.
 
-    Raises ``ValueError`` for an empty side, mismatched layer or weight
-    counts, and layers that are not 2-D with the row count of layer 0.
+    Raises ``ValueError`` for a side with no layers or no rows, mismatched
+    layer or weight counts, and layers that are not 2-D with the row count
+    of layer 0.
     """
     if len(source_embeddings) == 0 or len(target_embeddings) == 0:
         raise ValueError("need at least one layer of embeddings per side")
@@ -83,6 +86,8 @@ def check_layers(
         layers = [np.asarray(layer) for layer in layers]
         layers = [h.astype(np.result_type(h, 1.0), copy=False) for h in layers]
         rows = layers[0].shape[0]
+        if rows == 0:
+            raise ValueError(f"{name} embeddings have no rows")
         for index, layer in enumerate(layers):
             if layer.ndim != 2 or layer.shape[0] != rows:
                 raise ValueError(

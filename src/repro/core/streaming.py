@@ -13,13 +13,17 @@ This module provides that row-streaming layer:
   per-layer embeddings and layer weights, never holding all of S.
 * :func:`streaming_top_k` — per-source top-k targets and scores.
 * :func:`streaming_evaluate` — Success@q / MAP / AUC without full S.
+* :func:`find_stable_nodes` — Eq 13's stable nodes and Alg 2's g(S), the
+  scan :class:`~repro.core.refine.AlignmentRefiner` runs every iteration.
 * :class:`StreamingAligner` — end-to-end: trained model + pair → anchors,
   in O(block · n₂) peak memory.
 
 Blocks are built, sanitized and selected from by :mod:`repro.core.scoring`,
-the scorer the serving indexes share, and top-k scores are its canonical
-per-pair values, so streamed answers carry the same scores and tie order
-at any block size; that module also states the batch-invariance contract.
+the scorer the serving indexes share (the stable-node scan, which needs
+each layer's block, forms them itself in the scorer's order), and top-k
+scores are its canonical per-pair values, so streamed answers carry the
+same scores and tie order at any block size; that module also states the
+batch-invariance contract.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ __all__ = [
     "iter_score_blocks",
     "streaming_top_k",
     "streaming_evaluate",
-    "streaming_find_stable_nodes",
+    "find_stable_nodes",
     "StreamingAligner",
 ]
 
@@ -336,7 +340,7 @@ def streaming_evaluate(
     )
 
 
-def streaming_find_stable_nodes(
+def find_stable_nodes(
     source_embeddings: Sequence[np.ndarray],
     target_embeddings: Sequence[np.ndarray],
     layer_weights: Sequence[float],
@@ -344,61 +348,75 @@ def streaming_find_stable_nodes(
     block_size: int = 256,
     tie_tolerance: float = 1e-9,
     registry: Optional[MetricsRegistry] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eq 13 stable nodes without materializing any n₁×n₂ matrix.
+) -> Tuple[np.ndarray, np.ndarray, float, int]:
+    """Eq 13 stable nodes and Alg 2's g(S), one pass over row blocks of S.
 
     The paper's space analysis (§VI-C) observes that stable-node detection
-    "can be done by separately iterating the rows of S"; this implements
-    exactly that: per row block, the per-layer scores and the aggregate are
-    rebuilt from embeddings, the tie-tolerant Eq 13 test is applied, and
-    only the stable (source, target) ids are kept.
+    "can be done by separately iterating the rows of S"; this is that
+    scan, and the only Eq 13 in the package.  Per block of source rows it
+    forms the layer blocks ``S(l) = H_s(l)[rows] @ H_t(l)ᵀ`` (Eq 11) and
+    their aggregate ``Σ_l θ(l)·S(l)`` (Eq 12) in :func:`score_block`'s
+    order, so a row has the bits of a full-height S's row whenever BLAS
+    rounds both GEMM shapes alike.  Source v is stable when every layer's
+    maximum exceeds λ (``threshold``) and the aggregate's top target ties
+    every layer's maximum within ``tie_tolerance``.  The tolerance matters
+    on layer 0, where nodes with identical attributes tie exactly; with
+    unique maxima the test is Eq 13's argmax agreement.  Peak memory is
+    L+2 blocks of ``block_size`` rows; no n₁×n₂ array is built.
 
-    Semantics match :func:`repro.core.refine.find_stable_nodes` with a
-    ``reference_scores`` aggregate (verified in tests).
-
-    Per-layer score blocks go through the same non-finite sanitization as
-    :func:`iter_score_blocks`: NaN/Inf entries become ``-inf`` (counted in
-    ``resilience.streaming_sanitized_blocks`` with the layer index in the
-    emitted event), so a poisoned embedding demotes the affected nodes to
-    "not stable" *visibly* instead of silently dropping them through NaN
-    comparisons.
+    Returns ``(sources, targets, quality, sanitized)``: the stable sources
+    in ascending order, their anchor targets, ``g(S) = Σ_v max S(v)`` as
+    one sum over the row maxima (so bitwise
+    :func:`~repro.core.alignment.alignment_quality` of S when the row
+    maxima are), and the number of entries of S that were not finite.
+    Those entries are set to ``-inf`` in the aggregate and in every
+    layer, counted in ``resilience.streaming_sanitized_blocks`` and
+    emitted per block, so a poisoned embedding demotes the affected nodes
+    to "not stable" visibly instead of through NaN comparisons.
     """
     source, target, weights = check_layers(
         source_embeddings, target_embeddings, layer_weights
     )
     if registry is None:
         registry = get_registry()
-    stable_sources: List[int] = []
-    stable_targets: List[int] = []
-    for start, stop in _block_ranges(source[0].shape[0], block_size):
+    n_source = source[0].shape[0]
+    row_maxima = np.empty(n_source, np.result_type(*source, *target))
+    stable_sources, stable_targets = [], []
+    sanitized = 0
+    for start, stop in _block_ranges(n_source, block_size):
         started = time.perf_counter()
-        layer_blocks = []
-        for layer, (h_source, h_target) in enumerate(zip(source, target)):
-            block, bad = score_block([h_source[start:stop]], [h_target], [1.0])
-            if bad:
-                _record_sanitized(
-                    registry, start, stop, bad_entries=bad, layer=layer
-                )
-            layer_blocks.append(block)
-        aggregate = None
-        for block, weight in zip(layer_blocks, weights):
-            aggregate = weight * block if aggregate is None else aggregate + weight * block
+        layers = [s[start:stop] @ t.T for s, t in zip(source, target)]
+        aggregate = weights[0] * layers[0]
+        for layer, weight in zip(layers[1:], weights[1:]):
+            aggregate += weight * layer
+        bad = ~np.isfinite(aggregate)
+        if bad.any():
+            # A non-finite layer entry always makes its aggregate entry
+            # non-finite, so this mask covers every layer.
+            for block in (aggregate, *layers):
+                block[bad] = -np.inf
+            count = int(np.count_nonzero(bad))
+            sanitized += count
+            _record_sanitized(registry, start, stop, bad_entries=count)
         candidates = aggregate.argmax(axis=1)
         rows = np.arange(stop - start)
-        maxima = np.stack([block.max(axis=1) for block in layer_blocks])
-        candidate_scores = np.stack(
-            [block[rows, candidates] for block in layer_blocks]
+        row_maxima[start:stop] = aggregate[rows, candidates]
+        maxima = np.stack([layer.max(axis=1) for layer in layers])
+        candidate_scores = np.stack([layer[rows, candidates] for layer in layers])
+        stable = np.flatnonzero(
+            np.all(maxima > threshold, axis=0)
+            & np.all(candidate_scores >= maxima - tie_tolerance, axis=0)
         )
-        confident = np.all(maxima > threshold, axis=0)
-        consistent = np.all(candidate_scores >= maxima - tie_tolerance, axis=0)
-        for local in np.flatnonzero(confident & consistent):
-            stable_sources.append(start + int(local))
-            stable_targets.append(int(candidates[local]))
+        stable_sources.append(stable + start)
+        stable_targets.append(candidates[stable])
         _record_block(
             registry, start, stop, started, event="streaming.stable_block"
         )
-    return np.asarray(stable_sources, dtype=np.int64), np.asarray(
-        stable_targets, dtype=np.int64
+    return (
+        np.concatenate(stable_sources),
+        np.concatenate(stable_targets),
+        float(row_maxima.sum()),
+        sanitized,
     )
 
 

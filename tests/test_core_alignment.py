@@ -15,6 +15,8 @@ from repro.core import (
 )
 from repro.graphs import generators, noisy_copy_pair
 
+from .refine_oracle import as_embeddings
+
 
 class TestLayerwiseMatrices:
     def test_shapes(self, rng):
@@ -68,26 +70,32 @@ class TestGreedyInstantiation:
 
 
 class TestFindStableNodes:
+    @staticmethod
+    def stable(matrices, threshold):
+        source, target = as_embeddings(matrices)
+        weights = [1.0 / len(matrices)] * len(matrices)
+        return find_stable_nodes(source, target, weights, threshold)[:2]
+
     def test_all_stable_when_consistent_and_confident(self):
         matrix = np.array([[0.99, 0.0], [0.0, 0.98]])
-        sources, targets = find_stable_nodes([matrix, matrix], threshold=0.94)
+        sources, targets = self.stable([matrix, matrix], threshold=0.94)
         np.testing.assert_array_equal(sources, [0, 1])
         np.testing.assert_array_equal(targets, [0, 1])
 
     def test_inconsistent_argmax_excluded(self):
         m1 = np.array([[0.99, 0.0], [0.0, 0.99]])
         m2 = np.array([[0.0, 0.99], [0.0, 0.99]])  # row 0 flips argmax
-        sources, _ = find_stable_nodes([m1, m2], threshold=0.9)
+        sources, _ = self.stable([m1, m2], threshold=0.9)
         np.testing.assert_array_equal(sources, [1])
 
     def test_low_confidence_excluded(self):
         m = np.array([[0.5, 0.0], [0.0, 0.99]])
-        sources, _ = find_stable_nodes([m], threshold=0.94)
+        sources, _ = self.stable([m], threshold=0.94)
         np.testing.assert_array_equal(sources, [1])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            find_stable_nodes([], threshold=0.9)
+            find_stable_nodes([], [], [], threshold=0.9)
 
 
 class TestRefiner:

@@ -1,9 +1,12 @@
 """Regression tests for the refinement hot path (Alg 2).
 
 Covers the Eq 14 per-pair influence accumulation (duplicated anchor
-targets), the GAlign-3-under-refinement score source, and the
-tie-tolerance branch of ``find_stable_nodes``.
+targets), the GAlign-3-under-refinement score source, the tie tolerance
+of ``find_stable_nodes``, and the blockwise refinement against the dense
+Alg 2 oracle (bitwise) and a memory bound.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +16,14 @@ from repro.core import (
     GAlign,
     GAlignConfig,
     GAlignTrainer,
+    MultiOrderGCN,
     apply_influence_gain,
     find_stable_nodes,
 )
 from repro.graphs import AlignmentPair, AttributedGraph, generators, noisy_copy_pair
+from repro.graphs.datasets import allmovie_imdb_like
+
+from .refine_oracle import as_embeddings, dense_refine
 
 
 @pytest.fixture(scope="module")
@@ -176,33 +183,83 @@ class TestRefinedLastLayerScores:
 class TestFindStableNodesTieTolerance:
     def test_tie_at_exact_tolerance_counts_as_argmax(self):
         tolerance = 1e-6
-        matrix = np.array([[1.0, 1.0 - tolerance]])
-        reference = np.array([[0.0, 1.0]])  # reference prefers column 1
-        sources, targets = find_stable_nodes(
-            [matrix], threshold=0.9, reference_scores=reference,
+        # Layer 0 prefers column 0 by exactly the tolerance; the weighted
+        # sum with layer 1 prefers column 1, the tied candidate.
+        source, target = as_embeddings(
+            [[[1.0, 1.0 - tolerance]], [[0.0, 1.0]]]
+        )
+        sources, targets, _, _ = find_stable_nodes(
+            source, target, [0.5, 0.5], threshold=0.9,
             tie_tolerance=tolerance,
         )
         np.testing.assert_array_equal(sources, [0])
         np.testing.assert_array_equal(targets, [1])
         # shrink the tolerance below the gap and the tie no longer counts
-        sources, _ = find_stable_nodes(
-            [matrix], threshold=0.9, reference_scores=reference,
+        sources, _, _, _ = find_stable_nodes(
+            source, target, [0.5, 0.5], threshold=0.9,
             tie_tolerance=tolerance / 2,
         )
         assert len(sources) == 0
 
     def test_all_unstable_input_returns_empty(self):
         matrix = np.array([[0.2, 0.1], [0.3, 0.4]])
-        reference = matrix.copy()
-        sources, targets = find_stable_nodes(
-            [matrix, matrix], threshold=0.94, reference_scores=reference
+        source, target = as_embeddings([matrix, matrix])
+        sources, targets, _, _ = find_stable_nodes(
+            source, target, [0.5, 0.5], threshold=0.94
         )
         assert len(sources) == 0 and len(targets) == 0
 
     def test_single_layer_with_reference(self):
         matrix = np.array([[0.99, 0.1], [0.2, 0.5]])
-        sources, targets = find_stable_nodes(
-            [matrix], threshold=0.94, reference_scores=matrix
+        source, target = as_embeddings([matrix])
+        sources, targets, _, _ = find_stable_nodes(
+            source, target, [1.0], threshold=0.94
         )
         np.testing.assert_array_equal(sources, [0])
         np.testing.assert_array_equal(targets, [0])
+
+
+class TestDenseOracle:
+    """``refine`` scans S in row blocks; the dense Alg 2 loop of
+    ``refine_oracle`` holds every matrix.  Same embeddings, same bits."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_refine_is_bitwise_the_dense_loop(self, seed):
+        pair = allmovie_imdb_like(np.random.default_rng(seed), scale=0.1)
+        config = GAlignConfig(epochs=5, seed=seed)
+        model, _ = GAlignTrainer(config, np.random.default_rng(seed)).train(
+            pair
+        )
+        scores, log = AlignmentRefiner(config).refine(pair, model)
+        (dense_scores, quality, stable_sources, stable_targets,
+         influence_source, influence_target) = dense_refine(config, pair, model)
+        assert len(quality) > 1  # the loop really iterated
+        assert np.array_equal(scores, dense_scores)
+        assert log.quality == quality
+        assert log.stable_sources == stable_sources
+        assert log.stable_targets == stable_targets
+        assert np.array_equal(log.final_influence_source, influence_source)
+        assert np.array_equal(log.final_influence_target, influence_target)
+
+
+class TestRefineMemory:
+    def test_iterations_hold_no_dense_layer_matrices(self):
+        # 2004 x 1905: S is 29 MiB.  Holding the L+1 layer matrices, their
+        # aggregate and its temporary (as ``dense_refine`` does) peaks near
+        # 9 x S; the row-block scan holds the final S and one partial on
+        # top of a few blocks.
+        pair = allmovie_imdb_like(np.random.default_rng(1), scale=1 / 3)
+        config = GAlignConfig(refinement_iterations=5)
+        model = MultiOrderGCN(
+            pair.source.num_features, config, np.random.default_rng(1)
+        )
+        s_bytes = pair.source.num_nodes * pair.target.num_nodes * 8
+        tracemalloc.start()
+        try:
+            AlignmentRefiner(config).refine(pair, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * s_bytes, (
+            f"refine peaked at {peak / s_bytes:.2f} x S"
+        )

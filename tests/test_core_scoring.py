@@ -6,7 +6,8 @@ batch, in reverse order, across a chunk boundary, or read from an
 mmap'd artifact.  ``score_slack`` must stay finite around poisoned rows,
 or a selector comparing against ``kth - slack`` would drop them.
 ``scan_top_k``, the one exact top-k, must equal a brute-force sort of
-every pair's ``pair_scores`` at any block size.
+every pair's ``pair_scores`` at any block size.  A side with no rows is
+a ``ValueError`` naming it at every entry point.
 """
 
 import tempfile
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import find_stable_nodes, streaming_top_k
 from repro.core.scoring import (
     PAIR_CHUNK, pair_scores, scan_top_k, score_slack,
 )
@@ -168,3 +170,31 @@ class TestSlack:
         targets, scores = index.top_k(np.arange(5), k=3)
         assert np.isneginf(scores[1]).all()
         assert ((0 <= targets[1]) & (targets[1] < 30)).all()
+
+
+class TestEmptySide:
+    """Regression: ``check_layers`` accepted a side with zero rows, so the
+    entry points failed deep inside their scans (``IndexError`` in
+    ``RunningTopK``, ``range()`` with step 0, ``argmax`` of an empty
+    sequence) instead of naming the empty side."""
+
+    SOURCE = [np.ones((3, 2))]
+    EMPTY = [np.zeros((0, 2))]
+
+    def test_index_top_k(self):
+        with pytest.raises(ValueError, match="target embeddings have no rows"):
+            AlignmentIndex(self.SOURCE, self.EMPTY, [1.0]).top_k(
+                np.arange(3), 1
+            )
+
+    def test_streaming_top_k(self):
+        with pytest.raises(ValueError, match="target embeddings have no rows"):
+            streaming_top_k(self.SOURCE, self.EMPTY, [1.0])
+
+    def test_find_stable_nodes(self):
+        with pytest.raises(ValueError, match="target embeddings have no rows"):
+            find_stable_nodes(self.SOURCE, self.EMPTY, [1.0], threshold=0.5)
+
+    def test_empty_source_named(self):
+        with pytest.raises(ValueError, match="source embeddings have no rows"):
+            find_stable_nodes(self.EMPTY, self.SOURCE, [1.0], threshold=0.5)

@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     GAlignConfig,
     GAlignTrainer,
     StreamingAligner,
     aggregate_alignment,
+    find_stable_nodes,
     iter_score_blocks,
     layerwise_alignment_matrices,
     streaming_evaluate,
@@ -17,6 +20,8 @@ from repro.core import (
 )
 from repro.graphs import generators, noisy_copy_pair
 from repro.metrics import evaluate_alignment
+
+from .refine_oracle import dense_scan
 
 
 @pytest.fixture(scope="module")
@@ -188,49 +193,85 @@ class TestStreamingAligner:
 
 class TestStreamingStableNodes:
     def test_matches_dense_find_stable_nodes(self, trained):
-        from repro.core import (
-            find_stable_nodes,
-            streaming_find_stable_nodes,
-        )
-
         pair, _, config, source, target, weights = trained
-        matrices = layerwise_alignment_matrices(source, target)
-        dense_scores = aggregate_alignment(matrices, weights)
-        dense_sources, dense_targets = find_stable_nodes(
-            matrices, config.stability_threshold,
-            reference_scores=dense_scores,
+        dense_sources, dense_targets, dense_quality, _ = dense_scan(
+            source, target, weights, config.stability_threshold
         )
-        stream_sources, stream_targets = streaming_find_stable_nodes(
+        sources, targets, quality, sanitized = find_stable_nodes(
             source, target, weights, config.stability_threshold,
             block_size=13,
         )
-        np.testing.assert_array_equal(stream_sources, dense_sources)
-        np.testing.assert_array_equal(stream_targets, dense_targets)
+        np.testing.assert_array_equal(sources, dense_sources)
+        np.testing.assert_array_equal(targets, dense_targets)
+        assert quality == dense_quality
+        assert sanitized == 0
 
     def test_threshold_one_rejects_everything(self, trained):
-        from repro.core import streaming_find_stable_nodes
-
         _, _, _, source, target, weights = trained
-        sources, targets = streaming_find_stable_nodes(
+        sources, targets, _, _ = find_stable_nodes(
             source, target, weights, threshold=10.0
         )
         assert len(sources) == 0
         assert len(targets) == 0
 
     def test_empty_embeddings_rejected(self):
-        from repro.core import streaming_find_stable_nodes
-
         with pytest.raises(ValueError):
-            streaming_find_stable_nodes([], [], [], threshold=0.5)
+            find_stable_nodes([], [], [], threshold=0.5)
         # Layer/weight counts must agree instead of zip truncating.
         rng = np.random.default_rng(0)
         s3 = [rng.standard_normal((6, 4)) for _ in range(3)]
         t3 = [rng.standard_normal((5, 4)) for _ in range(3)]
         with pytest.raises(ValueError):
-            streaming_find_stable_nodes(s3, t3, [0.5, 0.5], threshold=0.5)
+            find_stable_nodes(s3, t3, [0.5, 0.5], threshold=0.5)
         with pytest.raises(ValueError):
-            streaming_find_stable_nodes(s3, t3[:2], [0.5, 0.5],
-                                        threshold=0.5)
+            find_stable_nodes(s3, t3[:2], [0.5, 0.5], threshold=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    n_source=st.integers(1, 30),
+    n_target=st.integers(1, 40),
+    pool=st.integers(1, 6),
+    duplicates=st.integers(0, 6),
+)
+def test_find_stable_nodes_is_bitwise_the_dense_oracle(
+    seed, dims, n_source, n_target, pool, duplicates
+):
+    """Dyadic embeddings (entries k/4, |k| <= 4, weights k/8) make every
+    product and sum exact, so S's bits cannot depend on the GEMM shape:
+    the row-block scan must give the dense oracle's sources, targets and
+    g(S) at any block size, exact ties and thresholds at a maximum
+    included."""
+    rng = np.random.default_rng(seed)
+
+    def dyadic(rows, width):
+        return rng.integers(-4, 5, (rows, width)) / 4
+
+    source = [dyadic(n_source, d) for d in dims]
+    target = [dyadic(n_target, d) for d in dims]
+    # Layer 0 (attributes) repeats a few distinct rows: exact ties.
+    target[0] = dyadic(pool, dims[0])[rng.integers(0, pool, n_target)]
+    # Rows copied in every layer tie in the aggregate as well.
+    copies = rng.integers(0, n_target, (duplicates, 2))
+    for layer in target:
+        layer[copies[:, 0]] = layer[copies[:, 1]]
+    weights = [float(w) for w in rng.integers(1, 9, len(dims)) / 8]
+    maxima = [
+        (s @ t.T).max(axis=1) for s, t in zip(source, target)
+    ]
+    at = float(rng.choice(np.concatenate(maxima)))
+    for threshold in (np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf)):
+        expected = dense_scan(source, target, weights, threshold)
+        for block in (1, 7, 256, n_source + 5):
+            sources, targets, quality, sanitized = find_stable_nodes(
+                source, target, weights, threshold, block_size=block
+            )
+            np.testing.assert_array_equal(sources, expected[0])
+            np.testing.assert_array_equal(targets, expected[1])
+            assert quality == expected[2], (threshold, block)
+            assert sanitized == 0
 
 
 class TestSanitizedRows:
@@ -336,9 +377,9 @@ class TestEvaluateGroundtruthMismatch:
 
 
 class TestStableNodesSanitization:
-    """Regression: streaming_find_stable_nodes used to let NaN scores
-    silently drop nodes (NaN comparisons are False) with no counter, no
-    event, and no -inf sanitization."""
+    """Regression: the stable-node scan used to let NaN scores silently
+    drop nodes (NaN comparisons are False) with no counter, no event, and
+    no -inf sanitization."""
 
     def _setup(self):
         # Near-identity embeddings: every node is its own confident match.
@@ -348,7 +389,6 @@ class TestStableNodesSanitization:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_counted_in_sanitized_blocks(self):
-        from repro.core import streaming_find_stable_nodes
         from repro.observability import MetricsRegistry
 
         source, target = self._setup()
@@ -356,40 +396,40 @@ class TestStableNodesSanitization:
         registry = MetricsRegistry()
         events = []
         registry.add_hook(lambda name, payload: events.append((name, payload)))
-        streaming_find_stable_nodes(source, target, [0.5, 0.5],
-                                    threshold=0.4, block_size=5,
-                                    registry=registry)
+        *_, count = find_stable_nodes(source, target, [0.5, 0.5],
+                                      threshold=0.4, block_size=5,
+                                      registry=registry)
         assert registry.counter(
             "resilience.streaming_sanitized_blocks"
         ).value >= 1
         sanitized = [p for name, p in events
                      if name == "resilience.streaming_sanitized"]
-        assert sanitized and sanitized[0]["layer"] == 0
-        assert sanitized[0]["bad_entries"] > 0
+        assert sanitized and sanitized[0]["rows"] == [0, 5]
+        # Row 3 of S is NaN in every column.
+        assert count == sum(p["bad_entries"] for p in sanitized) == 12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_healthy_nodes_unaffected_by_poisoned_row(self):
-        from repro.core import streaming_find_stable_nodes
         from repro.observability import MetricsRegistry
 
         source, target = self._setup()
-        clean_sources, _ = streaming_find_stable_nodes(
+        clean_sources, *_ = find_stable_nodes(
             source, target, [0.5, 0.5], threshold=0.4, block_size=5)
         source[0][3] = np.nan
-        poisoned_sources, _ = streaming_find_stable_nodes(
+        poisoned_sources, *_ = find_stable_nodes(
             source, target, [0.5, 0.5], threshold=0.4, block_size=5,
             registry=MetricsRegistry())
         # only the poisoned node may disappear; everyone else survives
         assert set(poisoned_sources) >= set(clean_sources) - {3}
 
     def test_healthy_run_counts_nothing(self):
-        from repro.core import streaming_find_stable_nodes
         from repro.observability import MetricsRegistry
 
         source, target = self._setup()
         registry = MetricsRegistry()
-        streaming_find_stable_nodes(source, target, [0.5, 0.5],
-                                    threshold=0.4, registry=registry)
+        *_, count = find_stable_nodes(source, target, [0.5, 0.5],
+                                      threshold=0.4, registry=registry)
+        assert count == 0
         assert registry.counter(
             "resilience.streaming_sanitized_blocks"
         ).value == 0
