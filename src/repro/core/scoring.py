@@ -15,6 +15,9 @@ their sum, forms them itself in :func:`score_block`'s order):
   anchor;
 * **the reported score** — :func:`pair_scores`: one canonical value per
   (source, target) pair;
+* **the selecting precision** — :func:`selection_dtype` and
+  :func:`score_slack`: float32 when the embeddings' magnitudes allow it,
+  and the slack that covers its rounding;
 * **running-kth selection** — :class:`RunningTopK`: a ``(batch, k)``
   buffer of the k largest values per row (``-inf`` until k were seen),
   raised by one ``partition`` per block;
@@ -23,7 +26,7 @@ their sum, forms them itself in :func:`score_block`'s order):
   top-k answer is a prefix of the top-(k+1) answer;
 * **the exact top-k** — :func:`scan_top_k`: the one scan of target
   blocks that the serving index runs per query batch and streaming per
-  source-row block.
+  source-row block, one θ-folded GEMM per block in the selecting dtype.
 
 Batch invariance
 ----------------
@@ -36,7 +39,15 @@ The slack is at least twice the largest distance between any GEMM's
 rounding of an entry and the canonical value, so every canonical top-k
 member survives, ties included.  Scores, ids and tie order are then
 bitwise the same for a source alone or in any batch, at any block
-width, shard layout or path (index, ANN, streaming).
+width, shard layout, selecting dtype or path (index, ANN, streaming).
+
+Since selection precision never reaches an answer, :func:`scan_top_k`
+selects in float32: the θ-weighted query rows and each target block are
+cast once and scored by one GEMM, about twice as fast as a float64 GEMM
+per layer, and the slack is sized with float32's unit (a few more
+survivors to rescore).  Where float32 could overflow, or would leave only
+subnormals to select by, :func:`selection_dtype` keeps float64; the
+index decides once at build and ``streaming_top_k`` once per call.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ __all__ = [
     "check_layers",
     "score_block",
     "pair_scores",
+    "selection_dtype",
     "score_slack",
     "RunningTopK",
     "canonical_top_k",
@@ -160,31 +172,97 @@ def pair_scores(
     return scores
 
 
+#: Headroom below the float32 maximum: a selecting GEMM's partial sums
+#: stay under ``max / SELECT_HEADROOM``, so rounding cannot overflow.
+SELECT_HEADROOM = 4.0
+
+
+def _finite_max_abs(layer: np.ndarray) -> float:
+    """Largest finite ``|entry|`` of ``layer`` (0 when none is finite)."""
+    high, low = layer.max(initial=-np.inf), layer.min(initial=np.inf)
+    if np.isfinite(high) and np.isfinite(low):
+        return float(max(high, -low))  # two reductions, no copy
+    magnitude = np.abs(layer)
+    return float(magnitude[np.isfinite(magnitude)].max(initial=0.0))
+
+
+def selection_dtype(
+    source: Sequence[np.ndarray],
+    target: Sequence[np.ndarray],
+    weights: Sequence[float],
+) -> np.dtype:
+    """The dtype that selecting GEMMs run in: float32 when it is safe.
+
+    With ``a_l`` the largest finite ``|θ_l·q|`` entry and ``b_l`` the
+    largest finite ``|t|`` entry of layer l, every selecting product and
+    partial sum is at most ``B = Σ_l d_l·a_l·b_l``.  float32 is chosen
+    when the cast factors and ``B`` stay a :data:`SELECT_HEADROOM` below
+    its maximum (no overflow) and ``B`` reaches the range where float32
+    keeps full precision (a tiny ``B`` would leave only subnormals to
+    select by); otherwise float64, the embeddings' own precision.
+    Non-finite entries score ``-inf`` in either dtype and are ignored.
+    """
+    limits = np.finfo(np.float32)
+    high = float(limits.max) / SELECT_HEADROOM
+    low = float(limits.tiny) / float(limits.eps)
+    bound = 0.0
+    for s, t, weight in zip(source, target, weights):
+        queries = abs(weight) * _finite_max_abs(s)
+        targets = _finite_max_abs(t)
+        if queries > high or targets > high:
+            return np.dtype(np.float64)
+        bound += s.shape[1] * queries * targets
+    if low <= bound <= high:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
 def score_slack(
     source: Sequence[np.ndarray],
     target: Sequence[np.ndarray],
     weights: Sequence[float],
+    dtype: np.dtype,
 ) -> np.ndarray:
-    """Per-source slack ``4·γ_n·Σ_l |θ_l|·‖q_l‖·max_u ‖t_l(u)‖``.
+    """Per-source slack for selecting in ``dtype``.
 
-    A GEMM entry and its :func:`pair_scores` value each lie within
-    ``γ_n·Σ_l |θ_l|·‖q_l‖·‖t_l(u)‖`` of the exact score (``γ_n = n·u /
-    (1 - n·u)``, ``n`` = layer width + layer count), so a top-k member's
+    ``4·γ_n·Σ_l |θ_l|·‖q_l‖·max_u ‖t_l(u)‖ + 8·η·(D + Σ_l √d_l·(|θ_l|·
+    ‖q_l‖ + max_u ‖t_l(u)‖))``, with ``u`` and ``η`` the unit roundoff
+    and smallest normal of ``dtype`` (the :func:`selection_dtype`) or of
+    the embeddings' own dtype, whichever is coarser,
+    ``γ_n = n·u / (1 - n·u)`` and ``D`` the concatenated width.
+
+    A selecting entry (θ-folded rows cast to ``dtype``, one GEMM) and
+    its :func:`pair_scores` value each lie within
+    ``γ_n·Σ_l |θ_l|·‖q_l‖·‖t_l(u)‖`` of the exact score, plus the
+    absolute error of casts, products and sums that land below ``η``
+    (subnormal or flushed to zero): at most ``η`` per entry of either
+    factor, scaled by the other, and per term.  So a top-k member's
     entry lies within this slack of any running kth.  ``n`` is taken as
-    twice the concatenated width plus layer count, which also covers
-    rounding the slack and ``kth - slack``.
+    twice the concatenated width plus layer count, which also covers the
+    float64 canonical value, the casts, rounding the slack and
+    ``kth - slack``.
     Non-finite target rows (``-inf`` everywhere) are left out of the
     maxima; a NaN slack (a poisoned source row) becomes 0.
     """
-    unit = np.finfo(np.result_type(*source, *target)).eps / 2
-    n = 2 * (sum(layer.shape[1] for layer in source) + len(source))
-    total = np.zeros(source[0].shape[0])
+    # The coarser of the selecting and the embeddings' (canonical) dtype.
+    limits = max(
+        np.finfo(dtype), np.finfo(np.result_type(*source, *target)),
+        key=lambda info: info.eps,
+    )
+    unit = float(limits.eps) / 2
+    width = sum(layer.shape[1] for layer in source)
+    n = 2 * (width + len(source))
+    relative = np.zeros(source[0].shape[0])
+    absolute = np.full(source[0].shape[0], float(width))
     for s, t, weight in zip(source, target, weights):
         reach = np.sqrt(np.einsum("ij,ij->i", t, t))
         reach = reach[np.isfinite(reach)].max(initial=0.0)
-        total += abs(weight) * reach * np.sqrt(np.einsum("ij,ij->i", s, s))
+        query = abs(weight) * np.sqrt(np.einsum("ij,ij->i", s, s))
+        relative += reach * query
+        absolute += np.sqrt(s.shape[1]) * (query + reach)
     gamma = n * unit / (1 - n * unit)
-    return np.nan_to_num(4 * gamma * total, nan=0.0, posinf=np.inf)
+    slack = 4 * gamma * relative + 8 * float(limits.tiny) * absolute
+    return np.nan_to_num(slack, nan=0.0, posinf=np.inf)
 
 
 def canonical_top_k(
@@ -280,6 +358,12 @@ class RunningTopK:
         return rows[final], np.concatenate(self._ids)[final], values[final]
 
 
+#: Targets per selecting block where the caller sets no block size (the
+#: index's default, streaming's row-block tasks): the cast buffer stays
+#: ``TARGET_BLOCK × width`` at any target count.
+TARGET_BLOCK = 512
+
+
 def scan_top_k(
     source: Sequence[np.ndarray],
     target: Sequence[np.ndarray],
@@ -288,30 +372,41 @@ def scan_top_k(
     k: int,
     block_size: int,
     slack: np.ndarray,
+    dtype: np.dtype,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Exact top-k of ``S[sources]``: one scan of target blocks in order.
 
     ``source``/``target``/``weights`` are :func:`check_layers` output,
     ``sources`` an int64 batch of source ids, ``1 <= k <= n_target``,
-    and ``slack`` the batch's :func:`score_slack` rows.  Each block of
-    ``block_size`` targets is scored by :func:`score_block` and fed to a
-    :class:`RunningTopK`; the survivors are reported with their
-    :func:`pair_scores` in :func:`canonical_top_k` order, so the answer
-    is the same bits at any batch, block size or target offset.
-    Transient memory is O(batch × (block + survivors)).
+    ``dtype`` the selecting dtype (:func:`selection_dtype`) and
+    ``slack`` the batch's :func:`score_slack` rows for it.  The
+    θ-weighted query rows are concatenated once into one ``dtype``
+    matrix; each block of ``block_size`` targets is concatenated into
+    ``dtype`` once, scored by one GEMM through :func:`score_block` and
+    fed to a :class:`RunningTopK`.  The survivors are reported with
+    their canonical :func:`pair_scores` in :func:`canonical_top_k` order,
+    so the answer is the same bits at any batch, block size, target
+    offset or selecting dtype.  Transient memory is O(batch × (block +
+    survivors) + block × width).
 
     Returns ``(targets, scores, bad_blocks)``: two ``(len(sources), k)``
     arrays and the number of blocks with sanitized entries (0 when
     healthy), for the caller to record under its own metric name.
     """
-    queries = [layer[sources] for layer in source]
+    edges = np.cumsum([0] + [layer.shape[1] for layer in source])
+    queries = np.empty((sources.size, edges[-1]), dtype)
+    for layer, weight, lo, hi in zip(source, weights, edges, edges[1:]):
+        np.multiply(layer[sources], weight, out=queries[:, lo:hi],
+                    casting="same_kind")
+    n_target = target[0].shape[0]
+    buffer = np.empty((min(block_size, n_target), edges[-1]), dtype)
     selector = RunningTopK(sources.size, k)
     bad_blocks = 0
-    for start in range(0, target[0].shape[0], block_size):
-        block, bad = score_block(
-            queries, [layer[start:start + block_size] for layer in target],
-            weights,
-        )
+    for start in range(0, n_target, block_size):
+        cast = buffer[:min(block_size, n_target - start)]
+        for layer, lo, hi in zip(target, edges, edges[1:]):
+            cast[:, lo:hi] = layer[start:start + cast.shape[0]]
+        block, bad = score_block([queries], [cast], [1.0])
         bad_blocks += bool(bad)
         selector.push(block, start, slack=slack)
         del block  # freed before the next block's GEMM

@@ -50,7 +50,10 @@ from ..parallel import (
 from ..resilience import validate_pair
 from .config import GAlignConfig
 from .model import MultiOrderGCN
-from .scoring import check_layers, scan_top_k, score_block, score_slack
+from .scoring import (
+    TARGET_BLOCK, check_layers, scan_top_k, score_block, score_slack,
+    selection_dtype,
+)
 
 __all__ = [
     "iter_score_blocks",
@@ -197,14 +200,15 @@ def _map_blocks(
 def _top_k_rows(
     source: Sequence[np.ndarray], target: Sequence[np.ndarray],
     weights: Sequence[float], start: int, stop: int,
-    registry: MetricsRegistry, k: int, slack: np.ndarray,
+    registry: MetricsRegistry, k: int, slack: np.ndarray, dtype: np.dtype,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-k of source rows ``[start, stop)`` by :func:`scan_top_k`,
-    every target in one block, timed and counted under ``streaming.*``."""
+    """Top-k of source rows ``[start, stop)`` by :func:`scan_top_k` over
+    blocks of ``TARGET_BLOCK`` targets, timed and counted under
+    ``streaming.*``."""
     started = time.perf_counter()
     targets, scores, bad_blocks = scan_top_k(
-        source, target, weights, np.arange(start, stop), k,
-        target[0].shape[0], slack,
+        source, target, weights, np.arange(start, stop), k, TARGET_BLOCK,
+        slack, dtype,
     )
     if bad_blocks:
         _record_sanitized(registry, start, stop, bad_blocks=bad_blocks)
@@ -257,11 +261,12 @@ def streaming_top_k(
     ranges = _block_ranges(n_source, block_size)
     if registry is None:
         registry = get_registry()
-    slack = score_slack(source, target, weights)
+    dtype = selection_dtype(source, target, weights)
+    slack = score_slack(source, target, weights, dtype)
     with get_tracer().span("streaming.top_k", k=k, n_source=n_source):
         answers = _map_blocks(
             _top_k_rows,
-            [(k, slack[start:stop]) for start, stop in ranges],
+            [(k, slack[start:stop], dtype) for start, stop in ranges],
             ranges, source, target, weights, registry, workers, "top_k",
         )
     none = (np.empty((0, k), dtype=np.int64), np.empty((0, k)))

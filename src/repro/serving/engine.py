@@ -59,6 +59,22 @@ __all__ = ["QueryResult", "StripedLRUCache", "QueryEngine"]
 _HEALTHY_META = {"degraded": False, "coverage": 1.0, "shards_down": ()}
 
 
+def _require_int(value: Any, name: str) -> int:
+    """``value`` as an ``int`` if it is a Python or NumPy integer.
+
+    ``bool``, floats and numeric strings raise ``ValueError`` naming the
+    value instead of being coerced: ``int(2.7)`` would answer 2 and
+    ``int(True)`` source 1.  The HTTP tier checks its JSON fields with
+    this too (a ``ValueError`` answers 400).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(
+            f"{name} must be an integer, got {value!r} "
+            f"({type(value).__name__})"
+        )
+    return int(value)
+
+
 def _ms_or_none(seconds: Optional[float]) -> Optional[float]:
     """Seconds → milliseconds, passing through the empty-histogram None."""
     return None if seconds is None else seconds * 1e3
@@ -265,6 +281,11 @@ class QueryEngine:
                 f"default_mode must be 'exact' or 'ann', got {default_mode!r}"
             )
         self.index = index
+        # One int object per target id, shared by every answer's
+        # ``targets`` tuple instead of fresh ints per answer: 36 B per
+        # target, repaid once the answers held at once (cache, callers)
+        # exceed about n_target / 8.
+        self._target_ids = np.array(range(index.n_target), dtype=object)
         #: Mode used when a query does not say (``serve --mode``).
         self.default_mode = default_mode
         #: ``nprobe`` used for ann queries that do not say
@@ -396,8 +417,8 @@ class QueryEngine:
             # Checked before the cache too: a closed engine must not keep
             # half-working (hits succeed, misses hang-then-fail).
             raise RuntimeError("QueryEngine is closed")
-        source = int(source)
-        k = int(k)
+        source = _require_int(source, "source")
+        k = _require_int(k, "k")
         if not 0 <= source < self.index.n_source:
             raise IndexError(
                 f"source node {source} out of range "
@@ -709,7 +730,7 @@ class QueryEngine:
                 take = batch[position][1]
                 keep = finite[row, :take]
                 values[position] = (
-                    tuple(targets[row, :take][keep].tolist()),
+                    tuple(self._target_ids[targets[row, :take][keep]]),
                     tuple(scores[row, :take][keep].tolist()),
                     bool(keep.any()),
                     meta,

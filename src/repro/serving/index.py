@@ -4,12 +4,14 @@ Answering "who does source node v align to?" needs one row of the
 aggregated alignment matrix ``S[v] = Σ_l θ(l) · h_v(l) · H_t(l)ᵀ``
 (Eq 11-12).  :class:`AlignmentIndex` answers a batch of sources with
 :func:`~repro.core.scoring.scan_top_k`, the exact top-k that streaming
-runs too: target blocks are scored in target order and fed to a
+runs too: target blocks are scored in target order, each by one
+θ-folded GEMM in the selecting dtype (float32 unless
+``selection_dtype`` rules it out, decided once at build), and fed to a
 ``RunningTopK`` that keeps the entries within the source's precomputed
-``score_slack`` of the running kth, and the survivors are reported with
-their ``pair_scores`` in the canonical order (descending score,
-ascending target id).  Transient memory is O(batch × (block +
-survivors)): no full row is held.
+``score_slack`` for that dtype of the running kth.  The survivors are
+reported with their float64 ``pair_scores`` in the canonical order
+(descending score, ascending target id).  Transient memory is
+O(batch × (block + survivors)): no full row is held.
 
 Exactness guarantees:
 
@@ -30,25 +32,40 @@ as all ``-inf`` rather than NaN (the
 
 from __future__ import annotations
 
+import reprlib
 import time
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.scoring import check_layers, pair_scores, scan_top_k, score_slack
+from ..core.scoring import (
+    TARGET_BLOCK, check_layers, pair_scores, scan_top_k, score_slack,
+    selection_dtype,
+)
 from ..observability import MetricsRegistry, get_registry
 
 __all__ = ["AlignmentIndex"]
 
 
 def _check_sources(sources, n_source: int) -> np.ndarray:
-    """A query batch as a non-empty 1-D int64 array of in-range ids."""
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if sources.ndim != 1 or sources.size == 0:
+    """A query batch as a non-empty 1-D int64 array of in-range ids.
+
+    Python and NumPy integers (scalars, sequences, integer arrays) are
+    accepted; bools, floats and strings raise ``ValueError`` naming the
+    value instead of being truncated to some other source.
+    """
+    batch = np.atleast_1d(np.asarray(sources))
+    if batch.ndim != 1 or batch.size == 0:
         raise ValueError(
             f"sources must be a non-empty 1-D batch, got shape "
-            f"{sources.shape}"
+            f"{batch.shape}"
         )
+    if batch.dtype.kind not in "iu":
+        raise ValueError(
+            f"sources must be integers, got {reprlib.repr(sources)} "
+            f"({batch.dtype})"
+        )
+    sources = batch.astype(np.int64, copy=False)
     out_of_range = (sources < 0) | (sources >= n_source)
     if out_of_range.any():
         bad = int(sources[out_of_range][0])
@@ -76,7 +93,7 @@ class AlignmentIndex:
         source_embeddings: Sequence[np.ndarray],
         target_embeddings: Sequence[np.ndarray],
         layer_weights: Sequence[float],
-        target_block_size: int = 512,
+        target_block_size: int = TARGET_BLOCK,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if target_block_size < 1:
@@ -88,7 +105,12 @@ class AlignmentIndex:
         )
         self.block_size = int(target_block_size)
         self.registry = registry
-        self._slack = score_slack(self._source, self._target, self._weights)
+        self._dtype = selection_dtype(
+            self._source, self._target, self._weights
+        )
+        self._slack = score_slack(
+            self._source, self._target, self._weights, self._dtype
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -133,7 +155,7 @@ class AlignmentIndex:
         k = min(k, self.n_target)
         out_targets, out_scores, bad_blocks = scan_top_k(
             self._source, self._target, self._weights, sources, k,
-            self.block_size, self._slack[sources],
+            self.block_size, self._slack[sources], self._dtype,
         )
         if bad_blocks:
             registry.increment("serving.index.sanitized_blocks", bad_blocks)

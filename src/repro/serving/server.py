@@ -109,7 +109,7 @@ from ..observability import (
     use_request_id,
 )
 from ..resilience import ArtifactValidationError, DeadlineExceededError
-from .engine import QueryEngine
+from .engine import QueryEngine, _require_int
 from .frontdoor import OverloadedError
 
 __all__ = ["AlignmentServer", "status_for_error"]
@@ -173,21 +173,6 @@ def _deadline_from_ms(deadline_ms: int) -> Optional[float]:
     if deadline_ms == 0:
         return None
     return time.monotonic() + deadline_ms / 1e3
-
-
-def _require_int(value: Any, where: str) -> int:
-    """A JSON field that must be a real integer, not a look-alike.
-
-    ``bool`` is explicitly rejected — ``True`` passes ``isinstance(x,
-    int)`` in Python and would silently query source node 1 — as are
-    numeric strings and floats, which ``int()`` would silently coerce.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _BadRequest(
-            f"{where} must be an integer, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    return value
 
 
 def _payload_degraded(payload: Any) -> bool:

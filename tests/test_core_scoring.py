@@ -6,8 +6,11 @@ batch, in reverse order, across a chunk boundary, or read from an
 mmap'd artifact.  ``score_slack`` must stay finite around poisoned rows,
 or a selector comparing against ``kth - slack`` would drop them.
 ``scan_top_k``, the one exact top-k, must equal a brute-force sort of
-every pair's ``pair_scores`` at any block size.  A side with no rows is
-a ``ValueError`` naming it at every entry point.
+every pair's ``pair_scores`` at any block size, and at any embedding
+scale: it selects in float32 when ``selection_dtype`` finds that safe,
+and the slack for that dtype must cover its rounding, subnormals
+included.  A side with no rows is a ``ValueError`` naming it at every
+entry point.
 """
 
 import tempfile
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import find_stable_nodes, streaming_top_k
 from repro.core.scoring import (
-    PAIR_CHUNK, pair_scores, scan_top_k, score_slack,
+    PAIR_CHUNK, pair_scores, scan_top_k, score_slack, selection_dtype,
 )
 from repro.serving import AlignmentIndex, export_artifact, load_artifact
 
@@ -92,7 +95,8 @@ def test_scan_top_k_equals_brute_force(
         source[0][rng.integers(n_source), 0] = np.nan
     elif nan_row == "target":
         target[-1][rng.integers(n_target), -1] = np.nan
-    slack = score_slack(source, target, weights)
+    dtype = selection_dtype(source, target, weights)
+    slack = score_slack(source, target, weights, dtype)
     sources = rng.permutation(n_source)
     rows, ids = np.meshgrid(sources, np.arange(n_target), indexing="ij")
     full = pair_scores(
@@ -104,10 +108,108 @@ def test_scan_top_k_equals_brute_force(
         expected_s = np.take_along_axis(full, expected_t, axis=1)
         for block in (1, 7, 64, n_target + 5):
             got_t, got_s, _ = scan_top_k(
-                source, target, weights, sources, k, block, slack[sources]
+                source, target, weights, sources, k, block, slack[sources],
+                dtype,
             )
             assert bits(got_t) == bits(expected_t), (k, block)
             assert bits(got_s) == bits(expected_s), (k, block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    n_source=st.integers(1, 20),
+    n_target=st.integers(1, 120),
+    source_scale=st.integers(-140, 120),
+    target_scale=st.integers(-140, 120),
+    tiny_row=st.sampled_from([None, "source", "target"]),
+    duplicates=st.integers(0, 8),
+    poison=st.sampled_from([None, "source", "target", "inf"]),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scan_top_k_selects_exactly_at_any_scale(
+    seed, dims, n_source, n_target, source_scale, target_scale, tiny_row,
+    duplicates, poison,
+):
+    # Scales 2^-140..2^120 reach float32 subnormals, rows far below the
+    # rest and products past float32's range (where the guard must pick
+    # float64); the answer must be the brute-force canonical order.
+    rng = np.random.default_rng(seed)
+    source = [rng.standard_normal((n_source, d)) * 2.0 ** source_scale
+              for d in dims]
+    target = [rng.standard_normal((n_target, d)) * 2.0 ** target_scale
+              for d in dims]
+    weights = [float(w) for w in rng.uniform(-1.0, 1.0, len(dims))]
+    if tiny_row is not None:
+        side = source if tiny_row == "source" else target
+        for layer in side:
+            layer[rng.integers(layer.shape[0])] *= 2.0 ** -100
+    copies = rng.integers(0, n_target, (duplicates, 2))
+    for layer in target:
+        layer[copies[:, 0]] = layer[copies[:, 1]]
+    if poison == "source":
+        source[0][rng.integers(n_source), 0] = np.nan
+    elif poison == "target":
+        target[-1][rng.integers(n_target), -1] = np.nan
+    elif poison == "inf":
+        target[0][rng.integers(n_target), 0] = np.inf
+    sources = rng.permutation(n_source)
+    rows, ids = np.meshgrid(sources, np.arange(n_target), indexing="ij")
+    full = pair_scores(
+        source, target, weights, rows.ravel(), ids.ravel()
+    ).reshape(rows.shape)
+    order = np.lexsort((ids, -full))
+    for dtype in (selection_dtype(source, target, weights), np.float64):
+        slack = score_slack(source, target, weights, dtype)[sources]
+        for k in sorted({1, min(5, n_target), n_target}):
+            expected_t = order[:, :k]
+            expected_s = np.take_along_axis(full, expected_t, axis=1)
+            for block in (1, 7, 64, n_target + 5):
+                got_t, got_s, _ = scan_top_k(
+                    source, target, weights, sources, k, block, slack,
+                    dtype,
+                )
+                assert bits(got_t) == bits(expected_t), (dtype, k, block)
+                assert bits(got_s) == bits(expected_s), (dtype, k, block)
+
+
+class TestSelectionDtype:
+    def layers(self, source_scale, target_scale):
+        rng = np.random.default_rng(8)
+        source = [rng.standard_normal((10, 16)) * 2.0 ** source_scale
+                  for _ in range(2)]
+        target = [rng.standard_normal((40, 16)) * 2.0 ** target_scale
+                  for _ in range(2)]
+        return source, target
+
+    @pytest.mark.parametrize("scales", [(0, 0), (-60, 40), (100, -90)])
+    def test_float32_when_every_product_fits(self, scales):
+        source, target = self.layers(*scales)
+        assert selection_dtype(source, target, [0.6, 0.4]) == np.float32
+
+    @pytest.mark.parametrize("scales", [
+        (64, 64),     # products past float32's maximum
+        (130, -130),  # small products, but a query entry overflows
+        (-140, 0),    # subnormal queries: nothing left to select by
+        (-70, -70),   # every product below float32's normal range
+    ])
+    def test_float64_outside_float32s_range(self, scales):
+        source, target = self.layers(*scales)
+        assert selection_dtype(source, target, [0.6, 0.4]) == np.float64
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ignores_non_finite_entries(self):
+        source, target = self.layers(0, 0)
+        source[0][3, 1] = np.nan
+        target[1][5] = np.inf
+        assert selection_dtype(source, target, [0.6, 0.4]) == np.float32
+        target[0][7, 2] = 2.0 ** 127  # finite, and past the headroom
+        assert selection_dtype(source, target, [0.6, 0.4]) == np.float64
+
+    def test_zero_embeddings_select_in_float64(self):
+        zeros = [np.zeros((3, 4))]
+        assert selection_dtype(zeros, zeros, [1.0]) == np.float64
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -115,12 +217,14 @@ def test_scan_top_k_counts_sanitized_blocks():
     rng = np.random.default_rng(7)
     source = [rng.standard_normal((4, 3))]
     target = [rng.standard_normal((20, 3))]
-    slack = score_slack(source, target, [1.0])
+    dtype = selection_dtype(source, target, [1.0])
+    slack = score_slack(source, target, [1.0], dtype)
     sources = np.arange(4)
-    assert scan_top_k(source, target, [1.0], sources, 2, 8, slack)[2] == 0
+    args = (sources, 2, 8, slack, dtype)
+    assert scan_top_k(source, target, [1.0], *args)[2] == 0
     target[0][[1, 17]] = np.inf
     # Rows 1 and 17 sit in blocks [0, 8) and [16, 20) of three.
-    assert scan_top_k(source, target, [1.0], sources, 2, 8, slack)[2] == 2
+    assert scan_top_k(source, target, [1.0], *args)[2] == 2
 
 
 def test_pair_scores_sanitizes_non_finite_pairs():
@@ -139,25 +243,60 @@ class TestSlack:
         source[0][2] = np.nan
         target[1][4] = np.inf
         target[0][5] = np.nan
-        slack = score_slack(source, target, [0.7, 0.3])
+        dtype = selection_dtype(source, target, [0.7, 0.3])
+        slack = score_slack(source, target, [0.7, 0.3], dtype)
         assert np.isfinite(slack).all()
         assert slack[2] == 0.0
         assert (np.delete(slack, 2) > 0.0).all()
 
     def test_covers_the_gemm_rounding(self):
-        # Entries of a full-width GEMM stay within half the slack of
-        # their canonical values (the other half covers the kth).
+        # Entries of a full-width float64 GEMM, per layer or θ-folded as
+        # scan_top_k selects in float64, stay within half the float64
+        # slack of their canonical values (the other half covers the kth).
         rng = np.random.default_rng(5)
         source = [rng.standard_normal((30, 64)) for _ in range(3)]
         target = [rng.standard_normal((500, 64)) for _ in range(3)]
         weights = [0.5, 0.3, 0.2]
         gemm = sum(w * (s @ t.T) for w, s, t in zip(weights, source, target))
+        folded = np.concatenate(
+            [w * s for w, s in zip(weights, source)], axis=1
+        ) @ np.concatenate(target, axis=1).T
         rows, ids = np.meshgrid(range(30), range(500), indexing="ij")
         canonical = pair_scores(
             source, target, weights, rows.ravel(), ids.ravel()
         ).reshape(gemm.shape)
-        slack = score_slack(source, target, weights)
+        slack = score_slack(source, target, weights, np.float64)
         assert (np.abs(gemm - canonical) <= slack[:, None] / 2).all()
+        assert (np.abs(folded - canonical) <= slack[:, None] / 2).all()
+
+    @pytest.mark.parametrize("scales", [
+        (0, 0), (-130, 30), (-60, -60), (-140, 40), (-145, 20),
+    ])
+    def test_covers_the_float32_selecting_gemm(self, scales):
+        # The θ-folded float32 GEMM that scan_top_k selects with stays
+        # within half the float32 slack of canonical, also where casts
+        # and products land on float32 subnormals (the absolute term).
+        rng = np.random.default_rng(5)
+        source = [rng.standard_normal((30, 64)) * 2.0 ** scales[0]
+                  for _ in range(3)]
+        target = [rng.standard_normal((500, 64)) * 2.0 ** scales[1]
+                  for _ in range(3)]
+        weights = [0.5, 0.3, 0.2]
+        queries = np.concatenate(
+            [w * s for w, s in zip(weights, source)], axis=1
+        ).astype(np.float32)
+        gemm = queries @ np.concatenate(target, axis=1).astype(np.float32).T
+        rows, ids = np.meshgrid(range(30), range(500), indexing="ij")
+        canonical = pair_scores(
+            source, target, weights, rows.ravel(), ids.ravel()
+        ).reshape(gemm.shape)
+        slack = score_slack(source, target, weights, np.float32)
+        assert (np.abs(gemm - canonical) <= slack[:, None] / 2).all()
+        if scales == (0, 0):
+            assert selection_dtype(source, target, weights) == np.float32
+            # The float32 unit: ~2^29 times float64's slack, and still
+            # far below the spread of unit-scale scores.
+            assert (slack < 1e-2).all()
 
     def test_nan_source_row_keeps_its_candidates(self):
         # A NaN slack would compare false against every entry and leave

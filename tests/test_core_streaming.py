@@ -175,6 +175,30 @@ class TestMemoryBound:
                                     512)
 
 
+class TestWideMemoryBound:
+    """Embeddings wider than the row block: a row-block task's selecting
+    buffer is one block of targets, not all n_target rows × width."""
+
+    BLOCK = 16
+    N_TARGET = 20_000
+
+    def test_top_k_peak(self):
+        rng = np.random.default_rng(22)
+        source = [rng.standard_normal((128, 64)) for _ in range(3)]
+        target = [rng.standard_normal((self.N_TARGET, 64)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            streaming_top_k(source, target, [0.5, 0.3, 0.2], k=10,
+                            block_size=self.BLOCK, workers=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Width 192 > 16 rows: an n_target × width float32 buffer alone
+        # is 6 blocks of 16 × n_target float64 scores.
+        blocks = peak / (self.BLOCK * self.N_TARGET * 8)
+        assert blocks < 2, f"streaming_top_k peaked at {blocks:.2f} blocks"
+
+
 class TestStreamingAligner:
     def test_top_anchors_structure(self, trained):
         pair, model, config, *_ = trained

@@ -1,6 +1,8 @@
 """Tests for the microbatched, cached QueryEngine and its LRU cache."""
 
+import gc
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +157,22 @@ class TestQuery:
         with pytest.raises(ValueError, match="k must be"):
             engine.query(0, k=0)
 
+    @pytest.mark.parametrize("source, k, bad", [
+        (1, 2.7, "k"), ("3", 1, "source"), (True, 1, "source"),
+        (1.0, 1, "source"), (1, True, "k"), (1, "2", "k"),
+    ])
+    def test_rejects_non_integer_ids(self, engine, source, k, bad):
+        # Regression: int() coerced these to source 1 / 3 or k=2.
+        with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+            engine.query(source, k=k)
+        with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+            engine.query_many([(0, 1), (source, k)])
+
+    def test_accepts_numpy_integers(self, engine):
+        result = engine.query(np.int32(4), k=np.uint8(3))
+        assert type(result.source) is int and type(result.k) is int
+        assert result.targets == engine.query(4, k=3).targets
+
     def test_cache_disabled(self, registry):
         with QueryEngine(make_index(registry=registry), cache_size=0,
                          max_delay_ms=0.0, registry=registry) as engine:
@@ -254,6 +272,61 @@ class TestUnaligned:
             assert result.scores == ()
             assert engine.query(0, k=3).aligned
         assert registry.get("serving.unaligned").value == 1
+
+
+class PaddedIndex:
+    """An index whose rows end in ``(-1, -inf)`` pads, as a degraded or
+    short answer does."""
+
+    n_source, n_target = 4, 6
+
+    def top_k(self, sources, k):
+        targets = np.full((len(sources), k), -1, dtype=np.int64)
+        scores = np.full((len(sources), k), -np.inf)
+        targets[:, 0], scores[:, 0] = 2, 0.5
+        targets[1:, 1], scores[1:, 1] = 5, 0.25
+        return targets, scores
+
+
+class TestAnswerMemory:
+    def test_held_answers_share_their_target_ids(self, registry):
+        # Every query_many answer is held: a fresh int per target id
+        # per answer cost ~1,000 B per answer; the shared ids ~690 B.
+        rng = np.random.default_rng(3)
+        index = AlignmentIndex(
+            [rng.standard_normal((2000, 8))],
+            [rng.standard_normal((5000, 8))], [1.0], registry=registry,
+        )
+        queries = [(source, 10) for source in range(2000)]
+        with QueryEngine(index, batch_size=256, cache_size=0,
+                         registry=registry) as engine:
+            engine.query_many(queries[:300])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                held = engine.query_many(queries)
+                gc.collect()
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert all(len(result.targets) == 10 for result in held)
+            assert (after - before) / len(held) <= 800
+            shared = engine._target_ids
+            assert all(
+                target is shared[target]
+                for result in held for target in result.targets
+            )
+
+    def test_pads_never_map_to_a_target_id(self, registry):
+        # A -1 pad indexing the shared ids would wrap to the last target.
+        with QueryEngine(PaddedIndex(), cache_size=0,
+                         registry=registry) as engine:
+            first, second = engine.query_many([(0, 4), (1, 4)])
+            assert first.targets == (2,) and first.scores == (0.5,)
+            assert second.targets == (2, 5)
+            assert second.scores == (0.5, 0.25)
+            assert engine.query(3, k=6).targets == (2,)
 
 
 class CountingSlowLog(SlowQueryLog):

@@ -477,3 +477,25 @@ class TestValidation:
             index.top_k([0, 99])
         with pytest.raises(ValueError, match="k must be"):
             index.top_k([0], k=0)
+
+    @pytest.mark.parametrize("sources", [
+        1.5, [0, 2.9], np.array([1.0]), True, [True, False], "3", ["3"],
+    ])
+    def test_rejects_non_integer_sources(self, sources):
+        # Regression: 1.5 answered source 1 and [0, 2.9] sources 0 and 2.
+        source, target = make_embeddings(0)
+        index = AlignmentIndex(source, target, WEIGHTS)
+        with pytest.raises(ValueError, match="sources must be integers"):
+            index.top_k(sources)
+
+    def test_accepts_numpy_integers(self):
+        source, target = make_embeddings(0)
+        index = AlignmentIndex(source, target, WEIGHTS)
+        expected = index.top_k([3, 7], k=2)
+        for sources in (np.array([3, 7], dtype=np.uint16),
+                        [np.int8(3), np.int64(7)]):
+            for got, want in zip(index.top_k(sources, k=2), expected):
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            index.top_k(np.int32(7), k=2)[0], expected[0][1:]
+        )
