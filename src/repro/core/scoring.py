@@ -20,7 +20,9 @@ their sum, forms them itself in :func:`score_block`'s order):
   and the slack that covers its rounding;
 * **running-kth selection** — :class:`RunningTopK`: a ``(batch, k)``
   buffer of the k largest values per row (``-inf`` until k were seen),
-  raised by one ``partition`` per block;
+  raised per block by one ``partition`` of the whole block when it is
+  short, or, when it is tall (:data:`TALL_BLOCK` rows), of only the few
+  entries that one compare finds reaching ``kth - slack``;
 * **canonical order** — :func:`canonical_top_k`: descending score, then
   ascending target id, so ties resolve identically on every path and a
   top-k answer is a prefix of the top-(k+1) answer;
@@ -217,6 +219,29 @@ def selection_dtype(
     return np.dtype(np.float64)
 
 
+def _row_norms(layer: np.ndarray) -> np.ndarray:
+    """``‖row‖`` per row, as ``m · ‖row / m‖`` with ``m`` the row's
+    largest ``|entry|``, so a finite row keeps a finite norm where its
+    squares would overflow (entries past ~1e154).
+
+    A zero row has norm 0, a row with an infinite entry ``inf`` and one
+    with a NaN entry NaN.  Rows go in :data:`PAIR_CHUNK` chunks, so the
+    transient is O(chunk · d).
+    """
+    norms = np.empty(layer.shape[0])
+    for start in range(0, layer.shape[0], PAIR_CHUNK):
+        rows = layer[start:start + PAIR_CHUNK]
+        largest = np.abs(rows).max(axis=1, initial=0.0)
+        usable = np.isfinite(largest) & (largest > 0)
+        scale = np.where(usable, largest, 1.0)
+        unit = rows / scale[:, None]
+        norms[start:start + rows.shape[0]] = np.where(
+            usable, scale * np.sqrt(np.einsum("ij,ij->i", unit, unit)),
+            largest,
+        )
+    return norms
+
+
 def score_slack(
     source: Sequence[np.ndarray],
     target: Sequence[np.ndarray],
@@ -241,8 +266,10 @@ def score_slack(
     twice the concatenated width plus layer count, which also covers the
     float64 canonical value, the casts, rounding the slack and
     ``kth - slack``.
-    Non-finite target rows (``-inf`` everywhere) are left out of the
-    maxima; a NaN slack (a poisoned source row) becomes 0.
+    Norms are taken scaled (:func:`_row_norms`), so finite rows past
+    ~1e154 count with their true norm.  Non-finite target rows (``-inf``
+    everywhere) are left out of the maxima; a NaN slack (a poisoned
+    source row) becomes 0.
     """
     # The coarser of the selecting and the embeddings' (canonical) dtype.
     limits = max(
@@ -255,9 +282,9 @@ def score_slack(
     relative = np.zeros(source[0].shape[0])
     absolute = np.full(source[0].shape[0], float(width))
     for s, t, weight in zip(source, target, weights):
-        reach = np.sqrt(np.einsum("ij,ij->i", t, t))
+        reach = _row_norms(t)
         reach = reach[np.isfinite(reach)].max(initial=0.0)
-        query = abs(weight) * np.sqrt(np.einsum("ij,ij->i", s, s))
+        query = abs(weight) * _row_norms(s)
         relative += reach * query
         absolute += np.sqrt(s.shape[1]) * (query + reach)
     gamma = n * unit / (1 - n * unit)
@@ -290,16 +317,40 @@ def canonical_top_k(
     return out_targets, out_scores
 
 
+#: Targets per selecting block where the caller sets no block size (the
+#: index's default, streaming's row-block tasks): the cast buffer stays
+#: ``TARGET_BLOCK × width`` at any target count.
+TARGET_BLOCK = 512
+
+#: Rows from which :meth:`RunningTopK.push` merges compare-first.  On
+#: float32 score blocks of width 512 (one core, after the first block)
+#: a dense push cost 13-19 / 61-68 / 112-116 / 221-226 / 463-483 µs at
+#: 1 / 32 / 64 / 128 / 256 rows and a compare-first one 23 / 48-57 / 60
+#: / 85-91 / 140-152 µs.  The ANN prober's per-cluster pushes (20-58
+#: rows at nprobe 8) keep more of their entries and ran 10-20 % slower
+#: compare-first, so the threshold sits at about twice their height.
+TALL_BLOCK = 128
+
+
 class RunningTopK:
     """Top-k per row of a ``(batch, n_target)`` matrix fed block by block.
 
     Each :meth:`push` folds one column block into the ``(batch, k)``
-    buffer of the k largest values seen per row, with one ``partition``,
-    and keeps only the block entries ``>=`` the row's running kth (less
-    its ``slack``) as ``(row, id, value)`` candidates.  kth only rises,
-    so an entry below it is strictly below the final kth: every top-k
-    member, boundary ties included, survives.  Transient memory is
-    O(block + survivors); no full row is ever held or sorted.
+    buffer of the k largest values seen per row and keeps only the block
+    entries ``>=`` the row's raised kth (less its ``slack``) as
+    ``(row, id, value)`` candidates.  kth only rises, so an entry below
+    it is strictly below the final kth: every top-k member, boundary ties
+    included, survives.  Transient memory is O(block + survivors); no
+    full row is ever held or sorted.
+
+    Two merges raise kth, to the same values with the same survivors.  A
+    short block (a lone query, a microbatch, an ANN per-cluster push) or
+    one with a row whose kth is still ``-inf`` is merged densely: one
+    ``partition`` of the buffer concatenated with the whole block.  A
+    block of at least :data:`TALL_BLOCK` rows is otherwise merged
+    compare-first: one compare against ``kth - slack`` in the block's
+    dtype finds the few entries that can raise kth or survive, and only
+    they are partitioned with their rows' buffers.
     """
 
     def __init__(self, batch: int, k: int) -> None:
@@ -330,22 +381,78 @@ class RunningTopK:
         A caller with bracketed estimates passes lower bounds here and
         upper bounds as ``block``, so a kept entry is one whose upper
         bound reaches the k-th best lower bound.  ``slack`` (per block
-        row; :func:`score_slack`) lowers the bar to ``kth - slack``.
+        row, ``>= 0``; :func:`score_slack`) lowers the bar to
+        ``kth - slack``.  ``block`` and ``bound`` hold no NaN
+        (:func:`score_block` sets non-finite entries to ``-inf``).
         """
         bound = block if bound is None else bound
         index = slice(None) if rows is None else rows
-        merged = np.concatenate([self._best[index], bound], axis=1)
-        merged.partition(bound.shape[1], axis=1)
-        self._best[index] = merged[:, -self.k:]
-        del merged  # a block-sized copy: freed before the hit mask
+        kth = self.kth[index]
+        tall = block.shape[0] >= TALL_BLOCK and kth.min() > -np.inf
+        if tall:
+            hit = self._merge_hits(block, bound, rows, kth, slack)
+        else:
+            merged = np.concatenate([self._best[index], bound], axis=1)
+            merged.partition(bound.shape[1], axis=1)
+            self._best[index] = merged[:, -self.k:]
+            del merged  # a block-sized copy: freed before the hit mask
         kth = self.kth[index]
         if slack is not None:
             kth = kth - slack
-        hit = np.flatnonzero(block >= kth[:, None])
+        if tall:
+            hit = hit[np.take(block, hit) >= kth[hit // block.shape[1]]]
+        else:
+            hit = np.flatnonzero(block >= kth[:, None])
         hit_rows, columns = np.divmod(hit, block.shape[1])
         self._rows.append(hit_rows if rows is None else rows[hit_rows])
         self._ids.append(columns + start)
         self._values.append(np.take(block, hit))
+
+    def _merge_hits(
+        self,
+        block: np.ndarray,
+        bound: np.ndarray,
+        rows: Optional[np.ndarray],
+        kth: np.ndarray,
+        slack: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Raise kth from the entries reaching ``kth - slack``; return
+        their flat indices into ``block``, in row-major order.
+
+        An entry that can raise kth has ``block >= bound > kth >= kth -
+        slack``, and a survivor of the raised kth is at least the old
+        ``kth - slack``.  That floor is compared in ``block``'s dtype: the
+        cast rounds it to one of its two neighbours there, the lower of
+        which only adds hits and the upper of which is the least value
+        reaching the floor, so no entry reaching the floor is lost.  Each
+        touched row's buffer is partitioned with its hits' ``bound``
+        values (padded with ``-inf``, which a finite kth keeps out), so
+        the new buffer holds the dense merge's values.
+        """
+        floor = kth if slack is None else kth - slack
+        with np.errstate(over="ignore"):  # past float32's range: ±inf
+            floor = floor.astype(block.dtype, copy=False)
+        hit = np.flatnonzero(block >= floor[:, None])
+        if hit.size == 0:
+            return hit
+        counts = np.bincount(hit // block.shape[1])
+        touched = np.flatnonzero(counts)
+        counts = counts[touched]
+        # Hits are row-major: each touched row's hits form one run, and a
+        # hit's place is its offset in that run.
+        slots = np.repeat(np.arange(touched.size), counts)
+        places = np.arange(self.k, self.k + hit.size) - (
+            np.cumsum(counts) - counts
+        )[slots]
+        if rows is not None:
+            touched = rows[touched]
+        widest = int(counts.max())
+        merged = np.full((touched.size, self.k + widest), -np.inf)
+        merged[:, :self.k] = self._best[touched]
+        merged[slots, places] = np.take(bound, hit)
+        merged.partition(widest, axis=1)
+        self._best[touched] = merged[:, -self.k:]
+        return hit
 
     def candidates(
         self, slack: Optional[np.ndarray] = None
@@ -356,12 +463,6 @@ class RunningTopK:
         kth = self.kth if slack is None else self.kth - slack
         final = values >= kth[rows]
         return rows[final], np.concatenate(self._ids)[final], values[final]
-
-
-#: Targets per selecting block where the caller sets no block size (the
-#: index's default, streaming's row-block tasks): the cast buffer stays
-#: ``TARGET_BLOCK × width`` at any target count.
-TARGET_BLOCK = 512
 
 
 def scan_top_k(

@@ -80,7 +80,7 @@ def _ms_or_none(seconds: Optional[float]) -> Optional[float]:
     return None if seconds is None else seconds * 1e3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryResult:
     """One answered alignment query.
 
@@ -92,6 +92,9 @@ class QueryResult:
     shard was unavailable the answer covers only ``coverage`` of the
     target rows (``shards_down`` names the missing shards) and is
     explicitly marked — never silently partial.
+
+    Slotted, with no per-instance ``__dict__``: callers such as
+    ``query_many`` hold thousands of answers at once.
     """
 
     source: int

@@ -9,8 +9,10 @@ or a selector comparing against ``kth - slack`` would drop them.
 every pair's ``pair_scores`` at any block size, and at any embedding
 scale: it selects in float32 when ``selection_dtype`` finds that safe,
 and the slack for that dtype must cover its rounding, subnormals
-included.  A side with no rows is a ``ValueError`` naming it at every
-entry point.
+included, and rows past ~1e154 must not drop out of it.
+``RunningTopK`` must end with the same kth and candidates whether its
+blocks are merged compare-first (tall) or densely (short slices).  A
+side with no rows is a ``ValueError`` naming it at every entry point.
 """
 
 import tempfile
@@ -22,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.core import find_stable_nodes, streaming_top_k
 from repro.core.scoring import (
-    PAIR_CHUNK, pair_scores, scan_top_k, score_slack, selection_dtype,
+    PAIR_CHUNK, TALL_BLOCK, RunningTopK, pair_scores, scan_top_k,
+    score_slack, selection_dtype,
 )
 from repro.serving import AlignmentIndex, export_artifact, load_artifact
 
@@ -298,6 +301,35 @@ class TestSlack:
             # far below the spread of unit-scale scores.
             assert (slack < 1e-2).all()
 
+    def test_finite_rows_past_the_square_overflow(self):
+        # Regression: squared row norms overflowed past ~1e154, so such
+        # finite target rows dropped out of the slack as "non-finite"
+        # and top_k broke from the canonical order, here between two
+        # huge rows 1 ULP apart.
+        wrong = 0
+        for trial in range(30):
+            rng = np.random.default_rng(trial)
+            source = [rng.standard_normal((20, 8))]
+            target = [rng.standard_normal((50, 8))]
+            huge = rng.choice(50, 10, replace=False)
+            target[0][huge] *= 1e160
+            target[0][huge[1]] = target[0][huge[0]]
+            target[0][huge[1], 0] = np.nextafter(
+                target[0][huge[0], 0], np.inf
+            )
+            sources = np.arange(20)
+            for block in (7, 50):
+                index = AlignmentIndex(
+                    source, target, [1.0], target_block_size=block
+                )
+                full = index.score_rows(sources)
+                ids = np.broadcast_to(np.arange(50), full.shape)
+                order = np.lexsort((ids, -full))
+                for k in (1, 3, 10):
+                    got, _ = index.top_k(sources, k)
+                    wrong += int((got != order[:, :k]).any(axis=1).sum())
+        assert wrong == 0
+
     def test_nan_source_row_keeps_its_candidates(self):
         # A NaN slack would compare false against every entry and leave
         # the poisoned row with (-1, -inf) padding instead of target ids.
@@ -309,6 +341,129 @@ class TestSlack:
         targets, scores = index.top_k(np.arange(5), k=3)
         assert np.isneginf(scores[1]).all()
         assert ((0 <= targets[1]) & (targets[1] < 30)).all()
+
+
+class CountingTopK(RunningTopK):
+    """A :class:`RunningTopK` that counts its compare-first merges."""
+
+    merges = 0
+
+    def _merge_hits(self, *args):
+        self.merges += 1
+        return super()._merge_hits(*args)
+
+
+def sorted_candidates(selector, slack):
+    rows, ids, values = selector.candidates(slack)
+    order = np.lexsort((ids, rows))
+    return rows[order], ids[order], values[order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    extra_rows=st.integers(0, 40),
+    spare_rows=st.sampled_from([None, 0, 17]),
+    widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    k=st.integers(1, 8),
+    bracketed=st.booleans(),
+    slack_kind=st.sampled_from(["none", "zero", "ulps", "wide", "mixed"]),
+    minus_inf=st.sampled_from([0.0, 0.1, 0.6]),
+    slice_height=st.integers(1, TALL_BLOCK - 1),
+)
+def test_running_top_k_routes_agree(
+    seed, dtype, extra_rows, spare_rows, widths, k, bracketed, slack_kind,
+    minus_inf, slice_height,
+):
+    # One tall block per push takes the compare-first merge once every
+    # row holds k values; the same rows pushed in short slices take the
+    # dense merge.  Both must end with the same kth and candidates.
+    rng = np.random.default_rng(seed)
+    height = TALL_BLOCK + extra_rows
+    # rows=None, or ANN's shape: a permuted subset of a larger batch.
+    if spare_rows is None:
+        batch, rows = height, None
+    else:
+        batch = height + spare_rows
+        rows = rng.permutation(batch)[:height]
+    slice_rows = np.arange(height) if rows is None else rows
+    # Values on a coarse grid tie at the kth; their float32 neighbours
+    # below sit between a grid-valued kth and kth - slack.
+    def values(width):
+        grid = (rng.integers(-12, 13, (height, width)) / 4).astype(dtype)
+        below = rng.random(grid.shape) < 0.2
+        grid[below] = np.nextafter(grid[below], dtype(-np.inf))
+        return grid
+    first = max(widths[0], k)  # every row holds k finite values after it
+    blocks = [values(first)] + [values(width) for width in widths[1:]]
+    for block in blocks[1:]:
+        block[rng.random(block.shape) < minus_inf] = -np.inf
+    bounds = [
+        block.astype(np.float64) - rng.integers(0, 3, block.shape) / 8
+        if bracketed else None
+        for block in blocks
+    ]
+    # "ulps" puts kth - slack between two adjacent float32 values.
+    slack = {
+        "none": None,
+        "zero": np.zeros(batch),
+        "ulps": rng.uniform(0.1, 3.0, batch) * 2.0 ** -22,
+        "wide": rng.uniform(0.0, 2.0, batch),
+        "mixed": rng.choice([0.0, 2.0 ** -21, 0.3, np.inf], batch),
+    }[slack_kind]
+
+    tall, short = CountingTopK(batch, k), CountingTopK(batch, k)
+    start = 0
+    for block, bound in zip(blocks, bounds):
+        tall.push(block, start, rows=rows, bound=bound,
+                  slack=None if slack is None else slack[slice_rows])
+        for lo in range(0, height, slice_height):
+            part = slice(lo, lo + slice_height)
+            short.push(
+                block[part], start, rows=slice_rows[part],
+                bound=None if bound is None else bound[part],
+                slack=None if slack is None else slack[slice_rows[part]],
+            )
+        start += block.shape[1]
+    assert tall.merges == len(blocks) - 1
+    assert short.merges == 0
+    assert np.array_equal(tall.kth, short.kth)
+    for got, want in zip(sorted_candidates(tall, slack),
+                         sorted_candidates(short, slack)):
+        assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("slack", [
+    0.0, 2.0 ** -26, 0.75 * 2.0 ** -23, 1.5 * 2.0 ** -23, 1e39, 1e300,
+    np.inf,
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float32_floor_keeps_every_entry_reaching_the_float64_floor(slack):
+    # kth is 1.0 in every row, so the float64 floor 1 - slack falls on,
+    # between two adjacent float32 values near 1, or past float32's
+    # range.  The block holds the float32 values around it: each one
+    # reaching the floor in float64 must survive the float32 compare.
+    floor = 1.0 - slack
+    down, up = np.float32(-np.inf), np.float32(np.inf)
+    near = np.float32(floor)
+    above = np.nextafter(near, up)
+    entries = np.array([
+        np.nextafter(near, down), near, above, np.nextafter(above, up),
+        down, -np.finfo(np.float32).max, 0.5, 1.0,
+    ], np.float32)
+    selector = CountingTopK(TALL_BLOCK, 3)
+    selector.push(np.ones((TALL_BLOCK, 3), np.float32))
+    selector.push(np.tile(entries, (TALL_BLOCK, 1)), 3,
+                  slack=np.full(TALL_BLOCK, slack))
+    assert selector.merges == 1
+    assert (selector.kth == 1.0).all()
+    rows, ids, _ = selector.candidates(np.full(TALL_BLOCK, slack))
+    reaching = np.flatnonzero(entries.astype(np.float64) >= floor) + 3
+    for row in (0, TALL_BLOCK - 1):
+        assert bits(np.sort(ids[rows == row])) == bits(
+            np.concatenate([np.arange(3), reaching])
+        )
 
 
 class TestEmptySide:

@@ -1,6 +1,9 @@
 """Tests for the microbatched, cached QueryEngine and its LRU cache."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 import threading
 import tracemalloc
 
@@ -8,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.observability import MetricsRegistry, SlowQueryLog
-from repro.serving import AlignmentIndex, QueryEngine, StripedLRUCache
+from repro.serving import (
+    AlignmentIndex, QueryEngine, QueryResult, StripedLRUCache,
+)
 
 
 def make_index(seed=0, n_source=30, n_target=80, dims=(8, 4),
@@ -291,7 +296,8 @@ class PaddedIndex:
 class TestAnswerMemory:
     def test_held_answers_share_their_target_ids(self, registry):
         # Every query_many answer is held: a fresh int per target id
-        # per answer cost ~1,000 B per answer; the shared ids ~690 B.
+        # per answer cost ~1,000 B per answer; the shared ids ~700 B,
+        # and a slotted QueryResult (no __dict__) ~645 B.
         rng = np.random.default_rng(3)
         index = AlignmentIndex(
             [rng.standard_normal((2000, 8))],
@@ -311,7 +317,7 @@ class TestAnswerMemory:
             finally:
                 tracemalloc.stop()
             assert all(len(result.targets) == 10 for result in held)
-            assert (after - before) / len(held) <= 800
+            assert (after - before) / len(held) <= 680
             shared = engine._target_ids
             assert all(
                 target is shared[target]
@@ -426,3 +432,31 @@ class TestStats:
         assert stats["latency_ms"]["count"] == 2
         assert "serving.query_latency_cached" in registry.names("serving")
         assert "serving.query_latency_uncached" in registry.names("serving")
+
+
+class TestQueryResult:
+    RESULT = QueryResult(
+        source=3, k=2, targets=(5, 1), scores=(0.5, 0.25), aligned=True,
+        cached=False, latency_s=0.002, degraded=True, coverage=0.5,
+        shards_down=(1,), request_id="r1",
+    )
+
+    def test_slotted_with_the_same_payload(self):
+        assert not hasattr(self.RESULT, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.RESULT.k = 3
+        assert self.RESULT.payload() == {
+            "source": 3, "k": 2, "targets": [5, 1], "scores": [0.5, 0.25],
+            "aligned": True, "cached": False, "latency_ms": 2.0,
+            "degraded": True, "coverage": 0.5, "shards_down": [1],
+            "request_id": "r1",
+        }
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        copies = [copy.deepcopy(self.RESULT)] + [
+            pickle.loads(pickle.dumps(self.RESULT, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for result in copies:
+            assert result == self.RESULT and result is not self.RESULT
+            assert result.payload() == self.RESULT.payload()
