@@ -64,7 +64,7 @@ def main() -> None:
     queries = np.arange(reference.n_source)
     expected = reference.top_k(queries, k=5)
     for shards in (1, 2, 4):
-        plan = plan_shards(N_TARGET, shards, BLOCK)
+        plan = plan_shards(N_TARGET, shards)
         with ShardedIndex.from_artifact(
             artifact, shards=shards, target_block_size=BLOCK, workers=0
         ) as sharded:

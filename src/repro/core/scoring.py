@@ -122,12 +122,15 @@ def score_block(
     Non-finite entries are set to ``-inf``; the second value counts them
     (0 for a healthy block) so each caller records the event under its
     own metric name.  The arithmetic is in place but bitwise equal to
-    ``weight * (S @ Tᵀ)`` partials added layer by layer.
+    ``weight * (S @ Tᵀ)`` partials added layer by layer; a weight of
+    exactly 1.0 (:func:`scan_top_k`'s θ-folded block) skips its multiply,
+    which would change no bit.
     """
     block = None
     for rows, targets, weight in zip(source_rows, target_rows, weights):
         partial = rows @ targets.T
-        partial *= weight
+        if weight != 1.0:
+            partial *= weight
         if block is None:
             block = partial
         else:

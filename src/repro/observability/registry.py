@@ -236,18 +236,24 @@ class Histogram:
         low = 0.0 if index == 0 else edges[index - 1]
         return (low, edges[index] if index < len(edges) else float("inf"))
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one lock, one bucket walk):
+        a batch of answers sharing one latency is one call."""
         value = float(value)
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(
                 f"histogram {self.name}: observations must be finite and "
                 f">= 0, got {value}"
             )
+        if count < 1:
+            raise ValueError(
+                f"histogram {self.name}: count must be >= 1, got {count}"
+            )
         index = bisect_left(self.upper_edges, value)
         with self._lock:
-            self.count += 1
-            self.total += value
-            self.bucket_counts[index] += 1
+            self.count += count
+            self.total += value * count
+            self.bucket_counts[index] += count
             if value < self.minimum:
                 self.minimum = value
             if value > self.maximum:
@@ -418,8 +424,10 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
 
-    def record_histogram(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
+    def record_histogram(
+        self, name: str, value: float, count: int = 1
+    ) -> None:
+        self.histogram(name).observe(value, count)
 
     def timed(self, name: str) -> Timer:
         """``with registry.timed("trainer.epoch_time"): ...`` — the

@@ -21,17 +21,18 @@ exactness escape hatch:
   ``codes = clip(rint(x / scale), -127, 127)`` with
   ``scale = max|x| / 127``, so every element's dequantization error is
   at most ``scale / 2``.
-* **Float rescoring with a sound margin** — approximate (int8) scores
-  select candidates with a per-row error margin
-  ``0.5 · scale_block · ‖θ-weighted query‖₁`` (inflated by an
-  ULP-scale fudge for GEMM rounding).  Rows whose *upper* bound clears
-  the kth-best *lower* bound are rescored **pair by pair** with
-  :func:`~repro.core.scoring.pair_scores`, the canonical score every
-  exact path reports.  The margin is a proof, not a heuristic: the
-  candidates always hold every true top-k member (ties included), so
-  with ``nprobe == n_clusters`` the ANN answer is **bitwise identical**
-  to :meth:`AlignmentIndex.top_k`.  With smaller ``nprobe`` the only
-  approximation is *which clusters are probed*.
+* **Float rescoring with a sound margin** — the int8 lists are scanned
+  with float32 GEMMs (float64 when the query magnitudes could overflow
+  float32), and each approximate score is bracketed by a rank-1 margin
+  ``scale_block · h · ‖θ-weighted query‖₁`` with ``h`` a little above
+  ``½`` (:meth:`AnnProber.select_candidates` derives it).  Rows whose
+  *upper* bound clears the kth-best *lower* bound are rescored **pair
+  by pair** with :func:`~repro.core.scoring.pair_scores`, the canonical
+  score every exact path reports.  The margin is a proof, not a
+  heuristic: the candidates always hold every true top-k member (ties
+  included), so with ``nprobe == n_clusters`` the ANN answer is
+  **bitwise identical** to :meth:`AlignmentIndex.top_k`.  With smaller
+  ``nprobe`` the only approximation is *which clusters are probed*.
 
 Neither phase holds a (batch × n_target) matrix or scores an exact
 block: the int8 scan runs list by list against only the rows that
@@ -50,7 +51,12 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.scoring import RunningTopK, canonical_top_k
+from ..core.scoring import (
+    SELECT_HEADROOM,
+    RunningTopK,
+    _finite_max_abs,
+    canonical_top_k,
+)
 from ..observability import MetricsRegistry, get_registry, get_tracer
 from ..resilience import AnnParameterError
 from .index import AlignmentIndex, _check_sources
@@ -76,6 +82,14 @@ _ASSIGN_CHUNK = 16384
 #: Rows per kmeans++ distance chunk: bounds the ``p - c`` scratch buffer
 #: at ``_SEED_CHUNK × D`` floats instead of a whole-matrix temporary.
 _SEED_CHUNK = 512
+
+#: Largest ``|code|`` of :func:`quantize_int8`.
+_CODE_MAX = 127
+
+
+def _gamma(n: int, unit: float) -> float:
+    """Higham's ``γ_n = n·u / (1 - n·u)`` (``inf`` once ``n·u >= 1``)."""
+    return n * unit / (1 - n * unit) if n * unit < 1 else np.inf
 
 
 def _assign_clusters(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -418,6 +432,11 @@ class AnnProber:
             self._row_scales = np.repeat(self.scales, self.quant_rows)[
                 :n_target
             ]
+            # The extreme block scales, for the margin's underflow term
+            # and the overflow check (an all-zero block scans exactly).
+            positive = self.scales[self.scales > 0]
+            self._scale_floor = float(positive.min(initial=np.inf))
+            self._scale_peak = float(self.scales.max(initial=0.0))
         else:
             self._row_scales = None
         self.n_target = int(n_target)
@@ -467,6 +486,69 @@ class AnnProber:
         scores = queries @ self.centroids.T
         return np.argsort(-scores, axis=1, kind="stable")[:, :nprobe]
 
+    def scan_plan(
+        self, queries: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(scan, radius)`` for bracketing the int8 scan of ``queries``,
+        or ``None`` when the scan could overflow float64.
+
+        ``scan`` is ``queries`` in the scanning dtype: float32 when
+        ``127·D·max|q|`` (D the width, max over finite entries) stays
+        :data:`~repro.core.scoring.SELECT_HEADROOM` below float32's
+        maximum, so no cast, product or partial sum of the scan can
+        overflow; float64 otherwise.  ``radius`` is each row's margin
+        in code units, ``h·‖q‖₁ + η`` (see :meth:`select_candidates`),
+        non-finite for a row with a non-finite entry.  ``None`` means
+        some finite bound could pass ``max / SELECT_HEADROOM`` of
+        float64; the caller then keeps every probed pair.
+        """
+        width = queries.shape[1]
+        dtype = np.dtype(np.float64)
+        limits = np.finfo(np.float32)
+        peak = _CODE_MAX * width * _finite_max_abs(queries)
+        if peak <= float(limits.max) / SELECT_HEADROOM:
+            dtype = np.dtype(np.float32)
+        wide = np.finfo(np.float64)
+        unit, unit64 = float(np.finfo(dtype).eps) / 2, float(wide.eps) / 2
+        tiny64 = float(wide.tiny)
+        half_width = (
+            0.5 + _CODE_MAX * _gamma(width + 1, unit)
+            + 128 * _gamma(3 * width + 8, unit64)
+        )
+        eta = (
+            256 * width * float(np.finfo(dtype).tiny)
+            + 128 * width * tiny64
+            + (4 * width + 4) * tiny64 / self._scale_floor
+        )
+        l1 = np.abs(queries).sum(axis=1)
+        radius = half_width * l1 + eta
+        # |raw| <= (127 + h)·‖q‖₁ + η, so |raw ± radius| <= reach.
+        reach = (
+            (_CODE_MAX + 2 * half_width)
+            * float(l1[np.isfinite(l1)].max(initial=0.0)) + eta
+        )
+        if max(reach, reach * self._scale_peak) > float(wide.max) / (
+            SELECT_HEADROOM
+        ):
+            return None
+        return queries.astype(dtype, copy=False), radius
+
+    def _bounds(
+        self, scan: np.ndarray, radius: np.ndarray, rows: np.ndarray,
+        start: int, stop: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """float64 ``(upper, lower)`` of ``rows`` against the remapped
+        targets ``[start, stop)``: one GEMM in ``scan``'s dtype, then
+        ``scale·(raw ± radius)``."""
+        raw = scan[rows] @ self.codes[start:stop].astype(scan.dtype).T
+        reach = radius[rows, None]
+        scales = self._row_scales[start:stop]
+        upper = np.add(raw, reach)  # float64: raw is widened exactly
+        upper *= scales
+        lower = np.subtract(raw, reach)
+        lower *= scales
+        return upper, lower
+
     def select_candidates(
         self,
         queries: np.ndarray,
@@ -477,18 +559,49 @@ class AnnProber:
         float-rescore, as two flat arrays.
 
         Probed lists are scanned cluster by cluster, each against only
-        the rows that probed it.  Quantized path: approximate scores
-        carry a per-row error margin ``0.5 · scale_block · ‖q‖₁`` (plus
-        an ULP-scale inflation for GEMM rounding).  A pair survives when
-        its upper bound reaches the row's kth-largest lower bound over
-        all its probed lists, which guarantees the true top-k of the
-        probed set — boundary ties included — is among the candidates.
-        The kth is the :class:`~repro.core.scoring.RunningTopK` one
+        the rows that probed it.  Quantized path: each list's codes are
+        cast to the :meth:`scan_plan` dtype (exact: ``|c| <= 127``) and
+        scored by one GEMM, ``raw = q[rows] @ codesᵀ``; then, in
+        float64, ``upper = scale·(raw + r)`` and ``lower = scale·(raw -
+        r)`` with the row's radius ``r = h·‖q‖₁ + η`` and
+
+            ``h = ½ + 127·γ_{D+1} + 128·γ⁶⁴_{3D+8}``,
+
+        ``γ_n = n·u / (1 - n·u)`` with ``u`` the scanning dtype's unit
+        roundoff (``γ⁶⁴`` float64's) and ``D`` the query width.  Every
+        bracket holds the pair's canonical
+        :func:`~repro.core.scoring.pair_scores` value ``p``:
+
+        * dequantization: ``|t - scale·c| <= scale/2`` elementwise, so
+          ``|⟨q, t⟩ - scale·⟨q, c⟩| <= scale·½·‖q‖₁``;
+        * the scan: casting ``q`` (relative ``u``) and the GEMM's
+          rounding (``γ_D`` of ``Σ|q_i|·|c_i| <= 127·‖q‖₁``) move
+          ``⟨q, c⟩`` by at most ``127·γ_{D+1}·‖q‖₁``;
+        * float64: ``p`` differs from ``⟨q, t⟩`` by at most
+          ``γ⁶⁴_{2D+3}·Σ|q_i|·|t_i| <= 127.5·γ⁶⁴_{2D+3}·scale·‖q‖₁``
+          (θ-folding, products, sums), and ``‖q‖₁``, ``h·‖q‖₁``,
+          ``raw ± r`` and the scale multiply add a few float64 roundings
+          of values below ``(127 + 2h)·‖q‖₁``; the ``128·γ⁶⁴_{3D+8}``
+          term covers both;
+        * underflow: ``η = 256·D·η_s + 128·D·η₆₄ + (4D + 4)·η₆₄ /
+          scale_min``, with ``η_s``/``η₆₄`` the scanning dtype's and
+          float64's smallest normal, covers casts, products and sums
+          that land below them (flushed to zero included), on either
+          side; an all-zero block (scale 0) scans exactly.
+
+        A pair survives when its upper bound reaches the row's
+        kth-largest lower bound over all its probed lists, which
+        guarantees every pair scoring at least the true kth over the
+        probed set (boundary ties included) is a candidate.  The kth is
+        the :class:`~repro.core.scoring.RunningTopK` one
         :meth:`AlignmentIndex.top_k` uses, fed the lower bounds: it only
         rises, so a pair dropped against it is below the final kth too,
-        and a last filter applies the final value.  Rows with
-        at most ``k`` probed targets keep them all; unquantized state
-        keeps every probed pair.
+        and a last filter applies the final value.  Non-finite bounds (a
+        row with a NaN or infinite entry) are set to ``-inf``, as
+        :func:`~repro.core.scoring.score_block` does, so such a row
+        keeps every probed pair.  Rows with at most ``k`` probed targets
+        keep them all; unquantized state, or a batch whose bounds could
+        overflow float64, keeps every probed pair.
         """
         registry = self._registry()
         started = time.perf_counter()
@@ -500,41 +613,39 @@ class AnnProber:
         edges = np.searchsorted(
             probed[by_cluster], np.arange(self.n_clusters + 1)
         )
-        if self.quantized:
-            l1 = np.abs(queries).sum(axis=1)
+        plan = self.scan_plan(queries) if self.quantized else None
+        if plan is not None:
+            scan, radius = plan
+            sanitize = not np.isfinite(radius).all()
             # Running kth over the lower bounds: -inf until a row has
             # seen k probed targets, so its kth keeps everything.
             selector = RunningTopK(batch, k)
         kept_rows = [np.empty(0, dtype=np.int64)]
         kept_positions = [np.empty(0, dtype=np.int64)]
         rows_probed = 0
-        for cluster in np.flatnonzero(np.diff(edges)):
-            start, stop = self.offsets[cluster], self.offsets[cluster + 1]
-            if stop <= start:
-                continue
-            rows = probe_rows[edges[cluster]:edges[cluster + 1]]
-            rows_probed += rows.size * (stop - start)
-            if not self.quantized:
-                kept_rows.append(np.repeat(rows, stop - start))
-                kept_positions.append(
-                    np.tile(np.arange(start, stop), rows.size)
+        # A poisoned row's scan meets inf·0 and inf - inf; its bounds are
+        # set to -inf below, so the invalid-value warnings say nothing.
+        with np.errstate(invalid="ignore"):
+            for cluster in np.flatnonzero(np.diff(edges)):
+                start, stop = (
+                    self.offsets[cluster], self.offsets[cluster + 1]
                 )
-                continue
-            scales = self._row_scales[start:stop]
-            # codes are exact small integers: q @ codesᵀ then one
-            # multiply by the row scale reproduces scale·⟨q, code⟩.
-            approx = (
-                queries[rows] @ self.codes[start:stop].astype(np.float64).T
-            ) * scales
-            # Sound margin: dequantization error ≤ scale/2 per element →
-            # ≤ 0.5·scale·‖q‖₁ per inner product; the extra term absorbs
-            # float GEMM rounding on both sides.
-            margin = 0.5 * l1[rows, None] * scales
-            margin = margin + 1e-9 * (np.abs(approx) + 1.0)
-            selector.push(
-                approx + margin, start, rows=rows, bound=approx - margin
-            )
-        if self.quantized:
+                if stop <= start:
+                    continue
+                rows = probe_rows[edges[cluster]:edges[cluster + 1]]
+                rows_probed += rows.size * (stop - start)
+                if plan is None:
+                    kept_rows.append(np.repeat(rows, stop - start))
+                    kept_positions.append(
+                        np.tile(np.arange(start, stop), rows.size)
+                    )
+                    continue
+                upper, lower = self._bounds(scan, radius, rows, start, stop)
+                if sanitize:
+                    upper[~np.isfinite(upper)] = -np.inf
+                    lower[~np.isfinite(lower)] = -np.inf
+                selector.push(upper, start, rows=rows, bound=lower)
+        if plan is not None:
             rows, positions, _ = selector.candidates()
         else:
             rows = np.concatenate(kept_rows)

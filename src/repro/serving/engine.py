@@ -27,15 +27,21 @@ see :func:`~repro.core.scoring.score_block`) are surfaced as
 
 Everything is observable under ``serving.*`` in the metrics registry:
 query counters, latency and batch-size histograms, cache
-hits/misses/evictions, and unaligned-row counts.
+hits/misses/evictions, and unaligned-row counts.  A batch of answers is
+looked up, cached, counted and finished once, not once per answer (one
+:meth:`StripedLRUCache.get_many`, one counter bump and one
+``observe(latency, count=n)`` per metric); a lone query is the
+one-answer case of the same path.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,8 +61,9 @@ from .sharded import ShardedIndex
 
 __all__ = ["QueryResult", "StripedLRUCache", "QueryEngine"]
 
-#: Meta dict for a fully-healthy answer (indexes without ``top_k_ex``).
-_HEALTHY_META = {"degraded": False, "coverage": 1.0, "shards_down": ()}
+#: ``(degraded, coverage, shards_down)`` of a fully-healthy answer
+#: (indexes without ``top_k_ex``).
+_HEALTHY = (False, 1.0, ())
 
 
 def _require_int(value: Any, name: str) -> int:
@@ -73,6 +80,12 @@ def _require_int(value: Any, name: str) -> int:
             f"({type(value).__name__})"
         )
     return int(value)
+
+
+def _degraded(value: Tuple) -> bool:
+    """Whether a ``(targets, scores, aligned, status)`` answer value is
+    degraded (such answers are never cached)."""
+    return value[3][0]
 
 
 def _ms_or_none(seconds: Optional[float]) -> Optional[float]:
@@ -164,41 +177,60 @@ class StripedLRUCache:
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
 
-    def _stripe(self, key) -> int:
-        return hash(key) % len(self._stripes)
-
     def get(self, key):
-        """Cached value or ``None``; counts ``serving.cache.{hits,misses}``."""
-        if not self.capacity:
-            return None
-        lock, entries = self._stripes[self._stripe(key)]
-        with lock:
-            value = entries.get(key)
-            if value is not None:
-                entries.move_to_end(key)
-        registry = self._registry()
-        if value is None:
-            registry.increment("serving.cache.misses")
-        else:
-            registry.increment("serving.cache.hits")
-        return value
+        """Cached value or ``None`` (a one-key :meth:`get_many`)."""
+        return self.get_many((key,))[0]
 
     def put(self, key, value) -> None:
+        """Insert or refresh ``key`` (a one-entry :meth:`put_many`)."""
+        self.put_many(((key, value),))
+
+    def get_many(self, keys: Sequence) -> List:
+        """Cached value or ``None`` per key, in order.
+
+        Each found key becomes its stripe's most recent entry, as a
+        :meth:`get` per key would make it; ``serving.cache.{hits,misses}``
+        are counted once per call.
+        """
+        if not self.capacity:
+            return [None] * len(keys)
+        stripes = self._stripes
+        values = []
+        for key in keys:
+            lock, entries = stripes[hash(key) % len(stripes)]
+            with lock:
+                value = entries.get(key)
+                if value is not None:
+                    entries.move_to_end(key)
+            values.append(value)
+        hits = len(values) - values.count(None)
+        registry = self._registry()
+        if hits:
+            registry.increment("serving.cache.hits", hits)
+        if hits < len(values):
+            registry.increment("serving.cache.misses", len(values) - hits)
+        return values
+
+    def put_many(self, items: Sequence[Tuple[Any, Any]]) -> None:
+        """Insert or refresh each ``(key, value)`` in order, as a
+        :meth:`put` per item would; ``serving.cache.evictions`` is
+        counted once per call."""
         if not self.capacity:
             return
-        stripe = self._stripe(key)
-        lock, entries = self._stripes[stripe]
-        limit = self._limits[stripe]
+        stripes, limits = self._stripes, self._limits
         evicted = 0
-        with lock:
-            if key in entries:
-                entries[key] = value
-                entries.move_to_end(key)
-            else:
+        for key, value in items:
+            stripe = hash(key) % len(stripes)
+            lock, entries = stripes[stripe]
+            with lock:
+                if key in entries:
+                    entries[key] = value
+                    entries.move_to_end(key)
+                    continue
                 # Evict *before* inserting: an unlocked __len__ racing
                 # with this put must never observe the cache above its
                 # documented capacity, even transiently.
-                while len(entries) >= limit:
+                while len(entries) >= limits[stripe]:
                     entries.popitem(last=False)
                     evicted += 1
                 entries[key] = value
@@ -415,21 +447,30 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _validate(self, source, k) -> Tuple[int, int]:
+    def _validate(
+        self, queries: Sequence[Tuple[Any, Any]]
+    ) -> List[Tuple[int, int]]:
+        """``(source, k)`` pairs as ints, ``k`` clamped to ``n_target``."""
         if self._closed:
             # Checked before the cache too: a closed engine must not keep
             # half-working (hits succeed, misses hang-then-fail).
             raise RuntimeError("QueryEngine is closed")
-        source = _require_int(source, "source")
-        k = _require_int(k, "k")
-        if not 0 <= source < self.index.n_source:
-            raise IndexError(
-                f"source node {source} out of range "
-                f"[0, {self.index.n_source})"
-            )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return source, min(k, self.index.n_target)
+        n_source, n_target = self.index.n_source, self.index.n_target
+        normalized = []
+        for source, k in queries:
+            # Plain ints skip the type checks; bool is not ``int`` here.
+            if type(source) is not int:
+                source = _require_int(source, "source")
+            if type(k) is not int:
+                k = _require_int(k, "k")
+            if not 0 <= source < n_source:
+                raise IndexError(
+                    f"source node {source} out of range [0, {n_source})"
+                )
+            if k < 1:
+                raise ValueError(f"k must be >= 1, got {k}")
+            normalized.append((source, k if k < n_target else n_target))
+        return normalized
 
     def _resolve_descriptor(
         self, mode: Optional[str], nprobe: Optional[int]
@@ -468,50 +509,70 @@ class QueryEngine:
 
     def _finish(
         self,
-        source: int,
-        k: int,
-        value: Tuple,
+        answers: Sequence[Tuple[int, int, Tuple]],
         cached: bool,
         started: float,
         request_id: str = "",
         mode: Optional[str] = None,
         nprobe: Optional[int] = None,
         stages: Optional[Dict[str, float]] = None,
-    ) -> QueryResult:
+    ) -> List[QueryResult]:
+        """Count, time, audit and wrap ``(source, k, value)`` answers.
+
+        The answers finish together: they share one latency (read once,
+        now), each metric is bumped once for all of them, and the slow
+        log sees an answer only when that latency reaches its threshold
+        or the answer is degraded.
+        """
         registry = self._registry()
         latency = time.perf_counter() - started
-        registry.increment("serving.queries")
-        registry.record_histogram("serving.query_latency", latency)
-        if cached:
-            registry.record_histogram("serving.query_latency_cached", latency)
-        else:
-            registry.record_histogram("serving.query_latency_uncached", latency)
-        targets, scores, aligned, meta = value
-        if not aligned:
-            registry.increment("serving.unaligned")
-        if meta["degraded"]:
-            registry.increment("serving.degraded")
-        audited = self.slow_queries.observe(
-            latency_s=latency,
-            descriptor=lambda: {
-                "source": source, "k": k, "mode": mode, "nprobe": nprobe,
-                "cached": cached, "fingerprint": self.fingerprint,
-            },
-            request_id=request_id or None,
-            degraded=bool(meta["degraded"]),
-            coverage=float(meta["coverage"]),
-            stages=stages,
+        count = len(answers)
+        registry.increment("serving.queries", count)
+        registry.record_histogram("serving.query_latency", latency, count)
+        registry.record_histogram(
+            "serving.query_latency_cached" if cached
+            else "serving.query_latency_uncached",
+            latency, count,
         )
+        slow = latency >= self.slow_queries.threshold_s
+        unaligned = degraded_count = audited = 0
+        results = []
+        for source, k, (targets, scores, aligned, status) in answers:
+            degraded, coverage, shards_down = status
+            unaligned += not aligned
+            degraded_count += degraded
+            if slow or degraded:
+                audited += self.slow_queries.observe(
+                    latency_s=latency,
+                    descriptor=functools.partial(
+                        self._descriptor, source, k, mode, nprobe, cached
+                    ),
+                    request_id=request_id or None,
+                    degraded=degraded,
+                    coverage=coverage,
+                    stages=stages,
+                )
+            results.append(QueryResult(
+                source, k, targets, scores, aligned, cached, latency,
+                degraded, coverage, shards_down, request_id,
+            ))
+        if unaligned:
+            registry.increment("serving.unaligned", unaligned)
+        if degraded_count:
+            registry.increment("serving.degraded", degraded_count)
         if audited:
-            registry.increment("serving.slow_queries")
-        return QueryResult(
-            source=source, k=k, targets=targets, scores=scores,
-            aligned=aligned, cached=cached, latency_s=latency,
-            degraded=bool(meta["degraded"]),
-            coverage=float(meta["coverage"]),
-            shards_down=tuple(meta.get("shards_down", ())),
-            request_id=request_id,
-        )
+            registry.increment("serving.slow_queries", audited)
+        return results
+
+    def _descriptor(
+        self, source: int, k: int, mode: Optional[str],
+        nprobe: Optional[int], cached: bool,
+    ) -> Dict[str, Any]:
+        """A slow-log entry's query descriptor (built only when audited)."""
+        return {
+            "source": source, "k": k, "mode": mode, "nprobe": nprobe,
+            "cached": cached, "fingerprint": self.fingerprint,
+        }
 
     def _shed(self, count: int = 1) -> None:
         self._registry().increment("serving.deadline_shed", count)
@@ -556,15 +617,15 @@ class QueryEngine:
         started = time.perf_counter()
         request_id = request_id or current_request_id() or mint_request_id()
         self._check_deadline(deadline_s, "before admission")
-        source, k = self._validate(source, k)
+        ((source, k),) = self._validate(((source, k),))
         mode, nprobe = self._resolve_descriptor(mode, nprobe)
         key = (self.fingerprint, source, k, mode, nprobe)
         value = self.cache.get(key)
         if value is not None:
             return self._finish(
-                source, k, value, True, started,
+                [(source, k, value)], True, started,
                 request_id=request_id, mode=mode, nprobe=nprobe,
-            )
+            )[0]
         item = _Pending(
             source, k, mode, nprobe, deadline=deadline_s,
             request_id=request_id,
@@ -590,18 +651,18 @@ class QueryEngine:
             )
         if item.error is not None:
             raise item.error
-        if not item.value[3]["degraded"]:
+        if not _degraded(item.value):
             # Degraded answers are never cached: once the shard set
             # recovers, the full answer must not lose to a stale partial.
             self.cache.put(key, item.value)
         return self._finish(
-            source, k, item.value, False, started,
+            [(source, k, item.value)], False, started,
             request_id=request_id, mode=mode, nprobe=nprobe,
             stages={
                 "admit_ms": (submitted - started) * 1e3,
                 "score_ms": (time.perf_counter() - submitted) * 1e3,
             },
-        )
+        )[0]
 
     def query_many(
         self,
@@ -621,25 +682,39 @@ class QueryEngine:
         defaults) and are folded into every cache key.  One
         ``request_id`` (resolved like :meth:`query`'s) covers the whole
         batch — a batched HTTP POST is one request.
+
+        The batch is validated, looked up, cached and counted once, and
+        each scored chunk is finished once: every answer of a chunk (and
+        every cache hit) reports the latency at which its chunk (or the
+        lookup) completed, and the answers share that one float.  The
+        answers are returned together, in ``queries`` order.
         """
         started = time.perf_counter()
         request_id = request_id or current_request_id() or mint_request_id()
         self._check_deadline(deadline_s, "before admission")
         mode, nprobe = self._resolve_descriptor(mode, nprobe)
-        normalized = [self._validate(source, k) for source, k in queries]
+        normalized = self._validate(queries)
+        fingerprint = self.fingerprint
+        keys = [
+            (fingerprint, source, k, mode, nprobe)
+            for source, k in normalized
+        ]
         results: List[Optional[QueryResult]] = [None] * len(normalized)
-        misses: List[Tuple[int, int, int]] = []
-        for position, (source, k) in enumerate(normalized):
-            value = self.cache.get(
-                (self.fingerprint, source, k, mode, nprobe)
+        hits: List[int] = []
+        misses: List[int] = []
+        found = self.cache.get_many(keys)
+        for position, value in enumerate(found):
+            (misses if value is None else hits).append(position)
+        finish = functools.partial(
+            self._finish, started=started, request_id=request_id,
+            mode=mode, nprobe=nprobe,
+        )
+        if hits:
+            answers = finish(
+                [(*normalized[p], found[p]) for p in hits], True
             )
-            if value is not None:
-                results[position] = self._finish(
-                    source, k, value, True, started,
-                    request_id=request_id, mode=mode, nprobe=nprobe,
-                )
-            else:
-                misses.append((position, source, k))
+            for position, result in zip(hits, answers):
+                results[position] = result
         for chunk_start in range(0, len(misses), self.batch_size):
             chunk = misses[chunk_start:chunk_start + self.batch_size]
             if deadline_s is not None and time.monotonic() >= deadline_s:
@@ -650,19 +725,21 @@ class QueryEngine:
                     deadline_s=deadline_s,
                 )
             values = self._score_batch(
-                [(s, k, mode, nprobe, request_id) for _, s, k in chunk],
+                [(*normalized[p], mode, nprobe, request_id) for p in chunk],
                 deadline_s=deadline_s,
             )
-            for (position, source, k), value in zip(chunk, values):
-                if not value[3]["degraded"]:
-                    self.cache.put(
-                        (self.fingerprint, source, k, mode, nprobe), value
-                    )
-                results[position] = self._finish(
-                    source, k, value, False, started,
-                    request_id=request_id, mode=mode, nprobe=nprobe,
-                )
-        return [result for result in results if result is not None]
+            self.cache.put_many([
+                (keys[position], value)
+                for position, value in zip(chunk, values)
+                if not _degraded(value)
+            ])
+            answers = finish(
+                [(*normalized[p], value) for p, value in zip(chunk, values)],
+                False,
+            )
+            for position, result in zip(chunk, answers):
+                results[position] = result
+        return results
 
     # ------------------------------------------------------------------
     # Scoring
@@ -674,14 +751,15 @@ class QueryEngine:
     ) -> List[Tuple]:
         """Score ``(source, k, mode, nprobe, request_id)`` items.
 
-        A value is the cacheable ``(targets, scores, aligned, meta)``
-        tuple, where ``meta`` carries the degraded-answer fields.  Each
-        query's answer is the first ``k`` canonical entries of its
-        group's top-``max(k)``, which equals its standalone answer.
+        A value is the cacheable ``(targets, scores, aligned, status)``
+        tuple, where ``status`` holds the degraded-answer fields
+        ``(degraded, coverage, shards_down)``.  Each query's answer is
+        the first ``k`` canonical entries of its group's top-``max(k)``,
+        which equals its standalone answer.
         Items sharing a ``(mode, nprobe)`` descriptor coalesce into one
         index call (a microbatch mixing exact and ann callers issues one
         call per descriptor, order preserved).  Degraded answers
-        (``meta["degraded"]``) may hold fewer than ``k`` candidates;
+        (``status[0]``) may hold fewer than ``k`` candidates;
         callers must not cache them.
 
         Indexes with a fault-tolerant ``top_k_ex`` (the sharded index)
@@ -727,16 +805,30 @@ class QueryEngine:
                     targets, scores = self.index.top_k(
                         sources, k_max, **ann_kwargs
                     )
-                    meta = _HEALTHY_META
+                    meta = None
+            status = _HEALTHY if meta is None else (
+                bool(meta["degraded"]), float(meta["coverage"]),
+                tuple(meta.get("shards_down", ())),
+            )
+            # One conversion per group; ids come as the shared objects.
+            id_rows = self._target_ids[targets].tolist()
+            score_rows = scores.tolist()
             finite = np.isfinite(scores)
+            clean = finite.all(axis=1).tolist()
             for row, position in enumerate(positions):
                 take = batch[position][1]
-                keep = finite[row, :take]
+                ids, row_scores = id_rows[row][:take], score_rows[row][:take]
+                if clean[row]:
+                    aligned = True
+                else:
+                    # Non-finite entries (a -1 pad would index the last
+                    # id) are dropped; nothing finite left is unaligned.
+                    keep = finite[row, :take].tolist()
+                    ids = compress(ids, keep)
+                    row_scores = compress(row_scores, keep)
+                    aligned = any(keep)
                 values[position] = (
-                    tuple(self._target_ids[targets[row, :take][keep]]),
-                    tuple(scores[row, :take][keep].tolist()),
-                    bool(keep.any()),
-                    meta,
+                    tuple(ids), tuple(row_scores), aligned, status,
                 )
         registry.increment("serving.batches")
         registry.record_histogram("serving.batch.size", len(batch))

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     GAlign,
@@ -132,6 +134,33 @@ class TestHistogram:
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 hist.observe(bad)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(
+                st.floats(0.0, 5e4, allow_nan=False, allow_infinity=False),
+                st.integers(1, 20),
+            ),
+            min_size=1, max_size=8,
+        )
+    )
+    def test_counted_observe_matches_repeated_observes(self, values):
+        counted, repeated = MetricsRegistry(), MetricsRegistry()
+        for value, count in values:
+            counted.record_histogram("h", value, count=count)
+            for _ in range(count):
+                repeated.record_histogram("h", value)
+        a, b = counted.histogram("h"), repeated.histogram("h")
+        assert a.count == b.count
+        assert a.bucket_counts == b.bucket_counts
+        assert a.minimum == b.minimum and a.maximum == b.maximum
+        assert a.total == pytest.approx(b.total)
+
+    def test_counted_observe_rejects_a_non_positive_count(self, registry):
+        with pytest.raises(ValueError, match="count"):
+            registry.histogram("h").observe(1.0, count=0)
+        assert registry.histogram("h").count == 0
 
     def test_empty_snapshot_is_all_null(self, registry):
         snapshot = registry.histogram("h").snapshot()

@@ -8,10 +8,14 @@ parameter taxonomy, cache-key isolation) defends that contract's edges.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.scoring import SELECT_HEADROOM, canonical_top_k
 from repro.observability import MetricsRegistry, Tracer, get_tracer, set_tracer
 from repro.parallel import WorkerPool
 from repro.resilience import AnnParameterError
@@ -604,13 +608,11 @@ def _reference_candidates(prober, queries, k, nprobe):
     probed = prober.probe(queries, nprobe)
     scanned = {}
     if prober.quantized:
-        l1 = np.abs(queries).sum(axis=1)
+        scan, radius = prober.scan_plan(queries)
         for cluster in np.unique(probed):
             start, stop = prober.offsets[cluster], prober.offsets[cluster + 1]
-            block = prober.codes[start:stop].astype(np.float64)
-            scanned[cluster] = (
-                (queries @ block.T) * prober._row_scales[start:stop]
-            )
+            block = prober.codes[start:stop].astype(scan.dtype)
+            scanned[cluster] = (scan @ block.T).astype(np.float64)
     candidates = []
     for row, clusters in enumerate(probed):
         position = np.concatenate(
@@ -618,11 +620,12 @@ def _reference_candidates(prober, queries, k, nprobe):
              for c in clusters]
         ).astype(np.int64)
         if prober.quantized and position.size > k:
-            approx = np.concatenate([scanned[c][row] for c in clusters])
-            margin = 0.5 * l1[row] * prober._row_scales[position]
-            margin = margin + 1e-9 * (np.abs(approx) + 1.0)
-            kth = -np.partition(-(approx - margin), k - 1)[k - 1]
-            position = position[approx + margin >= kth]
+            raw = np.concatenate([scanned[c][row] for c in clusters])
+            scales = prober._row_scales[position]
+            upper = (raw + radius[row]) * scales
+            lower = (raw - radius[row]) * scales
+            kth = -np.partition(-lower, k - 1)[k - 1]
+            position = position[upper >= kth]
         candidates.append(np.sort(prober.order[position]))
     return candidates
 
@@ -838,3 +841,154 @@ class TestHttpAnnEndToEnd:
             with pytest.raises(ServingClientError) as excinfo:
                 client.query(0, k=1, **kwargs)
             assert excinfo.value.status == 400, kwargs
+
+
+def _probed_pairs(prober, queries, nprobe):
+    """Every (query row, original target id) pair of the probed lists."""
+    rows, ids = [], []
+    for row, clusters in enumerate(prober.probe(queries, nprobe)):
+        for cluster in clusters:
+            span = prober.order[
+                prober.offsets[cluster]:prober.offsets[cluster + 1]
+            ]
+            rows.append(np.full(span.size, row, dtype=np.int64))
+            ids.append(span)
+    return np.concatenate(rows), np.concatenate(ids)
+
+
+def _check_against_float64_oracle(index, sources, k, nprobe):
+    """The int8 scan's candidates hold every probed pair scoring at least
+    the row's true kth (ties included), and the ANN answer equals the
+    canonical top-k of every probed pair rescored in float64."""
+    queries = weighted_queries(
+        index.exact._source, index.exact._weights, sources
+    )
+    rows, ids = index.prober.select_candidates(queries, k, nprobe)
+    all_rows, all_ids = _probed_pairs(index.prober, queries, nprobe)
+    scores = index.exact.pair_scores(sources[all_rows], all_ids)
+    for row in range(sources.size):
+        mine = all_rows == row
+        row_scores = scores[mine]
+        kth = -np.inf
+        if row_scores.size > k:
+            kth = -np.partition(-row_scores, k - 1)[k - 1]
+        must = set(all_ids[mine][row_scores >= kth].tolist())
+        assert must <= set(ids[rows == row].tolist()), (row, k, nprobe)
+    got = index.top_k(sources, k, mode="ann", nprobe=nprobe)
+    expected = canonical_top_k(all_rows, all_ids, scores, sources.size, k)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])  # bitwise
+
+
+class TestMarginSoundness:
+    """The float32 int8 scan brackets every canonical score."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # Ordinary rows, near-zero ones, float32-subnormal once cast,
+        # flushed to zero by the cast, and exactly zero.
+        magnitude=st.sampled_from([1.0, 1e-20, 1e-41, 1e-47, 0.0]),
+        integer=st.booleans(),
+        k=st.integers(1, 8),
+        nprobe=st.integers(1, 6),
+    )
+    def test_candidates_hold_the_probed_top_k(
+        self, seed, magnitude, integer, k, nprobe
+    ):
+        rng = np.random.default_rng(seed)
+        if integer:  # dense ties at every kth
+            source, target = _integer_embeddings(
+                rng, n_source=12, n_target=120, dims=(4, 3)
+            )
+        else:  # duplicate target rows tie too
+            source, target = _embeddings(
+                rng, n_source=12, n_target=120, dims=(4, 3)
+            )
+        for layer in source:
+            layer[:4] *= magnitude
+        index = AnnIndex(source, target, (0.6, 0.4), n_clusters=6,
+                         seed=seed % 97, quant_rows=16)
+        _check_against_float64_oracle(index, np.arange(12), k, nprobe)
+        # The near-zero rows alone: the whole batch scans at that scale.
+        _check_against_float64_oracle(index, np.arange(4), k, nprobe)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 64),
+        target_scale=st.sampled_from([1.0, 1e-30, 1e30]),
+        # float32-subnormal query entries lose bits in the cast.
+        query_scale=st.sampled_from([1.0, 1e-41, 1e-44, 1e25]),
+    )
+    def test_bounds_hold_at_worst_case_dequantization(
+        self, seed, width, target_scale, query_scale
+    ):
+        # Every target entry sits halfway between two codes and every
+        # query entry leans the way its target rounded, so each row's
+        # own pair meets the dequantization bound exactly and only the
+        # margin's rounding and underflow terms keep it bracketed.
+        from repro.core.scoring import pair_scores
+
+        rng = np.random.default_rng(seed)
+        n = 40
+        target = rng.integers(-126, 126, (n, width)) + 0.5
+        target[0, 0] = 127.0  # fixes the block scale at target_scale/127
+        target *= target_scale / 127
+        state = build_ann_state([target], n_clusters=1, quant_rows=n)
+        prober = AnnProber(state, n_target=n, dim=width)
+        error = target - state["scales"][0] * state["codes"]
+        queries = np.where(error < 0, -1.0, 1.0) * rng.uniform(
+            0.5, 1.0, (n, width)
+        ) * query_scale
+        scan, radius = prober.scan_plan(queries)
+        rows = np.arange(n)
+        upper, lower = prober._bounds(scan, radius, rows, 0, n)
+        scores = pair_scores(
+            [queries], [target], [1.0], np.repeat(rows, n), np.tile(rows, n)
+        ).reshape(n, n)
+        assert (lower <= scores).all()
+        assert (scores <= upper).all()
+
+    @pytest.mark.parametrize(
+        "factor, dtype", [(0.999, np.float32), (1.001, np.float64)]
+    )
+    def test_float32_only_below_the_overflow_cutover(self, factor, dtype):
+        rng = np.random.default_rng(8)
+        source, target = _embeddings(rng, n_source=12, n_target=120,
+                                     dims=(4, 3))
+        weights = (0.6, 0.4)
+        # 127·D·max|q| against float32's maximum over the headroom.
+        cutover = (
+            float(np.finfo(np.float32).max) / SELECT_HEADROOM / (127 * 7)
+        )
+        peak = np.abs(weighted_queries(source, weights, np.arange(12))).max()
+        source = [layer * (factor * cutover / peak) for layer in source]
+        index = AnnIndex(source, target, weights, n_clusters=6, seed=1,
+                         quant_rows=16)
+        queries = weighted_queries(source, weights, np.arange(12))
+        scan, radius = index.prober.scan_plan(queries)
+        assert scan.dtype == dtype
+        assert np.isfinite(radius).all()
+        for k, nprobe in ((1, 2), (5, 6)):
+            _check_against_float64_oracle(index, np.arange(12), k, nprobe)
+
+
+class TestPoisonedSourceRows:
+    def test_full_probe_matches_exact_without_warnings(self):
+        # A NaN and an inf source entry: exact answers those rows with
+        # -inf scores, and full-probe ANN must return the same bits.
+        rng = np.random.default_rng(5)
+        source = [rng.standard_normal((20, 8))]
+        target = [rng.standard_normal((300, 8))]
+        source[0][3, 2] = np.nan
+        source[0][5, 6] = np.inf
+        index = AnnIndex(source, target, [1.0], n_clusters=8)
+        batch = np.arange(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            expected_t, expected_s = index.top_k(batch, k=4)
+            got_t, got_s = index.top_k(batch, k=4, mode="ann", nprobe=8)
+        assert np.array_equal(got_t, expected_t)
+        assert np.array_equal(got_s, expected_s)
+        assert np.isneginf(got_s[[3, 5]]).all()

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observability import MetricsRegistry, SlowQueryLog
 from repro.serving import (
@@ -113,6 +115,42 @@ class TestStripedLRUCache:
         cache.clear()
         assert len(cache) == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(0, 6),
+        stripes=st.integers(1, 4),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.integers(0, 9), max_size=6),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_batch_calls_match_single_calls(self, capacity, stripes, ops):
+        batched, single = MetricsRegistry(), MetricsRegistry()
+        a = StripedLRUCache(capacity, stripes=stripes, registry=batched)
+        b = StripedLRUCache(capacity, stripes=stripes, registry=single)
+        for step, (is_put, keys) in enumerate(ops):
+            if is_put:
+                items = [(key, (step, key)) for key in keys]
+                a.put_many(items)
+                for key, value in items:
+                    b.put(key, value)
+            else:
+                assert a.get_many(keys) == [b.get(key) for key in keys]
+            # Same residency, in the same LRU order, stripe by stripe.
+            assert [list(entries.items()) for _, entries in a._stripes] == [
+                list(entries.items()) for _, entries in b._stripes
+            ]
+        for name in ("hits", "misses", "evictions"):
+            counter = f"serving.cache.{name}"
+            assert (counter in batched) == (counter in single)
+            if counter in batched:
+                assert (
+                    batched.get(counter).value == single.get(counter).value
+                )
+
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             StripedLRUCache(-1)
@@ -204,6 +242,46 @@ class TestQueryMany:
     def test_mixed_k_in_one_batch(self, engine):
         results = engine.query_many([(1, 1), (2, 5), (3, 8)])
         assert [len(r.targets) for r in results] == [1, 5, 8]
+
+    def test_answers_match_single_queries(self, registry):
+        # Mixed k, duplicates and cache hits: each batched answer carries
+        # what query() would answer, apart from latency and cache state.
+        queries = [(0, 1), (5, 3), (9, 2), (5, 3), (2, 80), (7, 4)]
+        with QueryEngine(make_index(registry=registry), batch_size=4,
+                         max_delay_ms=0.0, registry=registry) as engine:
+            engine.query(7, k=4)  # a hit for the batch below
+            batched = engine.query_many(queries, request_id="r0")
+        with QueryEngine(make_index(registry=registry), cache_size=0,
+                         max_delay_ms=0.0, registry=registry) as engine:
+            single = [
+                engine.query(source, k, request_id="r0")
+                for source, k in queries
+            ]
+        assert [r.cached for r in batched] == [
+            False, False, False, False, False, True,
+        ]
+
+        def comparable(result):
+            payload = result.payload()
+            del payload["latency_ms"], payload["cached"]
+            return payload
+
+        assert [comparable(r) for r in batched] == [
+            comparable(r) for r in single
+        ]
+
+    def test_a_chunk_shares_its_latency(self, registry):
+        with QueryEngine(make_index(registry=registry), batch_size=4,
+                         registry=registry) as engine:
+            results = engine.query_many([(i, 2) for i in range(10)])
+        chunks = [results[:4], results[4:8], results[8:]]
+        for chunk in chunks:
+            assert len({id(r.latency_s) for r in chunk}) == 1
+        latencies = [chunk[0].latency_s for chunk in chunks]
+        assert latencies == sorted(latencies)
+        histogram = registry.get("serving.query_latency")
+        assert histogram.count == 10
+        assert registry.get("serving.queries").value == 10
 
     def test_chunks_large_batches(self, registry):
         with QueryEngine(make_index(registry=registry), batch_size=4,
@@ -386,6 +464,21 @@ class TestSlowLogDescriptor:
         assert {d["source"] for d in descriptors} == {0, 1, 2}
         assert all(d["fingerprint"] == "fp0" for d in descriptors)
         assert sum(d["cached"] for d in descriptors) == 1
+
+    def test_zero_threshold_audits_every_answer_once(self, registry):
+        with QueryEngine(make_index(registry=registry), batch_size=3,
+                         max_delay_ms=0.0, registry=registry) as engine:
+            engine.slow_queries = CountingSlowLog(threshold_s=0.0, keep=64)
+            engine.query(4, k=2)
+            queries = [(source, 2) for source in range(8)]
+            engine.query_many(queries)  # source 4 is a cache hit
+        log = engine.slow_queries
+        assert log.built == log.total == 9
+        assert registry.get("serving.slow_queries").value == 9
+        audited = sorted(
+            entry["descriptor"]["source"] for entry in log.recent(64)
+        )
+        assert audited == [0, 1, 2, 3, 4, 4, 5, 6, 7]
 
     def test_degraded_queries_still_log_their_descriptor(self, registry):
         index = DegradedIndex(make_index(registry=registry))
