@@ -37,12 +37,12 @@ forward in capture order (``out=`` only redirects the destination), and
 its per-input VJPs in the order eager's depth-first topological sort
 would fire them (recorded from the capture epoch's graph — reverse-
 creation order is **not** the same and would reorder gradient
-accumulation), with gradient accumulation mirroring
-``Tensor._accumulate`` (unbroadcast, cast to the slot dtype,
-copy-then-add) slot by slot.  The fused ``gcn_layer`` entry composes the
-``matmul``, ``spmm`` and activation entries in eager order on
-single-consumer intermediates, so it keeps the contract too (asserted,
-with gradcheck, in ``tests/test_tape.py``).  The Eq 7 entry
+accumulation), with gradient accumulation going through eager's own
+rule (:func:`~repro.autograd.tensor.accumulated`: unbroadcast, cast to
+the slot dtype, adopt-then-add) slot by slot.  The fused ``gcn_layer``
+entry composes the ``matmul``, ``spmm`` and activation entries in eager
+order on single-consumer intermediates, so it keeps the contract too
+(asserted, with gradcheck, in ``tests/test_tape.py``).  The Eq 7 entry
 (``gram_residual_norm``) needs no pass at all: eager builds it too, so
 both sides run one op.
 
@@ -86,7 +86,7 @@ import numpy as np
 
 from . import dispatch
 from .optable import OPS, Op
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, accumulated
 
 __all__ = ["TapeRecorder", "Tape"]
 
@@ -507,21 +507,17 @@ class Tape:
         return fwd
 
     def _acc(self, grads: list, slot: int, grad: np.ndarray) -> None:
-        """Mirror ``Tensor._accumulate`` for a tape slot."""
+        """Accumulate into a tape slot as ``Tensor._accumulate`` would:
+        a parameter as a leaf, an op output as a graph node."""
         kind = self._slot_kinds[slot]
         if kind == _SLOT_PARAM:
             self._params[slot]._accumulate(grad)
             return
         if kind == _SLOT_CONST:
             return
-        value = self._values[slot]
-        grad = _unbroadcast(
-            np.asarray(grad, dtype=value.dtype), value.shape
+        grads[slot] = accumulated(
+            grads[slot], grad, self._values[slot], adopt=True
         )
-        if grads[slot] is None:
-            grads[slot] = grad.copy()
-        else:
-            grads[slot] += grad
 
     def _backward_kernel(
         self, op: _TapeOp, entry: Op
@@ -593,15 +589,16 @@ class Tape:
         for slot, seed in zip(self._output_slots, seeds):
             if seed is not None:
                 self._acc(grads, slot, seed)
+        # Each slot's gradient is dropped once its op has used it.
         if not observed:
             for op in self._backward_ops:
-                grad = grads[op.out]
+                grad, grads[op.out] = grads[op.out], None
                 if grad is not None:
                     op.bwd(grads, grad)
             return
         kernel_time = 0.0
         for op in self._backward_ops:
-            grad = grads[op.out]
+            grad, grads[op.out] = grads[op.out], None
             if grad is not None:
                 kernel_time += dispatch.kernel(
                     op.kind, "backward", op.bwd_flops, op.shape,

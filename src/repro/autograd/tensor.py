@@ -94,6 +94,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def accumulated(current: Optional[np.ndarray], grad: np.ndarray,
+                like: np.ndarray, adopt: bool) -> np.ndarray:
+    """``current`` plus one gradient contribution for the value ``like``.
+
+    The contribution is cast to ``like``'s dtype and unbroadcast to its
+    shape.  A leaf (``adopt=False``) copies its first contribution and
+    adds later ones in place: clipping and the optimizers write parameter
+    gradients in place, so a leaf must own its buffer.  A graph node
+    (``adopt=True``) keeps its first C-contiguous contribution as is and
+    allocates ``current + grad`` for a later one, never writing into an
+    array it adopted; that relies on no VJP writing into its incoming
+    gradient.  ``a + b`` has the bits of ``a.copy(); a += b``, so both
+    rules give the same values and every gradient is C-contiguous, as a
+    copy would be.  Eager (:meth:`Tensor._accumulate`) and the tape's
+    reverse pass accumulate through this one function.
+    """
+    grad = _unbroadcast(np.asarray(grad, dtype=like.dtype), like.shape)
+    if current is None:
+        return grad if adopt and grad.flags.c_contiguous else grad.copy()
+    if adopt:
+        return np.add(current, grad, order="C")
+    current += grad
+    return current
+
+
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff.
 
@@ -205,11 +230,9 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad += grad
+        self.grad = accumulated(
+            self.grad, grad, self.data, adopt=self._backward is not None
+        )
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -235,17 +258,16 @@ class Tensor:
 
         order = self._topological_order()
         self._accumulate(seed)
+        # A non-leaf's gradient is complete when its turn comes; it is
+        # handed to the node's backward and dropped, so each buffer is
+        # freed once used.  Leaves keep accumulating across calls (the
+        # contract optimizers rely on), but a non-leaf retaining its grad
+        # would re-propagate old+new seed on a second backward() over the
+        # same graph, double-counting every leaf gradient.
         for node in order:
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        # Drop intermediate gradient buffers: leaves keep accumulating
-        # across calls (that is the contract optimizers rely on), but a
-        # non-leaf retaining its grad would re-propagate old+new seed on
-        # a second backward() over the same graph, double-counting every
-        # leaf gradient.  Clearing here also frees the buffers early.
-        for node in order:
-            if node._backward is not None:
-                node.grad = None
+                grad, node.grad = node.grad, None
+                node._backward(grad)
 
     def _topological_order(self) -> list:
         """Nodes reachable from self, outputs first (reverse topological)."""

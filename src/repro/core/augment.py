@@ -14,13 +14,8 @@ from typing import List
 
 import numpy as np
 
-from ..graphs import (
-    AttributedGraph,
-    apply_permutation,
-    attribute_noise,
-    random_permutation,
-    structural_noise,
-)
+from ..graphs import AttributedGraph, apply_permutation, random_permutation
+from ..graphs.noise import kept_edges, new_edges, noisy_features
 
 __all__ = ["AugmentedView", "GraphAugmenter"]
 
@@ -76,7 +71,17 @@ class GraphAugmenter:
     def augment_once(
         self, graph: AttributedGraph, rng: np.random.Generator
     ) -> AugmentedView:
-        """Produce a single perturbed copy with its node correspondence."""
+        """Produce a single perturbed copy with its node correspondence.
+
+        The view is the permuted graph put through
+        ``structural_noise(mode="both")`` and then ``attribute_noise``,
+        with the same random draws in the same order, but the edges and
+        features go through those steps as arrays and one graph is built
+        at the end.  Removal draws one uniform per edge in the order of
+        the permuted graph's ``edge_list()`` (``P A Pᵀ`` leaves its CSR
+        rows unsorted, so that order is not lexicographic); the graph
+        built from the surviving and added edges is canonical either way.
+        """
         n = graph.num_nodes
         if self.permute:
             permutation = random_permutation(n, rng)
@@ -84,12 +89,20 @@ class GraphAugmenter:
         else:
             permutation = np.arange(n)
             augmented = graph.copy()
+        features = augmented.features
         if self.structure_noise > 0.0:
-            augmented = structural_noise(
-                augmented, self.structure_noise, rng, mode="both"
-            )
+            half = self.structure_noise / 2.0
+            edges = kept_edges(augmented.edge_list(), half, rng)
+            added = new_edges(n, edges, int(round(half * len(edges))), rng)
         if self.attribute_noise_level > 0.0:
-            augmented = attribute_noise(augmented, self.attribute_noise_level, rng)
+            features = noisy_features(features, self.attribute_noise_level, rng)
+        if self.structure_noise > 0.0:
+            augmented = AttributedGraph.from_edges(
+                n, np.concatenate([edges, added]), features,
+                augmented.node_labels,
+            )
+        elif self.attribute_noise_level > 0.0:
+            augmented = augmented.with_features(features)
         return AugmentedView(graph=augmented, correspondence=permutation)
 
     def augment(

@@ -45,6 +45,7 @@ bit-identical arrays.  Metrics land under ``serving.ann.*``.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -221,7 +222,10 @@ def quantize_int8(
     shares one scale ``max|x| / 127``; codes are
     ``clip(rint(x / scale), -127, 127)``, so
     ``|x - scale·code| <= scale / 2`` elementwise (an all-zero block
-    gets ``scale = 0`` and exact zero codes).
+    gets ``scale = 0`` and exact zero codes).  In the subnormal tail
+    ``max|x| / 127`` underflows to 0 or rounds coarsely; there the scale
+    steps up to the next float until ``rint(max|x| / scale) <= 127``, so
+    no code clips and the bound holds for every nonzero block.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -237,6 +241,8 @@ def quantize_int8(
         stop = min(start + quant_rows, n)
         peak = float(np.abs(matrix[start:stop]).max()) if stop > start else 0.0
         scale = peak / 127.0
+        while peak > 0.0 and (scale == 0.0 or np.rint(peak / scale) > 127):
+            scale = math.nextafter(scale, math.inf)
         scales[block] = scale
         if scale == 0.0:
             codes[start:stop] = 0

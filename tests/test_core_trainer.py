@@ -1,11 +1,15 @@
 """Tests for the Alg 1 training loop and its weight-sharing mechanism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import GAlignConfig, GAlignTrainer
 from repro.core.trainer import TrainingLog
-from repro.graphs import AlignmentPair, generators, noisy_copy_pair
+from repro.graphs import (
+    AlignmentPair, allmovie_imdb_like, generators, noisy_copy_pair,
+)
 
 
 def config(**kwargs):
@@ -91,3 +95,24 @@ class TestTrainer:
         # total == consistency when gamma == 1 (within float tolerance).
         for total, consistency in zip(log.total, log.consistency):
             assert total == pytest.approx(consistency, rel=1e-9)
+
+
+class TestTrainingMemory:
+    def test_capture_epoch_frees_used_gradients(self):
+        # Two compiled epochs on the benchmark pair (601/571 nodes): the
+        # eager capture epoch drops each graph node's gradient once its
+        # backward has used it, and adopts first contributions without a
+        # copy.  Holding every gradient to the end of the pass peaked at
+        # ~115 MiB here; freeing them peaks at ~82 MiB.
+        pair = allmovie_imdb_like(np.random.default_rng(20200420), scale=0.1)
+        trainer = GAlignTrainer(
+            GAlignConfig(seed=20200420, compile=True, epochs=2),
+            np.random.default_rng(20200420),
+        )
+        tracemalloc.start()
+        try:
+            trainer.train(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, f"training peaked at {peak / 2**20:.1f} MiB"

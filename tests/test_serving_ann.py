@@ -72,6 +72,43 @@ class TestQuantization:
             np.abs(matrix - recon) <= per_row_scale[:, None] / 2 + 1e-15
         ).all()
 
+    @staticmethod
+    def _assert_half_scale_bound(matrix, quant_rows):
+        """``|x − scale·code| <= scale/2`` with codes inside ±127 and a
+        1e-9 relative allowance, checked after an exact power-of-two
+        lift out of the subnormal range."""
+        codes, scales = quantize_int8(matrix, quant_rows=quant_rows)
+        row_scale = np.repeat(scales, quant_rows)[: matrix.shape[0], None]
+        lift = 2.0 ** 1000
+        error = np.abs(matrix * lift - (row_scale * lift) * codes)
+        assert (error <= (row_scale * lift) / 2 * (1 + 1e-9)).all()
+        assert (np.abs(codes.astype(np.int64)) <= 127).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        peaks=st.lists(
+            st.floats(min_value=5e-324, max_value=1e-300),
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_half_scale_bound_across_subnormal_tail(self, peaks, seed):
+        # One block per peak: entries uniform in [-peak, peak], one of
+        # them the peak itself.
+        rng = np.random.default_rng(seed)
+        rows = []
+        for peak in peaks:
+            block = rng.uniform(-1.0, 1.0, size=(2, 3)) * peak
+            block[0, 0] = peak
+            rows.append(block)
+        self._assert_half_scale_bound(np.vstack(rows), quant_rows=2)
+
+    def test_smallest_subnormal_gets_a_scale(self):
+        matrix = np.array([[5e-324, 0.0]])
+        codes, scales = quantize_int8(matrix)
+        assert scales[0] > 0.0 and codes[0, 0] != 0
+        self._assert_half_scale_bound(matrix, quant_rows=512)
+
     def test_zero_block_is_exact(self):
         matrix = np.zeros((8, 3))
         codes, scales = quantize_int8(matrix, quant_rows=4)

@@ -252,3 +252,36 @@ def test_gradchecks_cover_every_table_kind():
         for tape in _float64_tapes(loss_fn):
             checked.update(tape.op_kinds())
     assert checked == set(OPS)
+
+
+def _frozen(array):
+    """A read-only copy: any write into it raises."""
+    array = np.array(array)
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_vjp_writes_into_its_incoming_gradient(name):
+    """The contract behind gradient adoption: a graph node keeps its
+    first gradient contribution without a copy (``accumulated``), which
+    is sound only if no pullback or VJP writes into the gradient it is
+    given.  Every op of every case, fused and unfused, runs its pullback
+    and each VJP with read-only ``g``, ``ins`` and ``out``; the cases
+    cover every table kind (``test_cases_cover_every_table_kind``)."""
+    loss_fn, _params = make_case(name)
+    recorder, total = _capture(loss_fn)
+    rng = np.random.default_rng(1)
+    for fuse in (False, True):
+        tape = recorder.finalize([total], fuse=fuse, reuse_buffers=False)
+        tape.replay()
+        for op in tape._forward:
+            entry = OPS[op.kind]
+            ins = [_frozen(tape._values[slot]) for slot in op.inputs]
+            out = _frozen(tape._values[op.out])
+            g = _frozen(rng.normal(size=out.shape))
+            if entry.pullback is not None:
+                g = _frozen(entry.pullback(g, ins, out, op.meta))
+            for position in range(len(ins)):
+                entry.vjps[position](g, ins, out, op.meta)
+
