@@ -329,9 +329,10 @@ TARGET_BLOCK = 512
 #: float32 score blocks of width 512 (one core, after the first block)
 #: a dense push cost 13-19 / 61-68 / 112-116 / 221-226 / 463-483 µs at
 #: 1 / 32 / 64 / 128 / 256 rows and a compare-first one 23 / 48-57 / 60
-#: / 85-91 / 140-152 µs.  The ANN prober's per-cluster pushes (20-58
-#: rows at nprobe 8) keep more of their entries and ran 10-20 % slower
-#: compare-first, so the threshold sits at about twice their height.
+#: / 85-91 / 140-152 µs.  Blocks of 20-58 rows that keep many of their
+#: entries (the ANN prober's per-cluster pushes at nprobe 8, measured
+#: when it still selected through this class) ran 10-20 % slower
+#: compare-first, so the threshold sits at about twice that height.
 TALL_BLOCK = 128
 
 
@@ -347,13 +348,13 @@ class RunningTopK:
     full row is ever held or sorted.
 
     Two merges raise kth, to the same values with the same survivors.  A
-    short block (a lone query, a microbatch, an ANN per-cluster push) or
-    one with a row whose kth is still ``-inf`` is merged densely: one
-    ``partition`` of the buffer concatenated with the whole block.  A
-    block of at least :data:`TALL_BLOCK` rows is otherwise merged
-    compare-first: one compare against ``kth - slack`` in the block's
-    dtype finds the few entries that can raise kth or survive, and only
-    they are partitioned with their rows' buffers.
+    short block (a lone query, a microbatch) or one with a row whose kth
+    is still ``-inf`` is merged densely: one ``partition`` of the buffer
+    concatenated with the whole block.  A block of at least
+    :data:`TALL_BLOCK` rows is otherwise merged compare-first: one
+    compare against ``kth - slack`` in the block's dtype finds the few
+    entries that can raise kth or survive, and only they are partitioned
+    with their rows' buffers.
     """
 
     def __init__(self, batch: int, k: int) -> None:
@@ -374,29 +375,23 @@ class RunningTopK:
         block: np.ndarray,
         start: int = 0,
         rows: Optional[np.ndarray] = None,
-        bound: Optional[np.ndarray] = None,
         slack: Optional[np.ndarray] = None,
     ) -> None:
         """Fold in ``block``: the values of ids ``[start, start + width)``
         for batch ``rows`` (every row when ``None``).
 
-        ``bound`` (default: ``block``) holds the values that raise kth.
-        A caller with bracketed estimates passes lower bounds here and
-        upper bounds as ``block``, so a kept entry is one whose upper
-        bound reaches the k-th best lower bound.  ``slack`` (per block
-        row, ``>= 0``; :func:`score_slack`) lowers the bar to
-        ``kth - slack``.  ``block`` and ``bound`` hold no NaN
+        ``slack`` (per block row, ``>= 0``; :func:`score_slack`) lowers
+        the bar to ``kth - slack``.  ``block`` holds no NaN
         (:func:`score_block` sets non-finite entries to ``-inf``).
         """
-        bound = block if bound is None else bound
         index = slice(None) if rows is None else rows
         kth = self.kth[index]
         tall = block.shape[0] >= TALL_BLOCK and kth.min() > -np.inf
         if tall:
-            hit = self._merge_hits(block, bound, rows, kth, slack)
+            hit = self._merge_hits(block, rows, kth, slack)
         else:
-            merged = np.concatenate([self._best[index], bound], axis=1)
-            merged.partition(bound.shape[1], axis=1)
+            merged = np.concatenate([self._best[index], block], axis=1)
+            merged.partition(block.shape[1], axis=1)
             self._best[index] = merged[:, -self.k:]
             del merged  # a block-sized copy: freed before the hit mask
         kth = self.kth[index]
@@ -414,7 +409,6 @@ class RunningTopK:
     def _merge_hits(
         self,
         block: np.ndarray,
-        bound: np.ndarray,
         rows: Optional[np.ndarray],
         kth: np.ndarray,
         slack: Optional[np.ndarray],
@@ -422,15 +416,15 @@ class RunningTopK:
         """Raise kth from the entries reaching ``kth - slack``; return
         their flat indices into ``block``, in row-major order.
 
-        An entry that can raise kth has ``block >= bound > kth >= kth -
-        slack``, and a survivor of the raised kth is at least the old
+        An entry that can raise kth has ``block > kth >= kth - slack``,
+        and a survivor of the raised kth is at least the old
         ``kth - slack``.  That floor is compared in ``block``'s dtype: the
         cast rounds it to one of its two neighbours there, the lower of
         which only adds hits and the upper of which is the least value
         reaching the floor, so no entry reaching the floor is lost.  Each
-        touched row's buffer is partitioned with its hits' ``bound``
-        values (padded with ``-inf``, which a finite kth keeps out), so
-        the new buffer holds the dense merge's values.
+        touched row's buffer is partitioned with its hits' values (padded
+        with ``-inf``, which a finite kth keeps out), so the new buffer
+        holds the dense merge's values.
         """
         floor = kth if slack is None else kth - slack
         with np.errstate(over="ignore"):  # past float32's range: ±inf
@@ -452,7 +446,7 @@ class RunningTopK:
         widest = int(counts.max())
         merged = np.full((touched.size, self.k + widest), -np.inf)
         merged[:, :self.k] = self._best[touched]
-        merged[slots, places] = np.take(bound, hit)
+        merged[slots, places] = np.take(block, hit)
         merged.partition(widest, axis=1)
         self._best[touched] = merged[:, -self.k:]
         return hit

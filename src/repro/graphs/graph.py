@@ -42,12 +42,16 @@ class AttributedGraph:
         features: Optional[np.ndarray] = None,
         node_labels: Optional[Sequence] = None,
     ) -> None:
-        adj = sp.csr_matrix(adjacency, dtype=np.float64)
+        # A copy: the caller's CSR arrays are not edited below.
+        adj = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
         if adj.shape[0] != adj.shape[1]:
             raise GraphValidationError(
                 f"adjacency must be square, got {adj.shape}"
             )
-        adj.setdiag(0.0)
+        # Zero the stored diagonal entries (each entry's row against its
+        # column), then drop them with every other stored zero.
+        entry_rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+        adj.data[adj.indices == entry_rows] = 0.0
         adj.eliminate_zeros()
         # Symmetrize: edge present if present in either direction.
         adj = adj.maximum(adj.T)

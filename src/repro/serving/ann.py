@@ -25,18 +25,26 @@ exactness escape hatch:
   with float32 GEMMs (float64 when the query magnitudes could overflow
   float32), and each approximate score is bracketed by a rank-1 margin
   ``scale_block · h · ‖θ-weighted query‖₁`` with ``h`` a little above
-  ``½`` (:meth:`AnnProber.select_candidates` derives it).  Rows whose
-  *upper* bound clears the kth-best *lower* bound are rescored **pair
-  by pair** with :func:`~repro.core.scoring.pair_scores`, the canonical
-  score every exact path reports.  The margin is a proof, not a
-  heuristic: the candidates always hold every true top-k member (ties
+  ``½`` (:meth:`AnnProber.select_candidates` derives it).  Pairs whose
+  *upper* bound clears their row's kth-best *lower* bound are rescored
+  **pair by pair** with :func:`~repro.core.scoring.pair_scores`, the
+  canonical score every exact path reports.  The margin is a proof, not
+  a heuristic: the candidates always hold every true top-k member (ties
   included), so with ``nprobe == n_clusters`` the ANN answer is
   **bitwise identical** to :meth:`AlignmentIndex.top_k`.  With smaller
   ``nprobe`` the only approximation is *which clusters are probed*.
+* **Brackets for the hits only** — each row's kth-best lower bound over
+  its nearest probed list is a floor under its final kth (raised from
+  every probed list when it lets too many pairs through), so one float32
+  compare of the raw scan against that floor, in code units, finds the
+  few pairs per row that can be candidates, and only they are bracketed
+  in float64.
 
-Neither phase holds a (batch × n_target) matrix or scores an exact
-block: the int8 scan runs list by list against only the rows that
-probed each list, and the rescoring reads only the candidates' rows.
+Neither phase scores an exact block: the int8 scan runs list by list
+against only the rows that probed each list and holds its values for
+the probed pairs alone, at most :data:`_SCAN_PAIRS` of them at a time
+unless one row probes more (a larger batch is selected in row slices);
+the rescoring reads only the candidates' rows.
 
 Everything is deterministic: seeded RNG, fixed chunk sizes, canonical
 tie orders; building the same state twice (in any process) yields
@@ -54,7 +62,6 @@ import scipy.sparse as sp
 
 from ..core.scoring import (
     SELECT_HEADROOM,
-    RunningTopK,
     _finite_max_abs,
     canonical_top_k,
 )
@@ -87,10 +94,99 @@ _SEED_CHUNK = 512
 #: Largest ``|code|`` of :func:`quantize_int8`.
 _CODE_MAX = 127
 
+#: Probed (row, target) pairs whose scan values one selection pass holds
+#: (16 MiB in float32); a batch probing more is selected in row slices.
+_SCAN_PAIRS = 1 << 22
+
+#: Hits per row and per k past which the nearest list's floor counts as
+#: weak and every probed list's kth raises it.  On serve-batch's planted
+#: embeddings the nearest list lets ~3 per k through; on unclustered
+#: 3×64 Gaussian ones ~121, and ~10 once raised.
+_FLOOR_HITS = 16
+
+#: One-value steps :func:`_code_floors` takes each way from its first
+#: guess; a floor still unsettled keeps every pair (``-inf``) or a lower,
+#: sound value.
+_FLOOR_STEPS = 4
+
 
 def _gamma(n: int, unit: float) -> float:
     """Higham's ``γ_n = n·u / (1 - n·u)`` (``inf`` once ``n·u >= 1``)."""
     return n * unit / (1 - n * unit) if n * unit < 1 else np.inf
+
+
+def _bracket(
+    raw: np.ndarray, radius: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
+    """``scale·(raw + radius)`` in float64: the upper bound, or the lower
+    one for a negated radius (``a + (-b)`` rounds as ``a - b``)."""
+    return np.add(raw, radius) * scales  # float64: raw is widened exactly
+
+
+def _code_floors(
+    floor: np.ndarray, radius: np.ndarray, scales: np.ndarray,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Per entry, the floor in code units: the least ``dtype`` value ``t``
+    whose ``upper = scale·(t + radius)`` reaches ``floor``.
+
+    ``upper`` as :func:`_bracket` forms it never decreases as its raw
+    value grows: the exact widening, the sum, the product by ``scale >=
+    0`` and each rounding keep order.  ``t`` starts from the float64
+    solution ``floor/scale - radius`` rounded into ``dtype``, whose
+    roundings may leave it a value or two off.  It steps down while the
+    value just below it still reaches the floor, then up while it falls
+    short of it.  Every step keeps the value just below ``t`` short of
+    the floor, so by monotonicity every smaller raw value is too: a raw
+    value whose upper bound reaches the floor is ``>= t``, and the
+    ``dtype`` compare ``raw >= t`` keeps it.  A floor still stepping down
+    after :data:`_FLOOR_STEPS` steps gets ``-inf``; one still stepping
+    up keeps its last, lower ``t``.  A ``-inf`` floor gives ``-inf``; a
+    zero scale gives ``upper = 0``, so ``-inf`` when ``floor <= 0`` and
+    ``inf`` otherwise.
+    """
+    code = np.full(floor.shape, -np.inf, dtype=dtype)
+    code[(floor > 0) & (scales == 0)] = np.inf
+    live = np.flatnonzero((floor > -np.inf) & (scales > 0))
+    floor, radius, scales = floor[live], radius[live], scales[live]
+    with np.errstate(over="ignore"):  # past dtype's range: ±inf
+        guess = (floor / scales - radius).astype(dtype)
+
+    def reaches(values, at):
+        return _bracket(values, radius[at], scales[at]) >= floor[at]
+
+    down, up = dtype.type(-np.inf), dtype.type(np.inf)
+    pending = np.arange(live.size)
+    for _ in range(_FLOOR_STEPS):
+        below = np.nextafter(guess[pending], down)
+        lower = reaches(below, pending)
+        pending = pending[lower]
+        guess[pending] = below[lower]
+        if pending.size == 0:
+            break
+    else:
+        guess[pending] = -np.inf
+    pending = np.flatnonzero(guess > -np.inf)
+    for _ in range(_FLOOR_STEPS):
+        pending = pending[~reaches(guess[pending], pending)]
+        guess[pending] = np.nextafter(guess[pending], up)
+        if pending.size == 0:
+            break
+    code[live] = guess
+    return code
+
+
+def _kth_per_row(
+    rows: np.ndarray, values: np.ndarray, batch: int, k: int
+) -> np.ndarray:
+    """Each batch row's kth-largest of its ``values`` (``-inf`` below k)."""
+    order = np.argsort(values)
+    order = order[np.argsort(rows[order], kind="stable")]
+    counts = np.bincount(rows, minlength=batch)
+    full = counts >= k
+    kth = np.full(batch, -np.inf)
+    kth[full] = values[order[np.cumsum(counts)[full] - k]]
+    return kth
 
 
 def _assign_clusters(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -539,21 +635,28 @@ class AnnProber:
             return None
         return queries.astype(dtype, copy=False), radius
 
+    def _scan(
+        self, scan: np.ndarray, rows: np.ndarray, start: int, stop: int,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``raw = codes[start:stop] @ scan[rows]ᵀ``, list × rows: the
+        list's codes cast to ``scan``'s dtype (exact: ``|c| <= 127``) on
+        the left of one GEMM."""
+        return np.matmul(
+            self.codes[start:stop].astype(scan.dtype), scan[rows].T, out=out
+        )
+
     def _bounds(
         self, scan: np.ndarray, radius: np.ndarray, rows: np.ndarray,
         start: int, stop: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """float64 ``(upper, lower)`` of ``rows`` against the remapped
-        targets ``[start, stop)``: one GEMM in ``scan``'s dtype, then
+        targets ``[start, stop)``, rows × targets: :meth:`_scan`, then
         ``scale·(raw ± radius)``."""
-        raw = scan[rows] @ self.codes[start:stop].astype(scan.dtype).T
+        raw = self._scan(scan, rows, start, stop).T
         reach = radius[rows, None]
         scales = self._row_scales[start:stop]
-        upper = np.add(raw, reach)  # float64: raw is widened exactly
-        upper *= scales
-        lower = np.subtract(raw, reach)
-        lower *= scales
-        return upper, lower
+        return _bracket(raw, reach, scales), _bracket(raw, -reach, scales)
 
     def select_candidates(
         self,
@@ -562,14 +665,13 @@ class AnnProber:
         nprobe: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, ids)``: the (query row, original target id) pairs to
-        float-rescore, as two flat arrays.
+        float-rescore, as two flat arrays in no particular order.
 
-        Probed lists are scanned cluster by cluster, each against only
-        the rows that probed it.  Quantized path: each list's codes are
-        cast to the :meth:`scan_plan` dtype (exact: ``|c| <= 127``) and
-        scored by one GEMM, ``raw = q[rows] @ codesᵀ``; then, in
-        float64, ``upper = scale·(raw + r)`` and ``lower = scale·(raw -
-        r)`` with the row's radius ``r = h·‖q‖₁ + η`` and
+        Quantized path: each probed list is scored by one GEMM against
+        only the rows that probed it, ``raw = codes · q[rows]ᵀ`` in the
+        :meth:`scan_plan` dtype (:meth:`_scan`).  Each pair is bracketed
+        in float64 by ``upper = scale·(raw + r)`` and ``lower = scale·(raw
+        - r)`` with the row's radius ``r = h·‖q‖₁ + η`` and
 
             ``h = ½ + 127·γ_{D+1} + 128·γ⁶⁴_{3D+8}``,
 
@@ -595,71 +697,82 @@ class AnnProber:
           that land below them (flushed to zero included), on either
           side; an all-zero block (scale 0) scans exactly.
 
-        A pair survives when its upper bound reaches the row's
-        kth-largest lower bound over all its probed lists, which
-        guarantees every pair scoring at least the true kth over the
-        probed set (boundary ties included) is a candidate.  The kth is
-        the :class:`~repro.core.scoring.RunningTopK` one
-        :meth:`AlignmentIndex.top_k` uses, fed the lower bounds: it only
-        rises, so a pair dropped against it is below the final kth too,
-        and a last filter applies the final value.  Non-finite bounds (a
-        row with a NaN or infinite entry) are set to ``-inf``, as
-        :func:`~repro.core.scoring.score_block` does, so such a row
-        keeps every probed pair.  Rows with at most ``k`` probed targets
-        keep them all; unquantized state, or a batch whose bounds could
-        overflow float64, keeps every probed pair.
+        A pair is a candidate when its upper bound reaches its row's
+        kth-largest lower bound over all the row's probed pairs (``-inf``
+        below k pairs), so every pair scoring at least the true kth over
+        the probed set, boundary ties included, is rescored.  Only a few
+        pairs per row can reach it, so the float64 brackets are formed
+        for those alone, in three steps (:meth:`_bracketed_pairs`):
+
+        1. the raw blocks of every probed list are kept for the call;
+        2. each row's *floor* is the kth-largest lower bound over its
+           nearest probed list (probe slot 0), ``-inf`` when that list
+           holds fewer than k targets.  The list is part of the row's
+           probed set, so the floor never exceeds the final kth;
+        3. each list is compared with the floor in ``raw``'s dtype, one
+           compare per quantization block it spans, against the floor in
+           code units (:func:`_code_floors`): every pair whose upper
+           bound reaches the floor is a hit.  Past :data:`_FLOOR_HITS`
+           hits per row and per k, the nearest list said little about
+           the top-k, so the floor is raised and the lists compared
+           again.  In every probed list of at least k targets, with
+           ``x`` the row's kth-largest raw value there, k pairs have
+           ``raw >= x`` and so ``lower >= scale·(x - r)`` for their
+           block: the least ``scale·(x - r)`` over the list's blocks is
+           at most the list's kth-largest lower bound, and the raised
+           floor is the largest of these and the first.  The brackets
+           are formed for the hits only; the k largest lower bounds have
+           ``upper >= lower >= kth >= floor``, so they are hits and the
+           hits' kth is the final kth, and the hits whose upper bound
+           reaches it are the candidates.
+
+        Non-finite bounds (a row with a NaN or infinite entry) are set to
+        ``-inf``, as :func:`~repro.core.scoring.score_block` does, so
+        such a row keeps every probed pair: it scans as zeros, so its
+        floor in code units is ``-inf`` and every pair is a hit.
+        Unquantized state, or a batch whose bounds could overflow
+        float64, keeps every probed pair.  A batch probing more than
+        :data:`_SCAN_PAIRS` pairs is selected in row slices, so the raw
+        blocks held stay bounded.
         """
         registry = self._registry()
         started = time.perf_counter()
         batch = queries.shape[0]
-        probed = self.probe(queries, nprobe).ravel()
-        # The rows that probed each cluster, grouped by ascending cluster.
-        by_cluster = np.argsort(probed, kind="stable")
-        probe_rows = by_cluster // nprobe
-        edges = np.searchsorted(
-            probed[by_cluster], np.arange(self.n_clusters + 1)
-        )
+        probed = self.probe(queries, nprobe)
+        per_row = np.diff(self.offsets)[probed].sum(axis=1)
+        rows_probed = int(per_row.sum())
         plan = self.scan_plan(queries) if self.quantized else None
-        if plan is not None:
-            scan, radius = plan
-            sanitize = not np.isfinite(radius).all()
-            # Running kth over the lower bounds: -inf until a row has
-            # seen k probed targets, so its kth keeps everything.
-            selector = RunningTopK(batch, k)
-        kept_rows = [np.empty(0, dtype=np.int64)]
-        kept_positions = [np.empty(0, dtype=np.int64)]
-        rows_probed = 0
-        # A poisoned row's scan meets inf·0 and inf - inf; its bounds are
-        # set to -inf below, so the invalid-value warnings say nothing.
-        with np.errstate(invalid="ignore"):
-            for cluster in np.flatnonzero(np.diff(edges)):
-                start, stop = (
-                    self.offsets[cluster], self.offsets[cluster + 1]
-                )
-                if stop <= start:
-                    continue
-                rows = probe_rows[edges[cluster]:edges[cluster + 1]]
-                rows_probed += rows.size * (stop - start)
-                if plan is None:
-                    kept_rows.append(np.repeat(rows, stop - start))
-                    kept_positions.append(
-                        np.tile(np.arange(start, stop), rows.size)
-                    )
-                    continue
-                upper, lower = self._bounds(scan, radius, rows, start, stop)
-                if sanitize:
-                    upper[~np.isfinite(upper)] = -np.inf
-                    lower[~np.isfinite(lower)] = -np.inf
-                selector.push(upper, start, rows=rows, bound=lower)
-        if plan is not None:
-            rows, positions, _ = selector.candidates()
+        if plan is None:
+            rows, positions = self._every_pair(probed)
         else:
+            scan, radius = plan
+            if not np.isfinite(radius).all():
+                scan = np.where(np.isfinite(radius)[:, None], scan, 0)
+            step = max(1, _SCAN_PAIRS // int(per_row.max(initial=1)))
+            kept_rows = [np.empty(0, dtype=np.int64)]
+            kept_positions = [np.empty(0, dtype=np.int64)]
+            hits = 0
+            # A poisoned row's radius meets a zero scale as inf·0; its
+            # bounds are set to -inf, so the invalid-value warnings say
+            # nothing.
+            with np.errstate(invalid="ignore"):
+                for lo in range(0, batch, step):
+                    part_rows, part_positions, part_hits = (
+                        self._bracketed_pairs(
+                            scan[lo:lo + step], radius[lo:lo + step],
+                            probed[lo:lo + step], k,
+                        )
+                    )
+                    kept_rows.append(part_rows + lo)
+                    kept_positions.append(part_positions)
+                    hits += part_hits
             rows = np.concatenate(kept_rows)
             positions = np.concatenate(kept_positions)
+            registry.increment("serving.ann.prefilter_hits", hits)
 
         registry.increment("serving.ann.queries", batch)
         registry.increment("serving.ann.lists_probed", nprobe * batch)
-        registry.increment("serving.ann.rows_probed", int(rows_probed))
+        registry.increment("serving.ann.rows_probed", rows_probed)
         registry.increment("serving.ann.candidates_rescored", rows.size)
         registry.observe(
             "serving.ann.probe_fraction", nprobe / self.n_clusters
@@ -674,6 +787,142 @@ class AnnProber:
             "serving.ann.probe_time", time.perf_counter() - started
         )
         return rows, self.order[positions]
+
+    def _every_pair(self, probed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every probed ``(row, remapped position)`` pair."""
+        lists = probed.ravel()
+        sizes = np.diff(self.offsets)[lists]
+        rows = np.repeat(np.arange(probed.shape[0]), probed.shape[1])
+        # Position = list start + offset of the pair within its list.
+        shift = self.offsets[lists] - (np.cumsum(sizes) - sizes)
+        return (
+            np.repeat(rows, sizes),
+            np.repeat(shift, sizes) + np.arange(int(sizes.sum())),
+        )
+
+    def _bracketed_pairs(
+        self, scan: np.ndarray, radius: np.ndarray, probed: np.ndarray,
+        k: int,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The candidate ``(row, remapped position)`` pairs of
+        :meth:`select_candidates`' quantized path, for the batch rows of
+        ``scan`` (a poisoned row already zeroed) and their ``probed``
+        lists, and the number of pairs whose upper bound reaches their
+        row's floor (the hits the float64 brackets are formed for)."""
+        batch, nprobe = probed.shape
+        # (row, slot) entries grouped by list, each list's nearest-slot
+        # entries first: key = list·nprobe + slot, stable over rows.
+        key = (probed * nprobe + np.arange(nprobe)).ravel()
+        order = np.argsort(key, kind="stable")
+        entry_rows = order // nprobe
+        key = key[order]
+        bounds = np.searchsorted(key, np.arange(self.n_clusters + 1) * nprobe)
+        nearest = np.searchsorted(key, np.arange(self.n_clusters) * nprobe + 1)
+        lengths = np.diff(self.offsets)
+        lists = np.flatnonzero((np.diff(bounds) > 0) & (lengths > 0))
+        starts = self.offsets[lists]
+        sizes = lengths[lists]
+        firsts = bounds[lists]
+        heights = bounds[lists + 1] - firsts
+        bases = np.concatenate([[0], np.cumsum(sizes * heights)])
+        # Quantization blocks each list spans, as (list, block, row)
+        # cells laid out list by list, block-major.
+        quant = self.quant_rows
+        first_blocks = starts // quant
+        spans = (starts + sizes - 1) // quant - first_blocks + 1
+        cells = np.concatenate([[0], np.cumsum(spans * heights)])
+        geometry = list(zip(
+            starts.tolist(), sizes.tolist(), firsts.tolist(),
+            heights.tolist(), bases.tolist(), first_blocks.tolist(),
+            spans.tolist(), cells.tolist(),
+        ))
+
+        raw = np.empty(int(bases[-1]), dtype=scan.dtype)
+        nearest_floors = np.full(entry_rows.size, -np.inf)
+        reach = -radius[entry_rows]
+        scanned = []
+        for (start, size, first, height, base, *_), near in zip(
+            geometry, (nearest[lists] - firsts).tolist()
+        ):
+            values = raw[base:base + size * height].reshape(size, height)
+            self._scan(
+                scan, entry_rows[first:first + height], start, start + size,
+                out=values,
+            )
+            scanned.append(values)
+            if near and size >= k:
+                lower = _bracket(
+                    values[:, :near], reach[first:first + near],
+                    self._row_scales[start:start + size, None],
+                )
+                lower.partition(size - k, axis=0)
+                nearest_floors[first:first + near] = lower[size - k]
+        floor = np.empty(batch)
+        nearest_slot = order % nprobe == 0
+        floor[entry_rows[nearest_slot]] = nearest_floors[nearest_slot]
+        poisoned = ~np.isfinite(radius)  # its lower bounds are all -inf
+        floor[poisoned] = -np.inf
+
+        which = np.repeat(np.arange(lists.size), spans * heights)
+        segment, column = np.divmod(
+            np.arange(int(cells[-1])) - cells[which], heights[which]
+        )
+        cell_rows = entry_rows[firsts[which] + column]
+        cell_scales = self.scales[first_blocks[which] + segment]
+
+        def prefilter(floor: np.ndarray) -> np.ndarray:
+            thresholds = _code_floors(
+                floor[cell_rows], radius[cell_rows], cell_scales, scan.dtype
+            )
+            hit = np.empty(raw.size, dtype=bool)
+            for values, (start, size, _, height, base, _, _, cell) in zip(
+                scanned, geometry
+            ):
+                cuts = [0, *range(quant - start % quant, size, quant), size]
+                mask = hit[base:base + size * height].reshape(size, height)
+                for lo, hi in zip(cuts, cuts[1:]):
+                    np.greater_equal(
+                        values[lo:hi], thresholds[cell:cell + height],
+                        out=mask[lo:hi],
+                    )
+                    cell += height
+            return hit
+
+        hit = prefilter(floor)
+        if np.count_nonzero(hit) > _FLOOR_HITS * k * batch:
+            # The nearest lists' kth sits far below the final one (their
+            # centroids say little about the top-k): raise each floor to
+            # the best of every probed list's and compare again.
+            list_floors = np.full(entry_rows.size, -np.inf)
+            for values, (_, size, first, height, _, block, span, _) in zip(
+                scanned, geometry
+            ):
+                if size >= k:
+                    kth = np.partition(values, size - k, axis=0)[size - k]
+                    list_floors[first:first + height] = _bracket(
+                        kth, reach[first:first + height],
+                        self.scales[block:block + span, None],
+                    ).min(axis=0)
+            np.maximum.at(floor, entry_rows, list_floors)
+            floor[poisoned] = -np.inf
+            hit = prefilter(floor)
+
+        flat = np.flatnonzero(hit)
+        owner = np.searchsorted(bases, flat, side="right") - 1
+        offset, column = np.divmod(flat - bases[owner], heights[owner])
+        rows = entry_rows[firsts[owner] + column]
+        positions = starts[owner] + offset
+        values = raw[flat]
+        scales = self._row_scales[positions]
+        upper = _bracket(values, radius[rows], scales)
+        lower = _bracket(values, -radius[rows], scales)
+        upper[~np.isfinite(upper)] = -np.inf
+        lower[~np.isfinite(lower)] = -np.inf
+        # The k largest lower bounds are all at least the floor.
+        contend = lower >= floor[rows]
+        kth = _kth_per_row(rows[contend], lower[contend], batch, k)
+        keep = upper >= kth[rows]
+        return rows[keep], positions[keep], int(flat.size)
 
 
 def weighted_queries(

@@ -367,21 +367,20 @@ def sorted_candidates(selector, slack):
     spare_rows=st.sampled_from([None, 0, 17]),
     widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
     k=st.integers(1, 8),
-    bracketed=st.booleans(),
     slack_kind=st.sampled_from(["none", "zero", "ulps", "wide", "mixed"]),
     minus_inf=st.sampled_from([0.0, 0.1, 0.6]),
     slice_height=st.integers(1, TALL_BLOCK - 1),
 )
 def test_running_top_k_routes_agree(
-    seed, dtype, extra_rows, spare_rows, widths, k, bracketed, slack_kind,
-    minus_inf, slice_height,
+    seed, dtype, extra_rows, spare_rows, widths, k, slack_kind, minus_inf,
+    slice_height,
 ):
     # One tall block per push takes the compare-first merge once every
     # row holds k values; the same rows pushed in short slices take the
     # dense merge.  Both must end with the same kth and candidates.
     rng = np.random.default_rng(seed)
     height = TALL_BLOCK + extra_rows
-    # rows=None, or ANN's shape: a permuted subset of a larger batch.
+    # rows=None, or a permuted subset of a larger batch.
     if spare_rows is None:
         batch, rows = height, None
     else:
@@ -399,11 +398,6 @@ def test_running_top_k_routes_agree(
     blocks = [values(first)] + [values(width) for width in widths[1:]]
     for block in blocks[1:]:
         block[rng.random(block.shape) < minus_inf] = -np.inf
-    bounds = [
-        block.astype(np.float64) - rng.integers(0, 3, block.shape) / 8
-        if bracketed else None
-        for block in blocks
-    ]
     # "ulps" puts kth - slack between two adjacent float32 values.
     slack = {
         "none": None,
@@ -415,14 +409,13 @@ def test_running_top_k_routes_agree(
 
     tall, short = CountingTopK(batch, k), CountingTopK(batch, k)
     start = 0
-    for block, bound in zip(blocks, bounds):
-        tall.push(block, start, rows=rows, bound=bound,
+    for block in blocks:
+        tall.push(block, start, rows=rows,
                   slack=None if slack is None else slack[slice_rows])
         for lo in range(0, height, slice_height):
             part = slice(lo, lo + slice_height)
             short.push(
                 block[part], start, rows=slice_rows[part],
-                bound=None if bound is None else bound[part],
                 slack=None if slack is None else slack[slice_rows[part]],
             )
         start += block.shape[1]

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import AttributedGraph
 
@@ -90,12 +92,15 @@ def _loop_from_edges(num_nodes, edges):
     return AttributedGraph(adj)
 
 
-def _assert_same_csr(actual, expected):
+def _assert_same_arrays(actual, expected):
     for name in ("indptr", "indices", "data"):
-        got = getattr(actual.adjacency, name)
-        want = getattr(expected.adjacency, name)
+        got, want = getattr(actual, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def _assert_same_csr(actual, expected):
+    _assert_same_arrays(actual.adjacency, expected.adjacency)
 
 
 class TestFromEdgesOracle:
@@ -138,6 +143,84 @@ class TestFromEdgesOracle:
         assert str(actual.value) == str(expected.value)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             AttributedGraph.from_edges(9, iter(edges))
+
+
+def _setdiag_adjacency(adjacency):
+    """The constructor's adjacency as built through ``setdiag(0.0)``:
+    the reference its row-mask diagonal drop must match bit for bit."""
+    adj = sp.csr_matrix(adjacency, dtype=np.float64)
+    adj.setdiag(0.0)
+    adj.eliminate_zeros()
+    adj = adj.maximum(adj.T)
+    adj.data[:] = 1.0
+    return adj.tocsr()
+
+
+@st.composite
+def _adjacency_inputs(draw, kinds=("csr", "coo", "dense"), unique=True):
+    """``(kind, n, entries)``: stored entries in drawn order, so a CSR
+    built from them has unsorted columns and stored zeros, and
+    duplicates unless ``unique`` (a COO input sums its duplicates)."""
+    n = draw(st.integers(0, 7))
+    cell = st.integers(0, max(n - 1, 0))
+    entries = draw(st.lists(
+        st.tuples(cell, cell, st.sampled_from([0.0, 1.0, 2.0])),
+        max_size=30 if n else 0,
+        unique_by=(lambda e: e[:2]) if unique else None,
+    ))
+    if n and draw(st.booleans()):  # every diagonal entry stored
+        stored = {e[:2] for e in entries} if unique else set()
+        entries += [(i, i, 1.0) for i in range(n) if (i, i) not in stored]
+    return draw(st.sampled_from(kinds)), n, entries
+
+
+def _build_adjacency(kind, n, entries):
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    data = np.array([e[2] for e in entries], dtype=np.float64)
+    if kind == "dense":
+        dense = np.zeros((n, n))
+        dense[rows, cols] = data
+        return dense
+    if kind == "coo":
+        return sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+    order = np.argsort(rows, kind="stable")  # keeps each row's draw order
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+
+
+class TestDiagonalDrop:
+    @settings(max_examples=200, deadline=None)
+    @given(_adjacency_inputs() | _adjacency_inputs(("coo",), unique=False))
+    def test_matches_setdiag_reference(self, adjacency):
+        graph = AttributedGraph(_build_adjacency(*adjacency))
+        _assert_same_arrays(
+            graph.adjacency, _setdiag_adjacency(_build_adjacency(*adjacency))
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_adjacency_inputs(("csr",), unique=False))
+    def test_csr_duplicates_keep_the_reference_edges(self, adjacency):
+        # setdiag summed duplicates only when a diagonal entry was one,
+        # so only the canonical forms (same edges) are compared.
+        got = AttributedGraph(_build_adjacency(*adjacency)).adjacency.copy()
+        want = _setdiag_adjacency(_build_adjacency(*adjacency))
+        got.sum_duplicates()
+        want.sum_duplicates()
+        _assert_same_arrays(got, want)
+
+    def test_leaves_the_callers_matrix_alone(self):
+        adjacency = _build_adjacency(
+            "csr", 3, [(0, 0, 1.0), (0, 1, 0.0), (1, 2, 1.0), (1, 1, 2.0)]
+        )
+        before = [a.copy() for a in (
+            adjacency.indptr, adjacency.indices, adjacency.data
+        )]
+        AttributedGraph(adjacency)
+        for got, want in zip(
+            (adjacency.indptr, adjacency.indices, adjacency.data), before
+        ):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestAccessors:

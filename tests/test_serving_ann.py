@@ -1029,3 +1029,273 @@ class TestPoisonedSourceRows:
         assert np.array_equal(got_t, expected_t)
         assert np.array_equal(got_s, expected_s)
         assert np.isneginf(got_s[[3, 5]]).all()
+
+
+def _listed_state(target, sizes, quant_rows, seed):
+    """A quantized IVF state over ``target`` rows in id order, cut into
+    inverted lists of ``sizes`` (zeros allowed), with random centroids."""
+    codes, scales = quantize_int8(target, quant_rows=quant_rows)
+    return {
+        "centroids": np.random.default_rng(seed).normal(
+            size=(len(sizes), target.shape[1])
+        ),
+        "offsets": np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        "order": np.arange(target.shape[0], dtype=np.int64),
+        "codes": codes,
+        "scales": scales,
+        "params": {"quant_rows": quant_rows},
+    }
+
+
+def _probed_per_row(prober, queries, nprobe):
+    """Every probed original target id, one sorted array per row."""
+    rows, ids = _probed_pairs(prober, queries, nprobe)
+    return [np.sort(ids[rows == row]) for row in range(queries.shape[0])]
+
+
+def _expected_hits(prober, queries, k, nprobe):
+    """``(hits, raised)``: the pairs whose upper bound reaches their row's
+    floor, and whether the floor was raised.  The floor is the kth-largest
+    lower bound over the row's nearest probed list (probe slot 0; -inf
+    below k targets there).  Past ``_FLOOR_HITS·k`` hits per row it is
+    raised to the largest, over the row's probed lists of at least k
+    targets, of the least ``scale·(x - radius)`` over the list's blocks,
+    x the list's kth-largest scan value for the row.  A poisoned row
+    hits every pair."""
+    from repro.serving.ann import _FLOOR_HITS
+
+    scan, radius = prober.scan_plan(queries)
+    probed = prober.probe(queries, nprobe)
+    nearest, best, uppers = [], [], []
+    with np.errstate(invalid="ignore"):  # a poisoned row's NaN scores
+        raw = {
+            c: (scan @ prober.codes[
+                prober.offsets[c]:prober.offsets[c + 1]
+            ].astype(scan.dtype).T).astype(np.float64)
+            for c in np.unique(probed)
+        }
+        for row, clusters in enumerate(probed):
+            floors, row_uppers = [], []
+            for c in clusters:
+                scales = prober._row_scales[
+                    prober.offsets[c]:prober.offsets[c + 1]
+                ]
+                scores = raw[c][row]
+                row_uppers.append((scores + radius[row]) * scales)
+                if scores.size < k:
+                    floors.append((-np.inf, -np.inf))
+                    continue
+                lower = (scores - radius[row]) * scales
+                kth = -np.partition(-scores, k - 1)[k - 1]
+                floors.append((
+                    -np.partition(-lower, k - 1)[k - 1],
+                    ((kth - radius[row]) * scales).min(),
+                ))
+            nearest.append(floors[0][0])
+            best.append(max(floor for _, floor in floors))
+            uppers.append(np.concatenate(row_uppers))
+
+    def count(floor):
+        return sum(
+            upper.size if not np.isfinite(r) else int((upper >= f).sum())
+            for upper, f, r in zip(uppers, floor, radius)
+        )
+
+    hits = count(nearest)
+    if hits <= _FLOOR_HITS * k * queries.shape[0]:
+        return hits, False
+    return count(np.maximum(nearest, best)), True
+
+
+def _check_selection(prober, queries, k, nprobe):
+    """Candidates per row equal :func:`_reference_candidates` (every
+    probed pair for a poisoned row, or for a batch with no scan plan),
+    and the prefilter hit exactly the pairs reaching the floor."""
+    registry = MetricsRegistry()
+    prober.registry = registry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows, ids = prober.select_candidates(queries, k, nprobe)
+    every = _probed_per_row(prober, queries, nprobe)
+    plan = prober.scan_plan(queries)
+    if plan is None:
+        expected = every
+        assert registry.get("serving.ann.prefilter_hits") is None
+    else:
+        healthy = np.isfinite(plan[1])
+        with np.errstate(invalid="ignore"):
+            reference = _reference_candidates(prober, queries, k, nprobe)
+        expected = [
+            want if ok else all_ids
+            for want, all_ids, ok in zip(reference, every, healthy)
+        ]
+        hits, _ = _expected_hits(prober, queries, k, nprobe)
+        assert registry.counter("serving.ann.prefilter_hits").value == hits
+    assert rows.size == sum(e.size for e in expected)
+    for row, want in enumerate(expected):
+        got = np.sort(ids[rows == row])
+        assert np.array_equal(got, want), (row, k, nprobe)
+    return rows, ids
+
+
+class TestFloorSelection:
+    """Each row's floor, and the float32 prefilter against it, keep
+    exactly the per-row reference candidates at their edges, and hit
+    exactly the pairs whose upper bound reaches the floor."""
+
+    @pytest.mark.parametrize("k", [3, 5, 12])
+    def test_lists_shorter_than_k(self, k):
+        rng = np.random.default_rng(31)
+        sizes = [3, 40, 2, 35, 60, 4, 20, 36]
+        target = rng.normal(size=(sum(sizes), 6))
+        prober = AnnProber(
+            _listed_state(target, sizes, 16, 1), n_target=200, dim=6
+        )
+        queries = rng.normal(size=(40, 6))
+        probed = np.diff(prober.offsets)[prober.probe(queries, 3)]
+        assert (probed < k).any() and (probed >= k).any()
+        _check_selection(prober, queries, k, 3)
+
+    def test_probed_empty_lists(self):
+        rng = np.random.default_rng(32)
+        sizes = [0, 50, 0, 70, 0, 80]
+        target = rng.normal(size=(200, 6))
+        prober = AnnProber(
+            _listed_state(target, sizes, 16, 2), n_target=200, dim=6
+        )
+        queries = rng.normal(size=(40, 6))
+        empty = np.diff(prober.offsets)[prober.probe(queries, 3)] == 0
+        assert empty[:, 0].any() and empty[:, 1:].any()
+        for k in (1, 4, 60):
+            _check_selection(prober, queries, k, 3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_all_zero_quant_blocks(self, sign):
+        # Positive targets and queries of one sign: every floor is
+        # positive, or every floor is negative, while the two all-zero
+        # blocks have scale 0 and an upper bound of exactly 0.
+        rng = np.random.default_rng(33)
+        sizes = [30, 50, 40, 80]
+        target = np.abs(rng.normal(size=(200, 6)))
+        target[32:64] = 0.0
+        prober = AnnProber(
+            _listed_state(target, sizes, 16, 3), n_target=200, dim=6
+        )
+        assert (prober.scales == 0).sum() == 2
+        queries = sign * np.abs(rng.normal(size=(30, 6)))
+        for k, nprobe in ((1, 2), (5, 3), (20, 4)):
+            rows, ids = _check_selection(prober, queries, k, nprobe)
+            zero_block = (ids >= 32) & (ids < 64)
+            # A zero-block pair beats every negative kth.
+            assert zero_block.any() == (sign < 0)
+
+    def test_poisoned_rows(self):
+        rng = np.random.default_rng(34)
+        sizes = [30, 50, 40, 80]
+        target = rng.normal(size=(200, 6))
+        prober = AnnProber(
+            _listed_state(target, sizes, 16, 4), n_target=200, dim=6
+        )
+        queries = rng.normal(size=(20, 6))
+        queries[3, 2] = np.nan
+        queries[5, 0] = np.inf
+        queries[6, 4] = -np.inf
+        for k, nprobe in ((1, 2), (4, 3), (10, 4)):
+            _check_selection(prober, queries, k, nprobe)
+
+    @pytest.mark.parametrize(
+        "factor, dtype", [(0.999, np.float32), (1.001, np.float64)]
+    )
+    def test_either_side_of_the_float32_cutover(self, factor, dtype):
+        rng = np.random.default_rng(35)
+        sizes = [30, 50, 40, 80]
+        target = rng.normal(size=(200, 6))
+        prober = AnnProber(
+            _listed_state(target, sizes, 16, 5), n_target=200, dim=6
+        )
+        queries = rng.normal(size=(20, 6))
+        cutover = float(np.finfo(np.float32).max) / SELECT_HEADROOM / (127 * 6)
+        queries *= factor * cutover / np.abs(queries).max()
+        assert prober.scan_plan(queries)[0].dtype == dtype
+        for k, nprobe in ((1, 2), (4, 3), (10, 4)):
+            _check_selection(prober, queries, k, nprobe)
+
+    def test_no_scan_plan_keeps_every_probed_pair(self):
+        rng = np.random.default_rng(36)
+        sizes = [30, 50, 40, 80]
+        target = rng.normal(size=(200, 6))
+        prober = AnnProber(
+            _listed_state(target, sizes, 16, 6), n_target=200, dim=6
+        )
+        queries = rng.normal(size=(20, 6)) * 1e305
+        assert prober.scan_plan(queries) is None
+        _check_selection(prober, queries, 3, 2)
+
+    def test_weak_nearest_floor_is_raised(self):
+        # Random centroids say nothing about which list holds the top-k,
+        # so the nearest list's kth lets most pairs through and the
+        # floor is raised from every probed list.
+        rng = np.random.default_rng(38)
+        target = rng.normal(size=(800, 96))
+        prober = AnnProber(
+            _listed_state(target, [100] * 8, 256, 8), n_target=800, dim=96
+        )
+        queries = rng.normal(size=(30, 96))
+        for k in (1, 2):
+            assert _expected_hits(prober, queries, k, 8)[1]
+            _check_selection(prober, queries, k, 8)
+
+    def test_row_slices_keep_the_reference_candidates(self, monkeypatch):
+        import repro.serving.ann as ann_module
+
+        rng = np.random.default_rng(37)
+        sizes = [30, 50, 40, 80]
+        target = rng.normal(size=(200, 6))
+        prober = AnnProber(
+            _listed_state(target, sizes, 16, 7), n_target=200, dim=6
+        )
+        queries = rng.normal(size=(20, 6))
+        queries[7, 1] = np.nan
+        # Slices of 2 or 3 rows, and one row per slice.
+        for pairs in (400, 1):
+            monkeypatch.setattr(ann_module, "_SCAN_PAIRS", pairs)
+            for k, nprobe in ((1, 2), (4, 3)):
+                _check_selection(prober, queries, k, nprobe)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        magnitude=st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30]),
+    )
+    def test_code_floors_are_the_least_reaching_values(
+        self, seed, dtype, magnitude
+    ):
+        # The value just below t falls short of the floor (soundness);
+        # in float32 t itself reaches it, so t is the least such value.
+        # float64 may stop short of that where floor/scale and radius
+        # nearly cancel (a lower t keeps more pairs).
+        from repro.serving.ann import _bracket, _code_floors
+
+        rng = np.random.default_rng(seed)
+        n = 400
+        floor = rng.normal(size=n) * magnitude
+        floor[rng.random(n) < 0.1] = -np.inf
+        radius = rng.uniform(0.0, 2.0, n) * magnitude
+        scales = rng.choice([0.0, 1e-3, 0.5, 3.0], n) * rng.uniform(
+            0.5, 1.0, n
+        )
+        code = _code_floors(floor, radius, scales, np.dtype(dtype))
+        assert code.dtype == dtype
+        zero = scales == 0
+        np.testing.assert_array_equal(
+            code[zero], np.where(floor[zero] > 0, np.inf, -np.inf)
+        )
+        assert np.isneginf(code[np.isneginf(floor)]).all()
+        finite = np.isfinite(code)
+        below = np.nextafter(code[finite], dtype(-np.inf))
+        upper = _bracket(below, radius[finite], scales[finite])
+        assert (upper < floor[finite]).all()
+        if dtype == np.float32:
+            upper = _bracket(code[finite], radius[finite], scales[finite])
+            assert (upper >= floor[finite]).all()
