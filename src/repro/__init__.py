@@ -9,7 +9,7 @@ Networks* (Huynh Thanh Trung et al.), built from scratch in Python:
 * :mod:`repro.graphs` — attributed graphs, generators, noise, datasets.
 * :mod:`repro.baselines` — REGAL, IsoRank, FINAL, PALE, CENALP.
 * :mod:`repro.metrics` — Success@q, MAP, AUC, matchings.
-* :mod:`repro.analysis` — t-SNE / PCA / embedding diagnostics.
+* :mod:`repro.analysis` — t-SNE / embedding diagnostics.
 * :mod:`repro.eval` — experiment runner and paper-style reporting.
 * :mod:`repro.observability` — metrics registry, tracing, BENCH export.
 * :mod:`repro.resilience` — input validation, NaN/divergence recovery,

@@ -1,8 +1,6 @@
-"""Embedding analysis: t-SNE / PCA projection and qualitative diagnostics."""
+"""Embedding analysis: t-SNE projection and qualitative diagnostics."""
 
 from .tsne import tsne
-from .pca import pca, explained_variance_ratio
-from .terminal_plot import ascii_scatter, ascii_series
 from .errors import MisalignmentReport, analyze_errors
 from .diagnostics import (
     EmbeddingDiagnostics,
@@ -12,10 +10,6 @@ from .diagnostics import (
 
 __all__ = [
     "tsne",
-    "ascii_scatter",
-    "ascii_series",
-    "pca",
-    "explained_variance_ratio",
     "EmbeddingDiagnostics",
     "diagnose_embeddings",
     "concatenate_orders",

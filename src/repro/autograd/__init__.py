@@ -26,9 +26,8 @@ from .ops import (
     gated_row_distance,
     softmax,
     log_softmax,
-    dropout_mask,
 )
-from .optim import Optimizer, SGD, Adam, AdamW, clip_grad_norm
+from .optim import Adam, clip_grad_norm
 from . import init
 from . import nn
 from .gradcheck import gradcheck, numerical_gradient
@@ -47,11 +46,7 @@ __all__ = [
     "gated_row_distance",
     "softmax",
     "log_softmax",
-    "dropout_mask",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "AdamW",
     "clip_grad_norm",
     "init",
     "nn",

@@ -1,7 +1,7 @@
 """Weight initialization schemes for autograd parameters.
 
 GAlign's GCN layers are initialized with Xavier/Glorot uniform (the PyTorch
-GCN default); Kaiming variants are provided for the ReLU-ablation bench.
+GCN default).
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from .tensor import Tensor
 
 __all__ = [
     "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
-    "kaiming_normal",
     "uniform",
     "zeros",
 ]
@@ -32,30 +29,6 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0, na
     fan_in, fan_out = _fan(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     data = rng.uniform(-bound, bound, size=shape)
-    return Tensor(data, requires_grad=True, name=name)
-
-
-def xavier_normal(shape: tuple, rng: np.random.Generator, gain: float = 1.0, name=None) -> Tensor:
-    """Glorot normal: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    data = rng.normal(0.0, std, size=shape)
-    return Tensor(data, requires_grad=True, name=name)
-
-
-def kaiming_uniform(shape: tuple, rng: np.random.Generator, name=None) -> Tensor:
-    """He uniform, suited to ReLU nonlinearities."""
-    fan_in, _ = _fan(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    data = rng.uniform(-bound, bound, size=shape)
-    return Tensor(data, requires_grad=True, name=name)
-
-
-def kaiming_normal(shape: tuple, rng: np.random.Generator, name=None) -> Tensor:
-    """He normal, suited to ReLU nonlinearities."""
-    fan_in, _ = _fan(shape)
-    std = np.sqrt(2.0 / fan_in)
-    data = rng.normal(0.0, std, size=shape)
     return Tensor(data, requires_grad=True, name=name)
 
 

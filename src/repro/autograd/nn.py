@@ -1,38 +1,29 @@
 """Small neural-network module layer over the autograd engine.
 
-Mirrors the subset of ``torch.nn`` the alignment models need: a ``Module``
-base with parameter collection and train/eval mode, ``Linear``, ``GCNLayer``
-(the propagation rule of paper Eq 1 as a reusable layer), activations,
-``Dropout``, and ``Sequential`` composition.
+Mirrors the subset of ``torch.nn`` the baselines need: a ``Module`` base
+with parameter collection and train/eval mode, ``Linear``, activations,
+``Sequential`` composition and ``mse_loss``.
 
-The core GAlign model (:class:`repro.core.MultiOrderGCN`) predates this
-layer and manages its weights directly; ``nn`` exists for downstream users
-building custom alignment heads (e.g. the PALE-style mapping MLPs) on the
-same engine.
+The core GAlign model (:class:`repro.core.MultiOrderGCN`) manages its
+weights directly; ``nn`` builds DeepLink's mapping MLPs on the same
+engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .tensor import Tensor
-from .ops import spmm, dropout_mask
 from . import init as _init
 
 __all__ = [
     "Module",
     "Linear",
-    "GCNLayer",
     "Tanh",
-    "ReLU",
-    "Sigmoid",
-    "Dropout",
     "Sequential",
     "mse_loss",
-    "binary_cross_entropy_with_logits",
 ]
 
 
@@ -117,59 +108,9 @@ class Linear(Module):
         return out
 
 
-class GCNLayer(Module):
-    """One graph-convolution step ``σ(C X W)`` (paper Eq 1).
-
-    The propagation matrix ``C`` is passed at call time so the same layer
-    serves many graphs — exactly the weight-sharing mechanism of Alg 1.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        activation: Optional[Callable[[Tensor], Tensor]] = None,
-    ) -> None:
-        super().__init__()
-        self.weight = self.register_parameter(
-            _init.xavier_uniform((in_features, out_features), rng, name="gcn_weight")
-        )
-        self.activation = activation if activation is not None else (lambda t: t.tanh())
-
-    def forward(self, propagation: sp.spmatrix, x: Tensor) -> Tensor:
-        return self.activation(spmm(propagation, x @ self.weight))
-
-
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        return x * dropout_mask(x.shape, self.rate, self.rng)
 
 
 class Sequential(Module):
@@ -196,13 +137,3 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean squared error."""
     difference = prediction - target
     return (difference * difference).mean()
-
-
-def binary_cross_entropy_with_logits(logits: Tensor, target: Tensor) -> Tensor:
-    """Numerically stable BCE from logits: mean over all elements.
-
-    Uses the identity  max(x, 0) − x·t + log(1 + e^{−|x|}).
-    """
-    positive_part = logits.clip_min(0.0)
-    stable_exp = (-(logits.abs())).exp()
-    return (positive_part - logits * target + (stable_exp + 1.0).log()).mean()

@@ -29,7 +29,6 @@ __all__ = [
     "gated_row_distance",
     "softmax",
     "log_softmax",
-    "dropout_mask",
 ]
 
 
@@ -132,17 +131,3 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax."""
     return apply("log_softmax", (logits,), axis=axis)
-
-
-def dropout_mask(shape: tuple, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask (constant w.r.t. gradients).
-
-    Returned as a plain array so callers multiply tensors by it; scaling by
-    ``1 / (1 - rate)`` keeps expectations unchanged at train time.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape)
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)

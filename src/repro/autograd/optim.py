@@ -1,106 +1,21 @@
 """Gradient-descent optimizers for :class:`~repro.autograd.Tensor` parameters.
 
-The paper trains GAlign with Adam; SGD and momentum variants are provided for
-completeness and for the PALE/CENALP baselines.
+The paper trains GAlign with Adam (§VII-A); the embedding baselines use it
+too.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
-class Optimizer:
-    """Base class holding a parameter list and the zero-grad plumbing."""
-
-    def __init__(self, params: Iterable[Tensor]) -> None:
-        self.params: List[Tensor] = [p for p in params]
-        if not self.params:
-            raise ValueError("optimizer received an empty parameter list")
-        for param in self.params:
-            if not param.requires_grad:
-                raise ValueError(f"parameter {param!r} does not require grad")
-
-    def zero_grad(self) -> None:
-        """Clear gradient buffers on every parameter."""
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def state_dict(self) -> dict:
-        """Copy of the optimizer's internal state (checkpointing/rollback)."""
-        raise NotImplementedError
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict`."""
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params)
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
-
-    def step(self) -> None:
-        for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(param.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            param.data -= self.lr * grad
-
-    def state_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "velocity": [
-                None if v is None else v.copy() for v in self._velocity
-            ],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        velocity = state["velocity"]
-        if len(velocity) != len(self.params):
-            raise ValueError(
-                f"state has {len(velocity)} velocity buffers for "
-                f"{len(self.params)} parameters"
-            )
-        self.lr = float(state["lr"])
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        self._velocity = [None if v is None else v.copy() for v in velocity]
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) — the optimizer used by the paper (§VII-A)."""
 
     def __init__(
@@ -111,7 +26,12 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params)
+        self.params: List[Tensor] = list(params)
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
+        for param in self.params:
+            if not param.requires_grad:
+                raise ValueError(f"parameter {param!r} does not require grad")
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         beta1, beta2 = betas
@@ -125,6 +45,11 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        """Clear gradient buffers on every parameter."""
+        for param in self.params:
+            param.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
@@ -144,6 +69,7 @@ class Adam(Optimizer):
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> dict:
+        """Copy of the optimizer's internal state (checkpointing/rollback)."""
         return {
             "lr": self.lr,
             "beta1": self.beta1,
@@ -156,6 +82,7 @@ class Adam(Optimizer):
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore state saved by :meth:`state_dict`."""
         if len(state["m"]) != len(self.params) or len(state["v"]) != len(
             self.params
         ):
@@ -178,21 +105,6 @@ class Adam(Optimizer):
         self._step_count = int(state["step_count"])
         self._m = [m.copy() for m in state["m"]]
         self._v = [v.copy() for v in state["v"]]
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def step(self) -> None:
-        if self.weight_decay:
-            for param in self.params:
-                if param.grad is not None:
-                    param.data -= self.lr * self.weight_decay * param.data
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super().step()
-        finally:
-            self.weight_decay = decay
 
 
 def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:

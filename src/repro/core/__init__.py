@@ -8,7 +8,6 @@ from .trainer import GAlignTrainer, TrainingLog
 from .alignment import (
     layerwise_alignment_matrices,
     aggregate_alignment,
-    greedy_anchor_links,
     alignment_quality,
 )
 from .refine import (
@@ -19,10 +18,7 @@ from .refine import (
 from .galign import GAlign
 from .instantiation import (
     AnchorLink,
-    one_to_one,
     one_to_many,
-    mutual_best,
-    soft_assignment,
 )
 from .checkpoint import (
     save_model,
@@ -33,7 +29,6 @@ from .checkpoint import (
 )
 from .training_loop import run_resilient_training
 from .streaming import (
-    iter_score_blocks,
     streaming_top_k,
     streaming_evaluate,
     find_stable_nodes,
@@ -52,22 +47,17 @@ __all__ = [
     "TrainingLog",
     "layerwise_alignment_matrices",
     "aggregate_alignment",
-    "greedy_anchor_links",
     "alignment_quality",
     "find_stable_nodes",
     "apply_influence_gain",
     "AlignmentRefiner",
     "RefinementLog",
     "GAlign",
-    "iter_score_blocks",
     "streaming_top_k",
     "streaming_evaluate",
     "StreamingAligner",
     "AnchorLink",
-    "one_to_one",
     "one_to_many",
-    "mutual_best",
-    "soft_assignment",
     "save_model",
     "load_model",
     "save_training_checkpoint",

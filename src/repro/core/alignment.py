@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "layerwise_alignment_matrices",
     "aggregate_alignment",
-    "greedy_anchor_links",
     "alignment_quality",
 ]
 
@@ -62,11 +61,6 @@ def aggregate_alignment(
             raise ValueError("layer-wise matrices have inconsistent shapes")
         total += weight * matrix
     return total
-
-
-def greedy_anchor_links(scores: np.ndarray) -> dict:
-    """Top-1 instantiation: each source node maps to its best target (§VI-A)."""
-    return {int(v): int(t) for v, t in enumerate(scores.argmax(axis=1))}
 
 
 def alignment_quality(scores: np.ndarray) -> float:

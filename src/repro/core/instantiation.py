@@ -1,19 +1,12 @@
 """Anchor-link instantiation policies (paper §VI-A).
 
-The paper instantiates one-to-one anchors by the top-1 rule and notes that
-"other alignment settings such as one-to-many can be instantiated as well,
-but out of the scope of our paper".  This module provides those settings on
-top of any alignment matrix:
-
-* :func:`one_to_one` — top-1 per source (the paper's rule), optionally
-  injective via greedy or optimal assignment.
-* :func:`one_to_many` — every target within a score threshold or top-k,
-  for differently sized networks where a source node may match several
-  targets (§II-B flexibility argument).
-* :func:`mutual_best` — high-precision subset: pairs that are each other's
-  top choice (the criterion CENALP uses to grow anchor sets).
-* :func:`soft_assignment` — row-stochastic match distribution for
-  downstream probabilistic consumers.
+The paper instantiates one-to-one anchors by the top-1 rule
+(:func:`repro.metrics.top1_matching`) and notes that "other alignment
+settings such as one-to-many can be instantiated as well, but out of the
+scope of our paper".  :func:`one_to_many` provides that setting on top of
+any alignment matrix: every target within a score threshold or top-k, for
+differently sized networks where a source node may match several targets
+(§II-B flexibility argument).
 """
 
 from __future__ import annotations
@@ -23,15 +16,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..metrics.matching import greedy_bipartite_matching, hungarian_matching
+from ..metrics.matching import _validate_scores
 
-__all__ = [
-    "AnchorLink",
-    "one_to_one",
-    "one_to_many",
-    "mutual_best",
-    "soft_assignment",
-]
+__all__ = ["AnchorLink", "one_to_many"]
 
 
 @dataclass(frozen=True)
@@ -41,33 +28,6 @@ class AnchorLink:
     source: int
     target: int
     score: float
-
-
-def one_to_one(
-    scores: np.ndarray,
-    policy: str = "top1",
-) -> List[AnchorLink]:
-    """One target per source node.
-
-    Policies: ``top1`` (the paper's rule — not injective), ``greedy``
-    (globally-best-first injective), ``optimal`` (Hungarian).
-    """
-    if policy == "top1":
-        targets = scores.argmax(axis=1)
-        return [
-            AnchorLink(int(source), int(target), float(scores[source, target]))
-            for source, target in enumerate(targets)
-        ]
-    if policy == "greedy":
-        matching = greedy_bipartite_matching(scores)
-    elif policy == "optimal":
-        matching = hungarian_matching(scores)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    return [
-        AnchorLink(source, target, float(scores[source, target]))
-        for source, target in sorted(matching.items())
-    ]
 
 
 def one_to_many(
@@ -83,6 +43,7 @@ def one_to_many(
     ``max_targets`` cap applies.  Suits size-imbalanced settings where one
     account matches several candidate accounts (§II-B).
     """
+    scores = _validate_scores(scores, "one_to_many")
     if max_targets < 1:
         raise ValueError(f"max_targets must be >= 1, got {max_targets}")
     if relative_threshold is not None and not 0.0 <= relative_threshold <= 1.0:
@@ -111,28 +72,3 @@ def one_to_many(
         links[source] = selected
     return links
 
-
-def mutual_best(scores: np.ndarray) -> List[AnchorLink]:
-    """Pairs that are mutually each other's argmax — high precision."""
-    best_for_source = scores.argmax(axis=1)
-    best_for_target = scores.argmax(axis=0)
-    links = []
-    for source, target in enumerate(best_for_source):
-        if int(best_for_target[target]) == source:
-            links.append(
-                AnchorLink(source, int(target), float(scores[source, target]))
-            )
-    return links
-
-
-def soft_assignment(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-stochastic softmax over targets.
-
-    ``temperature`` → 0 approaches the hard top-1 rule; larger values
-    spread mass over more candidates.
-    """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    shifted = (scores - scores.max(axis=1, keepdims=True)) / temperature
-    exponentials = np.exp(shifted)
-    return exponentials / exponentials.sum(axis=1, keepdims=True)

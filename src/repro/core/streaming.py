@@ -9,8 +9,6 @@ makes the method viable on large networks.
 
 This module provides that row-streaming layer:
 
-* :func:`iter_score_blocks` — yield (row-range, block of S) pairs built from
-  per-layer embeddings and layer weights, never holding all of S.
 * :func:`streaming_top_k` — per-source top-k targets and scores.
 * :func:`streaming_evaluate` — Success@q / MAP / AUC without full S.
 * :func:`find_stable_nodes` — Eq 13's stable nodes and Alg 2's g(S), the
@@ -31,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -56,7 +54,6 @@ from .scoring import (
 )
 
 __all__ = [
-    "iter_score_blocks",
     "streaming_top_k",
     "streaming_evaluate",
     "find_stable_nodes",
@@ -106,8 +103,6 @@ def _build_block(
     )
     if bad:
         _record_sanitized(registry, start, stop, bad_entries=bad)
-    # Only block-build time is charged to the trace (as to the histogram):
-    # a generator span would bill the consumer's work to this frame.
     _record_block(registry, start, stop, started)
     return block
 
@@ -119,36 +114,6 @@ def _block_ranges(n_source: int, block_size: int) -> List[Tuple[int, int]]:
         (start, min(start + block_size, n_source))
         for start in range(0, n_source, block_size)
     ]
-
-
-def iter_score_blocks(
-    source_embeddings: Sequence[np.ndarray],
-    target_embeddings: Sequence[np.ndarray],
-    layer_weights: Sequence[float],
-    block_size: int = 256,
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[Tuple[range, np.ndarray]]:
-    """Yield (row range, S[rows]) blocks of the aggregated alignment matrix.
-
-    Equivalent to Eq 11 + Eq 12 evaluated lazily: each block is
-    ``Σ_l θ(l) · H_s(l)[rows] @ H_t(l)ᵀ``.  Block build time and row
-    throughput land in the ``streaming.*`` metrics of ``registry`` (the
-    process registry when unset); consumer time is not charged.
-
-    Non-finite entries in a block are sanitized to ``-inf`` (counted in
-    ``resilience.streaming_sanitized_blocks``) so downstream top-k and
-    ranking consumers degrade gracefully instead of emitting NaN.
-    """
-    source, target, weights = check_layers(
-        source_embeddings, target_embeddings, layer_weights
-    )
-    ranges = _block_ranges(source[0].shape[0], block_size)
-    if registry is None:
-        registry = get_registry()
-    for start, stop in ranges:
-        yield range(start, stop), _build_block(
-            source, target, weights, start, stop, registry
-        )
 
 
 def _block_task(

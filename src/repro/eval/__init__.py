@@ -7,8 +7,7 @@ from .reporting import (
     format_series_table,
     format_metrics_table,
 )
-from .tuning import TuningResult, grid_search, random_search
-from .persistence import save_results, load_results, diff_results
+from .tuning import TuningResult, grid_search
 from . import experiments
 
 __all__ = [
@@ -22,9 +21,5 @@ __all__ = [
     "format_metrics_table",
     "TuningResult",
     "grid_search",
-    "random_search",
-    "save_results",
-    "load_results",
-    "diff_results",
     "experiments",
 ]

@@ -1,16 +1,16 @@
 """Hyper-parameter search over GAlign configurations (paper §VII-E).
 
-A small deterministic grid/random search that reruns GAlign with candidate
+A small deterministic grid search that reruns GAlign with candidate
 configurations on a validation pair and ranks them by a chosen metric —
 the programmatic counterpart of the paper's sensitivity study (layer count,
 embedding dimension, layer weights, γ).
 
-Both searches share one evaluation loop (:func:`_run_candidates`) that can
-fan candidates out over a :class:`~repro.parallel.WorkerPool`
-(``workers >= 1``); the validation pair travels to workers through shared
-memory, each candidate re-derives the exact RNG the serial loop would use,
-and results come back in submission order — so parallel search is
-bit-identical to ``workers=0``.
+Its evaluation loop (:func:`_run_candidates`) can fan candidates out
+over a :class:`~repro.parallel.WorkerPool` (``workers >= 1``); the
+validation pair travels to workers through shared memory, each candidate
+re-derives the exact RNG the serial loop would use, and results come
+back in submission order — so parallel search is bit-identical to
+``workers=0``.
 
 Ranking is fully deterministic: ties on the target metric are broken by a
 canonical serialization of the overrides, never by submission order.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..parallel import (
     resolve_workers,
 )
 
-__all__ = ["TuningResult", "grid_search", "random_search"]
+__all__ = ["TuningResult", "grid_search"]
 
 
 @dataclass
@@ -107,9 +107,8 @@ def _run_candidates(
 ) -> List[TuningResult]:
     """Evaluate ``(overrides, config)`` candidates; return results best-first.
 
-    The single loop body behind both :func:`grid_search` and
-    :func:`random_search`: per-candidate ``default_rng(seed)``, optional
-    process-pool fan-out, and the canonical deterministic ranking.
+    Per-candidate ``default_rng(seed)``, optional process-pool fan-out,
+    and the canonical deterministic ranking.
     """
     workers = resolve_workers(workers)
     if workers:
@@ -178,37 +177,3 @@ def grid_search(
         candidates.append((overrides, replace(base_config, **overrides)))
     return _run_candidates(pair, candidates, metric, seed, workers)
 
-
-def random_search(
-    pair: AlignmentPair,
-    param_distributions: Mapping[str, Callable[[np.random.Generator], object]],
-    num_samples: int,
-    base_config: Optional[GAlignConfig] = None,
-    metric: str = "Success@1",
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> List[TuningResult]:
-    """Evaluate ``num_samples`` random draws from per-parameter samplers.
-
-    Each value of ``param_distributions`` is a callable taking the RNG and
-    returning a candidate value, e.g.
-    ``{"gamma": lambda rng: float(rng.uniform(0.5, 1.0))}``.  ``workers``
-    parallelizes candidate evaluation exactly as in :func:`grid_search`;
-    the sampling itself always happens up front in the parent, so the
-    drawn candidates are independent of the worker count.
-    """
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    if not param_distributions:
-        raise ValueError("param_distributions is empty")
-    if base_config is None:
-        base_config = GAlignConfig()
-    sampler_rng = np.random.default_rng(seed)
-    candidates: List[Tuple[Dict, GAlignConfig]] = []
-    for _ in range(num_samples):
-        overrides = {
-            name: sampler(sampler_rng)
-            for name, sampler in sorted(param_distributions.items())
-        }
-        candidates.append((overrides, replace(base_config, **overrides)))
-    return _run_candidates(pair, candidates, metric, seed, workers)

@@ -4,7 +4,6 @@ from .graph import AttributedGraph
 from .laplacian import (
     propagation_matrix,
     weighted_propagation_matrix,
-    degree_vector_with_self_loops,
 )
 from .permutation import (
     random_permutation,
@@ -21,7 +20,6 @@ from .noise import (
     binary_attribute_noise,
     real_attribute_noise,
     attribute_noise,
-    perturb_graph,
 )
 from . import generators
 from .datasets import (
@@ -42,21 +40,6 @@ from .statistics import (
     GraphStatistics,
     graph_statistics,
     pair_statistics,
-    degree_histogram,
-)
-from .community import (
-    label_propagation,
-    modularity,
-    conductance,
-    community_match_matrix,
-)
-from .features import (
-    one_hot_encode,
-    standardize,
-    min_max_scale,
-    binarize,
-    reduce_dimensions,
-    FeaturePipeline,
 )
 from . import io
 
@@ -64,7 +47,6 @@ __all__ = [
     "AttributedGraph",
     "propagation_matrix",
     "weighted_propagation_matrix",
-    "degree_vector_with_self_loops",
     "random_permutation",
     "permutation_matrix",
     "apply_permutation",
@@ -77,7 +59,6 @@ __all__ = [
     "binary_attribute_noise",
     "real_attribute_noise",
     "attribute_noise",
-    "perturb_graph",
     "generators",
     "AlignmentPair",
     "noisy_copy_pair",
@@ -94,16 +75,5 @@ __all__ = [
     "GraphStatistics",
     "graph_statistics",
     "pair_statistics",
-    "degree_histogram",
-    "label_propagation",
-    "modularity",
-    "conductance",
-    "community_match_matrix",
-    "one_hot_encode",
-    "standardize",
-    "min_max_scale",
-    "binarize",
-    "reduce_dimensions",
-    "FeaturePipeline",
     "io",
 ]

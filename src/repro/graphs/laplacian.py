@@ -17,13 +17,7 @@ from .graph import AttributedGraph
 __all__ = [
     "propagation_matrix",
     "weighted_propagation_matrix",
-    "degree_vector_with_self_loops",
 ]
-
-
-def degree_vector_with_self_loops(graph: AttributedGraph) -> np.ndarray:
-    """Diagonal of D̂ (degrees of ``Â = A + I``)."""
-    return graph.degrees() + 1.0
 
 
 def propagation_matrix(graph: AttributedGraph) -> sp.csr_matrix:

@@ -32,7 +32,6 @@ __all__ = [
     "real_attribute_noise",
     "noisy_features",
     "attribute_noise",
-    "perturb_graph",
 ]
 
 
@@ -239,17 +238,3 @@ def attribute_noise(
 ) -> AttributedGraph:
     """Noise the attributes, auto-detecting binary vs real when kind is None."""
     return graph.with_features(noisy_features(graph.features, ratio, rng, kind))
-
-
-def perturb_graph(
-    graph: AttributedGraph,
-    structure_ratio: float,
-    attribute_ratio: float,
-    rng: np.random.Generator,
-    structure_mode: str = "both",
-) -> AttributedGraph:
-    """Full §V-C augmentation: structural then attribute perturbation."""
-    noisy = structural_noise(graph, structure_ratio, rng, mode=structure_mode)
-    if attribute_ratio > 0.0:
-        noisy = attribute_noise(noisy, attribute_ratio, rng)
-    return noisy

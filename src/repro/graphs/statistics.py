@@ -17,7 +17,7 @@ import numpy as np
 from .graph import AttributedGraph
 from .datasets import AlignmentPair
 
-__all__ = ["GraphStatistics", "graph_statistics", "pair_statistics", "degree_histogram"]
+__all__ = ["GraphStatistics", "graph_statistics", "pair_statistics"]
 
 
 @dataclass
@@ -93,19 +93,6 @@ def graph_statistics(graph: AttributedGraph) -> GraphStatistics:
         attribute_density=float(np.count_nonzero(features) / features.size),
         attributes_binary=binary,
     )
-
-
-def degree_histogram(graph: AttributedGraph, num_bins: int = 10) -> Dict[str, np.ndarray]:
-    """Log-binned degree histogram (the view REGAL's identity features use)."""
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    degrees = graph.degrees()
-    positive = degrees[degrees > 0]
-    if positive.size == 0:
-        return {"bin_edges": np.array([1.0]), "counts": np.zeros(num_bins)}
-    edges = np.logspace(0.0, np.log2(positive.max() + 1.0), num_bins + 1, base=2.0)
-    counts, bin_edges = np.histogram(degrees, bins=edges)
-    return {"bin_edges": bin_edges, "counts": counts}
 
 
 def pair_statistics(pair: AlignmentPair) -> Dict[str, object]:

@@ -3,25 +3,21 @@
 from .ranking import (
     anchor_ranks,
     success_at,
-    mean_average_precision,
     auc,
     EvaluationReport,
     evaluate_alignment,
 )
-from .matching import top1_matching, greedy_bipartite_matching, hungarian_matching
-from .setwise import SetwiseReport, evaluate_link_sets, precision_recall_at
+from .matching import top1_matching, hungarian_matching
+from .setwise import SetwiseReport, evaluate_link_sets
 
 __all__ = [
     "anchor_ranks",
     "success_at",
-    "mean_average_precision",
     "auc",
     "EvaluationReport",
     "evaluate_alignment",
     "top1_matching",
-    "greedy_bipartite_matching",
     "hungarian_matching",
     "SetwiseReport",
     "evaluate_link_sets",
-    "precision_recall_at",
 ]

@@ -1,8 +1,8 @@
 """Matching instantiation from alignment matrices.
 
 The paper uses the top-1 ranking rule (§VI-A) for one-to-one settings;
-this module also provides greedy bipartite matching and the optimal
-Hungarian assignment for downstream users who need injective alignments.
+this module also provides the optimal Hungarian assignment for downstream
+users who need injective alignments.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["top1_matching", "greedy_bipartite_matching", "hungarian_matching"]
+__all__ = ["top1_matching", "hungarian_matching"]
 
 
 def _validate_scores(scores: np.ndarray, caller: str) -> np.ndarray:
@@ -44,31 +44,6 @@ def top1_matching(scores: np.ndarray) -> Dict[int, int]:
     """Per-row argmax (the paper's instantiation rule; not injective)."""
     scores = _validate_scores(scores, "top1_matching")
     return {int(v): int(t) for v, t in enumerate(scores.argmax(axis=1))}
-
-
-def greedy_bipartite_matching(scores: np.ndarray) -> Dict[int, int]:
-    """Injective matching by repeatedly taking the globally best free pair.
-
-    O((n·m) log(n·m)) via one sort of all score entries; a standard strong
-    heuristic when the Hungarian algorithm is too slow.
-    """
-    scores = _validate_scores(scores, "greedy_bipartite_matching")
-    n, m = scores.shape
-    order = np.argsort(scores, axis=None)[::-1]
-    used_sources = np.zeros(n, dtype=bool)
-    used_targets = np.zeros(m, dtype=bool)
-    matching: Dict[int, int] = {}
-    limit = min(n, m)
-    for flat in order:
-        source, target = divmod(int(flat), m)
-        if used_sources[source] or used_targets[target]:
-            continue
-        matching[source] = target
-        used_sources[source] = True
-        used_targets[target] = True
-        if len(matching) == limit:
-            break
-    return matching
 
 
 def hungarian_matching(scores: np.ndarray) -> Dict[int, int]:

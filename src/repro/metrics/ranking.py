@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "anchor_ranks",
     "success_at",
-    "mean_average_precision",
     "auc",
     "EvaluationReport",
     "evaluate_alignment",
@@ -54,14 +53,6 @@ def success_at(
     return float(np.mean(ranks <= q))
 
 
-def mean_average_precision(
-    scores: np.ndarray, groundtruth: Dict[int, int]
-) -> float:
-    """Eq 17: MAP = mean(1 / rank) (MRR under the pairwise setting)."""
-    ranks = anchor_ranks(scores, groundtruth)
-    return float(np.mean(1.0 / ranks))
-
-
 def auc(scores: np.ndarray, groundtruth: Dict[int, int]) -> float:
     """Eq 18: AUC = (#negatives + 1 − rank) / #negatives, averaged.
 
@@ -89,7 +80,7 @@ class EvaluationReport:
     def from_ranks(
         cls, ranks: np.ndarray, n_target: int
     ) -> "EvaluationReport":
-        """The report for 1-based anchor ranks among ``n_target`` targets."""
+        """Eq 16-18 for 1-based anchor ranks among ``n_target`` targets."""
         ranks = np.asarray(ranks)
         negatives = max(1, n_target - 1)
         return cls(

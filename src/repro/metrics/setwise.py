@@ -9,9 +9,9 @@ link sets is the natural view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set
 
-__all__ = ["SetwiseReport", "precision_recall_at", "evaluate_link_sets"]
+__all__ = ["SetwiseReport", "evaluate_link_sets"]
 
 
 @dataclass
@@ -85,30 +85,3 @@ def evaluate_link_sets(
         source_coverage=coverage,
     )
 
-
-def precision_recall_at(
-    scores,
-    groundtruth: Dict[int, int],
-    ks: Iterable[int] = (1, 5, 10),
-) -> List[Tuple[int, float, float]]:
-    """(k, precision@k, recall@k) for top-k link sets from a score matrix.
-
-    With exactly k predictions per source and one true target each,
-    precision@k = recall@k / k; both are reported for completeness.
-    """
-    import numpy as np
-
-    scores = np.asarray(scores)
-    rows = []
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k_eff = min(k, scores.shape[1])
-        top = np.argpartition(scores, -k_eff, axis=1)[:, -k_eff:]
-        hits = sum(
-            1 for source, truth in groundtruth.items() if truth in top[source]
-        )
-        recall = hits / len(groundtruth)
-        precision = hits / (len(groundtruth) * k_eff)
-        rows.append((k, precision, recall))
-    return rows

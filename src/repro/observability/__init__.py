@@ -29,7 +29,6 @@ from .export import (
     validate_bench_payload,
     write_bench_json,
     load_bench_json,
-    iter_metric_lines,
     to_prometheus_text,
 )
 from .trace import (
@@ -76,7 +75,6 @@ __all__ = [
     "validate_bench_payload",
     "write_bench_json",
     "load_bench_json",
-    "iter_metric_lines",
     "to_prometheus_text",
     "Span",
     "Tracer",

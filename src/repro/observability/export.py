@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .registry import Counter, Histogram, MetricsRegistry
 
@@ -37,7 +37,6 @@ __all__ = [
     "validate_bench_payload",
     "write_bench_json",
     "load_bench_json",
-    "iter_metric_lines",
     "to_prometheus_text",
 ]
 
@@ -127,14 +126,6 @@ def load_bench_json(path: str) -> Dict[str, Any]:
     """Read and validate a BENCH_*.json written by :func:`write_bench_json`."""
     with open(path, "r", encoding="utf-8") as handle:
         return validate_bench_payload(json.load(handle))
-
-
-def iter_metric_lines(
-    registry: MetricsRegistry, prefix: Optional[str] = None
-) -> Iterator[str]:
-    """One JSON object per metric per line (log-shipping friendly)."""
-    for name, stats in registry.snapshot(prefix).items():
-        yield json.dumps({"name": name, **stats}, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

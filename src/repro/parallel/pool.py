@@ -456,8 +456,8 @@ class WorkerPool:
         """Result of the first *usable* replica plus observed kill count.
 
         Returns ``(payload, kills)`` where ``kills`` counts replicas
-        that died with :class:`~repro.resilience.SimulatedKill` before a
-        usable one finished.  A crashed primary whose hedge replica is
+        that died with :class:`~repro.resilience.SimulatedKill` by the
+        time a usable one finished.  A crashed primary whose hedge replica is
         still running does **not** fail the task: the wait continues so
         the hedge can deliver — counting the primary's crash exactly
         once instead of triggering a full retry round (which used to
@@ -483,22 +483,25 @@ class WorkerPool:
             )
             if not done:
                 raise concurrent.futures.TimeoutError()
+            # Count every killed replica in this batch before any clean
+            # one returns: a crash that finished beside its hedge counts.
+            finished = [future for future in replicas if future in done]
+            killed = [
+                future for future in finished
+                if isinstance(future.exception(), SimulatedKill)
+            ]
+            kills += len(killed)
             # Prefer a clean completion, in submission order.
-            for future in replicas:
-                if future in done and future.exception() is None:
+            for future in finished:
+                if future.exception() is None:
                     return future.result(), kills
-            for future in list(pending):
-                if future not in done:
-                    continue
-                error = future.exception()
-                if isinstance(error, SimulatedKill):
-                    # A killed replica; keep waiting on the others.
-                    kills += 1
-                    pending.remove(future)
-                else:
+            for future in finished:
+                if future not in killed:
                     # BrokenProcessPool (and anything else escaping the
                     # task wrapper) poisons the whole pool: surface it.
                     return future.result(), kills
+            # Only killed replicas finished; keep waiting on the others.
+            pending = [future for future in pending if future not in done]
         raise SimulatedKill(
             f"all {len(replicas)} replica(s) of the task were killed"
         )

@@ -19,7 +19,7 @@ exports record how eventful a run was.  See "Resilience & recovery" in
 ``docs/architecture.md`` for the metric taxonomy.
 """
 
-from .breaker import BREAKER_STATES, CircuitBreaker
+from .breaker import CircuitBreaker
 from .errors import (
     AnnParameterError,
     ArtifactValidationError,
@@ -55,7 +55,6 @@ __all__ = [
     "TRAINING_FAULT_KINDS",
     "SERVING_FAULT_KINDS",
     "CircuitBreaker",
-    "BREAKER_STATES",
     "RecoveryManager",
     "validate_graph",
     "validate_pair",

@@ -30,9 +30,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..observability import MetricsRegistry, get_registry
 
-__all__ = ["CircuitBreaker", "BREAKER_STATES"]
-
-BREAKER_STATES = ("closed", "open", "half_open")
+__all__ = ["CircuitBreaker"]
 
 
 class CircuitBreaker:

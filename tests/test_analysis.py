@@ -1,4 +1,4 @@
-"""Tests for t-SNE, PCA, and embedding diagnostics."""
+"""Tests for t-SNE and embedding diagnostics."""
 
 import numpy as np
 import pytest
@@ -7,44 +7,8 @@ from repro.analysis import (
     EmbeddingDiagnostics,
     concatenate_orders,
     diagnose_embeddings,
-    explained_variance_ratio,
-    pca,
     tsne,
 )
-
-
-class TestPCA:
-    def test_output_shape(self, rng):
-        data = rng.normal(size=(30, 10))
-        assert pca(data, 2).shape == (30, 2)
-
-    def test_first_component_captures_dominant_direction(self, rng):
-        # Data stretched along one axis: PC1 must recover ~all the variance.
-        base = rng.normal(size=(100, 1)) * np.array([[10.0]])
-        noise = rng.normal(size=(100, 4)) * 0.1
-        data = np.hstack([base, noise])
-        ratios = explained_variance_ratio(data)
-        assert ratios[0] > 0.95
-
-    def test_projection_centered(self, rng):
-        projected = pca(rng.normal(size=(40, 6)) + 5.0, 2)
-        np.testing.assert_allclose(projected.mean(axis=0), 0.0, atol=1e-10)
-
-    def test_deterministic(self, rng):
-        data = rng.normal(size=(20, 5))
-        np.testing.assert_array_equal(pca(data, 2), pca(data, 2))
-
-    def test_rejects_bad_component_count(self, rng):
-        with pytest.raises(ValueError):
-            pca(rng.normal(size=(5, 3)), 4)
-
-    def test_rejects_1d(self, rng):
-        with pytest.raises(ValueError):
-            pca(rng.normal(size=(5,)), 1)
-
-    def test_explained_variance_sums_to_one(self, rng):
-        ratios = explained_variance_ratio(rng.normal(size=(30, 6)))
-        assert ratios.sum() == pytest.approx(1.0)
 
 
 class TestTSNE:

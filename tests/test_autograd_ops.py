@@ -15,7 +15,6 @@ from repro.autograd import (
     normalize_rows,
     softmax,
     log_softmax,
-    dropout_mask,
     gradcheck,
 )
 
@@ -299,12 +298,6 @@ class TestGradcheckCoverage:
         "log_softmax": lambda rng: gradcheck(
             log_softmax, [Tensor(rng.normal(size=(3, 4)), requires_grad=True)]
         ),
-        # dropout_mask returns a constant array; differentiability means
-        # gradients flow unchanged through multiplication by the mask.
-        "dropout_mask": lambda rng: gradcheck(
-            lambda t: t * dropout_mask((3, 4), 0.4, np.random.default_rng(7)),
-            [Tensor(rng.normal(size=(3, 4)), requires_grad=True)],
-        ),
     }
 
     def test_covers_every_exported_op(self):
@@ -316,17 +309,3 @@ class TestGradcheckCoverage:
     def test_gradcheck(self, name, rng):
         assert self.GRADCHECKS[name](rng)
 
-
-class TestDropoutMask:
-    def test_zero_rate_all_ones(self, rng):
-        np.testing.assert_array_equal(dropout_mask((5, 5), 0.0, rng), np.ones((5, 5)))
-
-    def test_expectation_preserved(self, rng):
-        mask = dropout_mask((2000,), 0.3, rng)
-        assert mask.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            dropout_mask((2, 2), 1.0, rng)
-        with pytest.raises(ValueError):
-            dropout_mask((2, 2), -0.1, rng)

@@ -3,65 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, SGD, Adam, AdamW, clip_grad_norm, init
+from repro.autograd import Tensor, Adam, clip_grad_norm, init
 
 
 def quadratic_loss(param):
     """(param - 3)^2 summed; unique minimum at 3."""
     diff = param - 3.0
     return (diff * diff).sum()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = Tensor(np.zeros(4), requires_grad=True)
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            quadratic_loss(p).backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, 3.0, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            p = Tensor(np.zeros(1), requires_grad=True)
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                quadratic_loss(p).backward()
-                opt.step()
-            return abs(float(p.data[0]) - 3.0)
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks(self):
-        p = Tensor(np.full(2, 10.0), requires_grad=True)
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        (p.sum() * 0.0).backward()  # zero task gradient
-        opt.step()
-        assert np.all(p.data < 10.0)
-
-    def test_validates_hyperparameters(self):
-        p = Tensor(np.zeros(1), requires_grad=True)
-        with pytest.raises(ValueError):
-            SGD([p], lr=-1.0)
-        with pytest.raises(ValueError):
-            SGD([p], momentum=1.5)
-
-    def test_rejects_empty_params(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_rejects_non_grad_params(self):
-        with pytest.raises(ValueError):
-            SGD([Tensor(np.zeros(2))], lr=0.1)
-
-    def test_skips_params_without_grad_buffer(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        opt = SGD([p], lr=0.1)
-        opt.step()  # no backward yet: must be a no-op, not a crash
-        np.testing.assert_array_equal(p.data, np.ones(2))
 
 
 class TestAdam:
@@ -88,19 +36,27 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([p], betas=(1.0, 0.999))
 
-    def test_adamw_decouples_decay(self):
-        p1 = Tensor(np.full(2, 5.0), requires_grad=True)
-        p2 = Tensor(np.full(2, 5.0), requires_grad=True)
-        adam = Adam([p1], lr=0.1, weight_decay=0.5)
-        adamw = AdamW([p2], lr=0.1, weight_decay=0.5)
-        for opt, p in ((adam, p1), (adamw, p2)):
-            opt.zero_grad()
-            (p * 0.001).sum().backward()
-            opt.step()
-        # Both must decay, but through different mechanisms → different values.
-        assert np.all(p1.data < 5.0)
-        assert np.all(p2.data < 5.0)
-        assert not np.allclose(p1.data, p2.data)
+    def test_weight_decay_shrinks(self):
+        p = Tensor(np.full(2, 10.0), requires_grad=True)
+        opt = Adam([p], lr=0.1, weight_decay=1.0)
+        opt.zero_grad()
+        (p.sum() * 0.0).backward()  # zero task gradient
+        opt.step()
+        assert np.all(p.data < 10.0)
+
+    def test_rejects_empty_params(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
+    def test_rejects_non_grad_params(self):
+        with pytest.raises(ValueError):
+            Adam([Tensor(np.zeros(2))], lr=0.1)
+
+    def test_skips_params_without_grad_buffer(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        opt = Adam([p], lr=0.1)
+        opt.step()  # no backward yet: must be a no-op, not a crash
+        np.testing.assert_array_equal(p.data, np.ones(2))
 
 
 class TestClipGradNorm:
@@ -144,17 +100,6 @@ class TestInit:
         bound = np.sqrt(6.0 / 200)
         assert t.requires_grad
         assert np.all(np.abs(t.data) <= bound)
-
-    def test_xavier_normal_std(self):
-        rng = np.random.default_rng(0)
-        t = init.xavier_normal((200, 200), rng)
-        expected = np.sqrt(2.0 / 400)
-        assert t.data.std() == pytest.approx(expected, rel=0.1)
-
-    def test_kaiming_variants(self):
-        rng = np.random.default_rng(0)
-        assert init.kaiming_uniform((50, 50), rng).shape == (50, 50)
-        assert init.kaiming_normal((50, 50), rng).shape == (50, 50)
 
     def test_uniform_validates_bounds(self):
         rng = np.random.default_rng(0)

@@ -10,7 +10,6 @@ from repro.core import (
     aggregate_alignment,
     alignment_quality,
     find_stable_nodes,
-    greedy_anchor_links,
     layerwise_alignment_matrices,
 )
 from repro.graphs import generators, noisy_copy_pair
@@ -60,10 +59,6 @@ class TestAggregate:
 
 
 class TestGreedyInstantiation:
-    def test_anchor_links(self):
-        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
-        assert greedy_anchor_links(scores) == {0: 0, 1: 1}
-
     def test_quality(self):
         scores = np.array([[0.9, 0.1], [0.2, 0.8]])
         assert alignment_quality(scores) == pytest.approx(1.7)

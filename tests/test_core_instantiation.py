@@ -1,15 +1,9 @@
-"""Tests for anchor-link instantiation policies (one-to-one/one-to-many)."""
+"""Tests for one-to-many anchor-link instantiation."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    AnchorLink,
-    mutual_best,
-    one_to_many,
-    one_to_one,
-    soft_assignment,
-)
+from repro.core import AnchorLink, one_to_many
 
 
 @pytest.fixture
@@ -21,33 +15,7 @@ def scores():
     ])
 
 
-class TestOneToOne:
-    def test_top1_policy(self, scores):
-        links = one_to_one(scores, policy="top1")
-        assert [l.target for l in links] == [0, 1, 1]
-        assert links[0].score == pytest.approx(0.9)
-
-    def test_top1_not_injective(self, scores):
-        links = one_to_one(scores, policy="top1")
-        targets = [l.target for l in links]
-        assert len(set(targets)) < len(targets)
-
-    def test_greedy_injective(self, scores):
-        links = one_to_one(scores, policy="greedy")
-        targets = [l.target for l in links]
-        assert len(set(targets)) == len(targets)
-
-    def test_optimal_maximizes_total(self, scores):
-        optimal = one_to_one(scores, policy="optimal")
-        greedy = one_to_one(scores, policy="greedy")
-        total_optimal = sum(l.score for l in optimal)
-        total_greedy = sum(l.score for l in greedy)
-        assert total_optimal >= total_greedy - 1e-12
-
-    def test_unknown_policy(self, scores):
-        with pytest.raises(ValueError):
-            one_to_one(scores, policy="psychic")
-
+class TestAnchorLink:
     def test_anchor_link_frozen(self):
         link = AnchorLink(0, 1, 0.5)
         with pytest.raises(AttributeError):
@@ -86,37 +54,15 @@ class TestOneToMany:
         links = one_to_many(scores, max_targets=100)
         assert all(len(v) == 3 for v in links.values())
 
-
-class TestMutualBest:
-    def test_only_reciprocal_pairs(self, scores):
-        links = mutual_best(scores)
-        pairs = {(l.source, l.target) for l in links}
-        # Row argmaxes: 0→0, 1→1, 2→1.  Column argmaxes: 0→0, 1→1, 2→1.
-        assert (0, 0) in pairs
-        assert (1, 1) in pairs
-        assert (2, 1) not in pairs
-
-    def test_identity_matrix_all_mutual(self):
-        links = mutual_best(np.eye(4) + 0.01)
-        assert len(links) == 4
-
-
-class TestSoftAssignment:
-    def test_rows_sum_to_one(self, scores):
-        soft = soft_assignment(scores)
-        np.testing.assert_allclose(soft.sum(axis=1), 1.0, rtol=1e-12)
-
-    def test_low_temperature_peaks(self, scores):
-        sharp = soft_assignment(scores, temperature=0.01)
-        np.testing.assert_array_equal(
-            sharp.argmax(axis=1), scores.argmax(axis=1)
-        )
-        assert sharp.max() > 0.999
-
-    def test_high_temperature_flattens(self, scores):
-        flat = soft_assignment(scores, temperature=100.0)
-        assert flat.std() < 0.01
-
-    def test_invalid_temperature(self, scores):
-        with pytest.raises(ValueError):
-            soft_assignment(scores, temperature=0.0)
+    @pytest.mark.parametrize("bad, named", [
+        (np.zeros((3, 0)), "0 target columns"),
+        (np.zeros((0, 3)), "0 source rows"),
+        (np.array([0.9, 0.1]), "2-D"),
+    ])
+    def test_rejects_degenerate_scores_by_name(self, bad, named):
+        # Regression: (3, 0) raised an IndexError from argpartition's
+        # output and a 1-D row an unpack ValueError; both now name the
+        # problem, as top1_matching does.
+        with pytest.raises(ValueError, match=named) as info:
+            one_to_many(bad)
+        assert "one_to_many" in str(info.value)

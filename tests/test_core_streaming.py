@@ -13,7 +13,6 @@ from repro.core import (
     StreamingAligner,
     aggregate_alignment,
     find_stable_nodes,
-    iter_score_blocks,
     layerwise_alignment_matrices,
     streaming_evaluate,
     streaming_top_k,
@@ -36,42 +35,6 @@ def trained():
     target = model.embed(pair.target)
     weights = config.resolved_layer_weights()
     return pair, model, config, source, target, weights
-
-
-class TestIterScoreBlocks:
-    def test_blocks_reassemble_full_matrix(self, trained):
-        pair, _, _, source, target, weights = trained
-        full = aggregate_alignment(
-            layerwise_alignment_matrices(source, target), weights
-        )
-        streamed = np.vstack([
-            block for _, block in iter_score_blocks(source, target, weights,
-                                                    block_size=17)
-        ])
-        np.testing.assert_allclose(streamed, full, rtol=1e-10)
-
-    def test_row_ranges_cover_all(self, trained):
-        _, _, _, source, target, weights = trained
-        covered = []
-        for rows, _ in iter_score_blocks(source, target, weights, block_size=13):
-            covered.extend(rows)
-        assert covered == list(range(source[0].shape[0]))
-
-    def test_validates_inputs(self, trained):
-        _, _, _, source, target, weights = trained
-        with pytest.raises(ValueError):
-            list(iter_score_blocks(source, target, weights, block_size=0))
-        with pytest.raises(ValueError):
-            list(iter_score_blocks(source, target[:-1], weights[:-1]))
-        with pytest.raises(ValueError):
-            list(iter_score_blocks(source, target, weights[:-1]))
-        # Empty layer lists: every Eq 11/12 entry point raises ValueError.
-        with pytest.raises(ValueError):
-            list(iter_score_blocks([], [], []))
-        with pytest.raises(ValueError):
-            streaming_top_k([], [], [])
-        with pytest.raises(ValueError):
-            streaming_evaluate([], [], [], {0: 0})
 
 
 class TestStreamingTopK:
@@ -99,6 +62,20 @@ class TestStreamingTopK:
         _, _, _, source, target, weights = trained
         with pytest.raises(ValueError):
             streaming_top_k(source, target, weights, k=0)
+
+    def test_validates_inputs(self, trained):
+        _, _, _, source, target, weights = trained
+        with pytest.raises(ValueError):
+            streaming_top_k(source, target, weights, block_size=0)
+        with pytest.raises(ValueError):
+            streaming_top_k(source, target[:-1], weights[:-1])
+        with pytest.raises(ValueError):
+            streaming_top_k(source, target, weights[:-1])
+        # Empty layer lists: every Eq 11/12 entry point raises ValueError.
+        with pytest.raises(ValueError):
+            streaming_top_k([], [], [])
+        with pytest.raises(ValueError):
+            streaming_evaluate([], [], [], {0: 0})
 
 
 class TestStreamingEvaluate:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.autograd import Tensor, stack
 from repro.graphs import AttributedGraph
-from repro.metrics import greedy_bipartite_matching
 
 
 class TestTensorEdgePaths:
@@ -65,22 +64,6 @@ class TestGraphEdgePaths:
         graph = AttributedGraph.from_edges(3, [(0, 1)])
         sub = graph.subgraph([])
         assert sub.num_nodes == 0
-
-
-class TestMatchingEdgePaths:
-    def test_greedy_rectangular_wide(self, rng):
-        scores = rng.random((3, 7))
-        matching = greedy_bipartite_matching(scores)
-        assert len(matching) == 3
-        assert len(set(matching.values())) == 3
-
-    def test_greedy_rectangular_tall(self, rng):
-        scores = rng.random((7, 3))
-        matching = greedy_bipartite_matching(scores)
-        assert len(matching) == 3  # limited by the smaller side
-
-    def test_greedy_single_cell(self):
-        assert greedy_bipartite_matching(np.array([[0.5]])) == {0: 0}
 
 
 class TestReportingEdgePaths:

@@ -1,10 +1,10 @@
-"""Tests for the hyper-parameter search utilities."""
+"""Tests for the hyper-parameter grid search."""
 
 import numpy as np
 import pytest
 
 from repro.core import GAlignConfig
-from repro.eval import grid_search, random_search
+from repro.eval import grid_search
 from repro.graphs import generators, noisy_copy_pair
 
 
@@ -55,40 +55,6 @@ class TestGridSearch:
         assert "num_layers=2" in str(results[0])
 
 
-class TestRandomSearch:
-    def test_sample_count(self, pair):
-        results = random_search(
-            pair,
-            {"gamma": lambda rng: float(rng.uniform(0.5, 1.0))},
-            num_samples=3,
-            base_config=FAST,
-        )
-        assert len(results) == 3
-        assert all(0.5 <= r.overrides["gamma"] <= 1.0 for r in results)
-
-    def test_deterministic_given_seed(self, pair):
-        def run():
-            return random_search(
-                pair,
-                {"gamma": lambda rng: float(rng.uniform(0.5, 1.0))},
-                num_samples=2,
-                base_config=FAST,
-                seed=5,
-            )
-
-        first, second = run(), run()
-        assert [r.overrides for r in first] == [r.overrides for r in second]
-
-    def test_validates_inputs(self, pair):
-        with pytest.raises(ValueError):
-            random_search(pair, {}, num_samples=1, base_config=FAST)
-        with pytest.raises(ValueError):
-            random_search(
-                pair, {"gamma": lambda rng: 0.8}, num_samples=0,
-                base_config=FAST,
-            )
-
-
 class TestDeterministicRanking:
     """Regression: ties on the target metric used to keep evaluation
     order, so the ranking depended on grid enumeration instead of being
@@ -103,13 +69,3 @@ class TestDeterministicRanking:
         assert len({r.metric_value for r in results}) == 1
         assert [r.overrides["max_recoveries"] for r in results] == [1, 2, 3]
 
-    def test_random_search_ties_ranked_canonically(self, pair):
-        draws = iter([5, 3, 4])
-        results = random_search(
-            pair,
-            {"max_recoveries": lambda rng: next(draws)},
-            num_samples=3,
-            base_config=FAST,
-        )
-        assert len({r.metric_value for r in results}) == 1
-        assert [r.overrides["max_recoveries"] for r in results] == [3, 4, 5]

@@ -7,7 +7,6 @@ from repro.graphs import (
     AttributedGraph,
     propagation_matrix,
     weighted_propagation_matrix,
-    degree_vector_with_self_loops,
 )
 
 
@@ -35,11 +34,6 @@ class TestPropagationMatrix:
         c = propagation_matrix(g).toarray()
         # Isolated node's self-loop normalizes to exactly 1.
         assert c[2, 2] == pytest.approx(1.0)
-
-    def test_degree_vector(self, tiny_graph):
-        np.testing.assert_array_equal(
-            degree_vector_with_self_loops(tiny_graph), [2, 4, 3, 4, 2]
-        )
 
 
 class TestWeightedPropagationMatrix:

@@ -10,7 +10,6 @@ from repro.graphs import (
     attribute_noise,
     binary_attribute_noise,
     generators,
-    perturb_graph,
     real_attribute_noise,
     remove_edges,
     structural_noise,
@@ -137,25 +136,6 @@ class TestAttributeNoiseDispatch:
     def test_explicit_kind_rejected_when_unknown(self, small_graph, rng):
         with pytest.raises(ValueError):
             attribute_noise(small_graph, 0.1, rng, kind="quantum")
-
-
-class TestPerturbGraph:
-    def test_applies_both_noise_types(self, rng):
-        graph = generators.barabasi_albert(80, 3, rng, feature_kind="onehot", feature_dim=8)
-        noisy = perturb_graph(graph, 0.3, 0.5, rng)
-        assert noisy.num_nodes == graph.num_nodes
-        assert noisy.num_edges != graph.num_edges or not np.array_equal(
-            noisy.features, graph.features
-        )
-
-    @given(seed=st.integers(0, 2**31 - 1), ratio=st.floats(0.0, 0.5))
-    @settings(max_examples=20, deadline=None)
-    def test_node_count_invariant(self, seed, ratio):
-        rng = np.random.default_rng(seed)
-        graph = generators.erdos_renyi(40, 0.15, rng, feature_dim=4)
-        noisy = perturb_graph(graph, ratio, ratio, rng)
-        assert noisy.num_nodes == graph.num_nodes
-        assert noisy.num_features == graph.num_features
 
 
 class TestSameStreamDraws:

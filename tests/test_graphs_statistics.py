@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
-    AttributedGraph,
-    degree_histogram,
     generators,
     graph_statistics,
     noisy_copy_pair,
@@ -52,22 +50,6 @@ class TestGraphStatistics:
         stats = graph_statistics(tiny_graph)
         assert "avg_degree" in stats.as_dict()
         assert "n=5" in str(stats)
-
-
-class TestDegreeHistogram:
-    def test_counts_sum_to_nodes(self, rng):
-        graph = generators.barabasi_albert(100, 3, rng)
-        histogram = degree_histogram(graph, num_bins=8)
-        assert histogram["counts"].sum() == graph.num_nodes
-
-    def test_invalid_bins(self, tiny_graph):
-        with pytest.raises(ValueError):
-            degree_histogram(tiny_graph, num_bins=0)
-
-    def test_edgeless_graph(self):
-        graph = AttributedGraph(np.zeros((4, 4)))
-        histogram = degree_histogram(graph)
-        assert histogram["counts"].sum() == 0
 
 
 class TestPairStatistics:

@@ -1,5 +1,7 @@
 """Tests for ranking metrics (Eq 16-18) and matching rules."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,7 @@ from repro.metrics import (
     anchor_ranks,
     auc,
     evaluate_alignment,
-    greedy_bipartite_matching,
     hungarian_matching,
-    mean_average_precision,
     success_at,
     top1_matching,
 )
@@ -75,15 +75,15 @@ class TestSuccessAt:
 
 class TestMAP:
     def test_perfect(self, perfect_scores, identity_groundtruth):
-        assert mean_average_precision(perfect_scores, identity_groundtruth) == 1.0
+        assert evaluate_alignment(perfect_scores, identity_groundtruth).map == 1.0
 
     def test_reciprocal_rank(self):
         scores = np.array([[0.5, 1.0, 0.1]])  # rank 2
-        assert mean_average_precision(scores, {0: 0}) == pytest.approx(0.5)
+        assert evaluate_alignment(scores, {0: 0}).map == pytest.approx(0.5)
 
     def test_bounded(self, rng):
         scores = rng.normal(size=(15, 15))
-        value = mean_average_precision(scores, {i: i for i in range(15)})
+        value = evaluate_alignment(scores, {i: i for i in range(15)}).map
         assert 0.0 < value <= 1.0
 
 
@@ -133,17 +133,6 @@ class TestMatching:
         matching = top1_matching(scores)
         assert matching == {0: 0, 1: 0}
 
-    def test_greedy_injective(self, rng):
-        scores = rng.random((10, 10))
-        matching = greedy_bipartite_matching(scores)
-        assert len(set(matching.values())) == len(matching) == 10
-
-    def test_greedy_takes_best_pair_first(self):
-        scores = np.array([[0.1, 0.9], [0.8, 0.95]])
-        matching = greedy_bipartite_matching(scores)
-        # Global best is (1,1)=0.95, then (0,?) gets column 0.
-        assert matching == {1: 1, 0: 0}
-
     def test_hungarian_optimal(self):
         scores = np.array([[0.9, 0.8], [0.85, 0.1]])
         # Greedy would take (0,0)=0.9 then (1,1)=0.1 → total 1.0;
@@ -159,18 +148,21 @@ class TestMatching:
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
-    def test_hungarian_at_least_greedy(self, seed):
+    def test_hungarian_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        scores = rng.random((8, 8))
-        greedy_total = sum(scores[s, t] for s, t in greedy_bipartite_matching(scores).items())
+        scores = rng.random((5, 5))
+        best_total = max(
+            scores[np.arange(5), list(perm)].sum()
+            for perm in itertools.permutations(range(5))
+        )
         optimal_total = sum(scores[s, t] for s, t in hungarian_matching(scores).items())
-        assert optimal_total >= greedy_total - 1e-12
+        assert optimal_total == pytest.approx(best_total, abs=1e-12)
 
 
 class TestMatchingValidation:
     """Degenerate score matrices raise a ValueError naming the dimension."""
 
-    MATCHERS = [top1_matching, greedy_bipartite_matching, hungarian_matching]
+    MATCHERS = [top1_matching, hungarian_matching]
 
     @pytest.mark.parametrize("matcher", MATCHERS)
     def test_zero_source_rows(self, matcher):

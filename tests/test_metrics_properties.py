@@ -13,7 +13,6 @@ from repro.metrics import (
     anchor_ranks,
     auc,
     evaluate_alignment,
-    mean_average_precision,
     success_at,
 )
 
@@ -53,7 +52,7 @@ class TestMetricConsistency:
     def test_success1_lower_bounds_map(self, seed):
         # MAP >= Success@1 always (rank-1 anchors contribute 1 to both).
         scores, groundtruth = random_instance(seed)
-        assert mean_average_precision(scores, groundtruth) >= success_at(
+        assert evaluate_alignment(scores, groundtruth).map >= success_at(
             scores, groundtruth, 1
         ) - 1e-12
 
@@ -65,7 +64,7 @@ class TestMetricConsistency:
         q = 3
         sq = success_at(scores, groundtruth, q)
         bound = sq + (1.0 / (q + 1)) * (1.0 - sq)
-        assert mean_average_precision(scores, groundtruth) <= bound + 1e-12
+        assert evaluate_alignment(scores, groundtruth).map <= bound + 1e-12
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -85,7 +84,7 @@ class TestConstructedRanks:
         scores = np.array([[0.9, 0.8, 0.5, 0.1]])
         groundtruth = {0: 2}
         assert anchor_ranks(scores, groundtruth)[0] == 3
-        assert mean_average_precision(scores, groundtruth) == pytest.approx(1 / 3)
+        assert evaluate_alignment(scores, groundtruth).map == pytest.approx(1 / 3)
         assert auc(scores, groundtruth) == pytest.approx((3 + 1 - 3) / 3)
         assert success_at(scores, groundtruth, 2) == 0.0
         assert success_at(scores, groundtruth, 3) == 1.0

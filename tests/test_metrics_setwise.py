@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AnchorLink, one_to_many
-from repro.metrics import evaluate_link_sets, precision_recall_at
+from repro.metrics import evaluate_link_sets
 
 
 class TestEvaluateLinkSets:
@@ -53,28 +53,6 @@ class TestEvaluateLinkSets:
     def test_str(self):
         report = evaluate_link_sets({0: [0]}, {0: 0})
         assert "P=1.0000" in str(report)
-
-
-class TestPrecisionRecallAt:
-    def test_matches_success_at(self, rng):
-        scores = rng.normal(size=(20, 20))
-        truth = {i: i for i in range(20)}
-        rows = precision_recall_at(scores, truth, ks=(1, 5))
-        from repro.metrics import success_at
-
-        for k, _, recall in rows:
-            assert recall == pytest.approx(success_at(scores, truth, k))
-
-    def test_precision_relationship(self, rng):
-        scores = rng.normal(size=(10, 10))
-        truth = {i: i for i in range(10)}
-        for k, precision, recall in precision_recall_at(scores, truth):
-            k_eff = min(k, 10)
-            assert precision == pytest.approx(recall / k_eff)
-
-    def test_invalid_k(self, rng):
-        with pytest.raises(ValueError):
-            precision_recall_at(np.eye(3), {0: 0}, ks=(0,))
 
 
 class TestIntegrationWithInstantiation:

@@ -22,7 +22,6 @@ from repro.observability import (
     Timer,
     bench_payload,
     get_registry,
-    iter_metric_lines,
     load_bench_json,
     set_registry,
     use_registry,
@@ -396,14 +395,6 @@ class TestBenchExport:
         write_bench_json(str(first), registry, run={"seed": 1})
         write_bench_json(str(second), registry, run={"seed": 1})
         assert first.read_bytes() == second.read_bytes()
-
-    def test_metric_lines_are_json(self, registry):
-        registry.increment("a")
-        registry.observe("b", 2.0)
-        lines = list(iter_metric_lines(registry))
-        assert len(lines) == 2
-        parsed = [json.loads(line) for line in lines]
-        assert {entry["name"] for entry in parsed} == {"a", "b"}
 
 
 class TestInstrumentedComponents:

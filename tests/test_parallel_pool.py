@@ -5,6 +5,7 @@ reference.  Everything here keeps workloads tiny — the point is the
 scheduler's semantics (ordering, retries, metric merging), not speed.
 """
 
+import concurrent.futures
 import os
 import time
 
@@ -39,6 +40,7 @@ from repro.resilience import (
     DeadlineExceededError,
     Fault,
     FaultInjector,
+    SimulatedKill,
     WorkerCrashError,
 )
 
@@ -478,6 +480,18 @@ class TestHedgeCrashAccounting:
         assert registry.counter("parallel.hedges").value == 1
         assert registry.counter("parallel.worker_crashes").value == 1
         assert registry.counter("parallel.retries").value == 0
+
+    @pytest.mark.parametrize("killed_first", [True, False])
+    def test_kill_beside_clean_hedge_in_one_wait_counts(self, killed_first):
+        # Regression: when a killed primary and a clean hedge both finish
+        # before one wait returns, the clean result used to return first
+        # and the crash went uncounted.
+        killed = concurrent.futures.Future()
+        killed.set_exception(SimulatedKill("primary died"))
+        clean = concurrent.futures.Future()
+        clean.set_result("ok")
+        replicas = [killed, clean] if killed_first else [clean, killed]
+        assert WorkerPool._first_result(replicas, None) == ("ok", 1)
 
     def test_all_replicas_killed_still_retries(self):
         # When the hedge dies too there is no answer to salvage: the

@@ -10,7 +10,9 @@ import threading
 import pytest
 
 from repro.observability import MetricsRegistry
-from repro.resilience import BREAKER_STATES, CircuitBreaker
+from repro.resilience import CircuitBreaker
+
+BREAKER_STATES = ("closed", "open", "half_open")
 
 
 class FakeClock:

@@ -5,10 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.autograd import Adam, SGD, Tensor
+from repro.autograd import Adam, Tensor
 from repro.base import AlignmentMethod
 from repro.core import AlignmentRefiner, GAlignConfig, GAlignTrainer
-from repro.core.streaming import iter_score_blocks, streaming_top_k
+from repro.core.streaming import streaming_evaluate, streaming_top_k
 from repro.eval import ExperimentRunner, MethodSpec
 from repro.graphs import AlignmentPair, generators
 from repro.observability import MetricsRegistry
@@ -131,21 +131,23 @@ class TestRecovery:
         assert payload["reason"] == "nonfinite_gradients"
         assert payload["attempt"] == 1
 
-    def test_works_with_sgd_state(self):
+    def test_restores_adam_moments(self):
         model = _ToyModel()
         param = Tensor(np.ones(3), requires_grad=True)
-        optimizer = SGD([param], lr=0.2, momentum=0.9)
+        optimizer = Adam([param], lr=0.2)
         manager = RecoveryManager(model, optimizer)
         param.grad = np.ones(3)
         optimizer.step()
         manager.commit(1.0)
-        velocity_before = optimizer.state_dict()["velocity"][0].copy()
+        before = optimizer.state_dict()
+        param.grad = np.full(3, 5.0)
         optimizer.step()
         manager.recover("nonfinite_loss", step=1)
+        after = optimizer.state_dict()
         assert optimizer.lr == pytest.approx(0.1)
-        np.testing.assert_array_equal(
-            optimizer.state_dict()["velocity"][0], velocity_before
-        )
+        assert after["step_count"] == before["step_count"] == 1
+        for key in ("m", "v"):
+            np.testing.assert_array_equal(after[key][0], before[key][0])
 
 
 class _FlakyModel:
@@ -209,11 +211,15 @@ class TestStreamingSanitization:
         source = [np.ones((4, 3))]
         target = np.ones((5, 3))
         target[2] = np.nan
-        blocks = list(iter_score_blocks(source, [target], [1.0],
-                                        registry=registry))
-        scores = np.concatenate([block for _, block in blocks])
-        assert np.all(scores[:, 2] == -np.inf)
-        assert np.all(np.isfinite(scores[:, [0, 1, 3, 4]]))
+        # A -inf column ranks last (5 of 5); a NaN one would rank 0.
+        poisoned = streaming_evaluate(source, [target], [1.0],
+                                      {i: 2 for i in range(4)},
+                                      registry=registry)
+        assert poisoned.map == pytest.approx(1 / 5)
+        # The finite columns tie at 3.0, so each ranks 4 of 5.
+        finite = streaming_evaluate(source, [target], [1.0], {0: 0},
+                                    registry=MetricsRegistry())
+        assert finite.map == pytest.approx(1 / 4)
         assert registry.counter(
             "resilience.streaming_sanitized_blocks"
         ).value == 1
